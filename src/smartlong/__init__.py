@@ -1,9 +1,9 @@
 """Longitudinal marginal mean analysis of clustered SMARTs.
 
 Fits weighted estimating equations for three-level outcomes (repeated
-measures within individuals within clusters), compares embedded adaptive
-interventions through contrast-based Wald inference, and ships a
-moment-matched trial simulator for validating operating characteristics.
+measures within individuals within clusters) and compares embedded adaptive
+interventions through contrast-based Wald inference, alongside the two-level
+end-of-study analysis it is compared against.
 """
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ from .gee import (
     WaldResult,
     WeightMode,
     WeightModel,
-    end_of_study_contrast,
     estimate_weight_model,
     finite_sample_adjust,
     fit,

@@ -6,6 +6,7 @@ shared freely across parallel workers.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -44,13 +45,14 @@ class TimeGrid:
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", times)
-        if len(times) < 2:
-            raise ValueError("grid needs at least two measurement times")
+        if not times:
+            raise ValueError("grid needs at least one measurement time")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("measurement times must be strictly increasing")
-        if not times[0] <= self.knot < times[-1]:
+        if not (times[0] <= self.knot < times[-1] or times == (self.knot,)):
             raise ValueError(
-                f"knot {self.knot} must lie in [{times[0]}, {times[-1]})"
+                f"knot {self.knot} must lie in [{times[0]}, {times[-1]}), "
+                "or equal the time of a one-time grid"
             )
 
     @property
@@ -63,11 +65,8 @@ class TimeGrid:
 
     @property
     def knot_index(self) -> int:
-        """Unique ``s`` with ``times[s] <= knot < times[s+1]``."""
-        for s in range(len(self.times) - 1):
-            if self.times[s] <= self.knot < self.times[s + 1]:
-                return s
-        raise AssertionError("unreachable: knot validated at construction")
+        """Unique ``s`` with ``times[s] <= knot < times[s+1]``; 0 on a one-time grid."""
+        return bisect.bisect_right(self.times, self.knot) - 1
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,22 @@ def _match_time(value: float, grid: TimeGrid, where: str) -> int:
     raise UnknownTime(f"{where}: time {value} is not on the grid {grid.times}")
 
 
+def _parse_covariates(
+    row: Sequence[str], col_index: Mapping[str, int], names: Sequence[str], where: str
+) -> Tuple[float, ...]:
+    values = []
+    for name in names:
+        raw = row[col_index[name]].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise MissingCell(f"{where}: covariate {name!r} is {raw!r}, not a finite number")
+        values.append(value)
+    return tuple(values)
+
+
 def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
     """Parse a delimited long-format table into a :class:`TrialDataset`.
 
@@ -220,8 +235,8 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
         a2r = None
         if "a2r" in col_index:
             a2r = _decode_optional_treatment(row[col_index["a2r"]], schema.a2_codes, "a2r", where)
-        xc = tuple(float(row[col_index[c]]) for c in schema.cluster_covariates)
-        xi = tuple(float(row[col_index[c]]) for c in schema.individual_covariates)
+        xc = _parse_covariates(row, col_index, schema.cluster_covariates, where)
+        xi = _parse_covariates(row, col_index, schema.individual_covariates, where)
 
         pathway = (a1, r, a2nr, a2r)
         if cid in pathways:
@@ -399,6 +414,10 @@ def validate(ds: TrialDataset) -> ValidationReport:
                 cl.cluster_id, "CovariateSchema",
                 f"expected {n_xc} cluster covariates, got {len(cl.x_cluster)}",
             ))
+        elif not all(map(math.isfinite, cl.x_cluster)):
+            violations.append(Violation(
+                cl.cluster_id, "NonFiniteCovariate", "cluster covariates are not all finite",
+            ))
         for indiv in cl.individuals:
             if len(indiv.y) != n_times:
                 violations.append(Violation(
@@ -414,6 +433,11 @@ def validate(ds: TrialDataset) -> ValidationReport:
                 violations.append(Violation(
                     cl.cluster_id, "CovariateSchema",
                     f"individual {indiv.individual_id!r} has {len(indiv.x_individual)} covariates, expected {n_xi}",
+                ))
+            elif not all(map(math.isfinite, indiv.x_individual)):
+                violations.append(Violation(
+                    cl.cluster_id, "NonFiniteCovariate",
+                    f"individual {indiv.individual_id!r} has non-finite covariates",
                 ))
 
     if not violations:

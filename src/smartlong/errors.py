@@ -8,7 +8,7 @@ class SmartlongError(Exception):
 # --- data ingestion ---
 
 class MissingCell(SmartlongError):
-    """An outcome value is absent for a (cluster, individual, time) slot."""
+    """A required column, outcome or covariate value is absent, non-numeric or non-finite."""
 
 
 class InconsistentCluster(SmartlongError):
@@ -61,17 +61,3 @@ class ZeroVariance(SmartlongError):
 
 class Separation(SmartlongError):
     """A randomization-cell probability model has a divergent MLE."""
-
-
-# --- simulator ---
-
-class SingularUpsilon(SmartlongError):
-    """The spillover-coefficient system is singular; spec is infeasible."""
-
-
-class EmptyStratum(SmartlongError):
-    """A response stratum received no Monte Carlo draws."""
-
-
-class InfeasibleSimSpec(SmartlongError):
-    """Simulator targets are mutually inconsistent or non-positive-definite."""

@@ -13,6 +13,10 @@ Per-cluster contributions are grouped by (regime, cluster size) so each
 iteration reduces to a handful of batched einsum contractions; clusters are
 processed in sorted-id order, which makes every result reproducible and
 independent of input row order.
+
+:func:`fit` is the only estimating-equation solver (the end-of-study
+comparator runs it on the final time alone) and :func:`wald_test` the only
+source of p-values and confidence intervals.
 """
 from __future__ import annotations
 
@@ -27,21 +31,25 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 from scipy.stats import norm, t as student_t
 
-from .data import ClusterRecord, TrialDataset, validate
-from .design import DesignKind, EmbeddedCai, SmartDesign, consistency_indicator, design_weight, enumerate_cais
+from .data import ClusterRecord, TimeGrid, TrialDataset, validate
+from .design import DesignKind, EmbeddedCai, consistency_indicator, design_weight, enumerate_cais
 from .errors import (
     InconsistentCluster,
     InsufficientData,
-    NotPositiveDefinite,
     RankDeficient,
     Separation,
     ZeroVariance,
 )
-from .meanmodel import ContrastVector, MeanModelSpec, ThetaEstimate
+from .meanmodel import ContrastVector, MeanModelSpec, ThetaEstimate, make_saturated_basis
 from .workingcov import (
     AlphaEstimate,
+    BetweenCorr,
+    CorrCai,
     ResidualGroup,
     ResidualSet,
+    VarianceCai,
+    VarianceTime,
+    WithinCorr,
     WorkingCovSpec,
     build_V,
     estimate_alpha,
@@ -62,10 +70,12 @@ __all__ = [
     "finite_sample_adjust",
     "wald_test",
     "fit_end_of_study",
-    "end_of_study_contrast",
 ]
 
 _MAX_COND = 1e12
+# a contrast SE within this many units of float resolution of the estimate's
+# own rounding error cannot be told apart from zero
+_ZERO_SE_ULPS = 1e3
 
 
 class WeightMode(Enum):
@@ -150,13 +160,11 @@ class _Workspace:
         self.clusters = list(clusters)
         self.weights = np.asarray(weights, dtype=float)
         self.N = len(self.clusters)
+        if self.weights.shape != (self.N,) or not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("weights must be finite and positive, one per cluster")
         self.p = mean_spec.n_params
         self.cais = enumerate_cais(ds.design)
         self.groups = self._build_groups()
-        self.y_scale = 1.0 + max(
-            (abs(v) for cl in self.clusters for ind in cl.individuals for v in ind.y),
-            default=0.0,
-        )
 
     # -- assembly -----------------------------------------------------------
 
@@ -376,9 +384,8 @@ def _require_valid(ds: TrialDataset) -> None:
     if report.violations:
         v = report.violations[0]
         raise InconsistentCluster(f"cluster {v.cluster_id!r}: {v.message}")
-    for cai in enumerate_cais(ds.design):
-        if not any(consistency_indicator(cl, cai, ds.design) for cl in ds.clusters):
-            raise InsufficientData(f"no cluster is consistent with embedded regime {cai}")
+    if report.warnings:
+        raise InsufficientData(report.warnings[0])
 
 
 def fit(
@@ -391,24 +398,21 @@ def fit(
 
     The iteration starts from an identity working covariance, stops when the
     sup-norm change in theta falls below ``options.tolerance``, and returns
-    the best iterate with ``converged=False`` after ``max_iter`` sweeps.
+    the last iterate with ``converged=False`` after ``max_iter`` sweeps.
+    Either way the returned theta is the exact root under the working
+    covariance it was solved with.
     """
     _require_valid(ds)
-    clusters = _canonical_clusters(ds)
-    cais = enumerate_cais(ds.design)
-
-    weight_model = None
+    weight_model = weights = None
     if options.weight_mode is WeightMode.ESTIMATED:
         weight_model = estimate_weight_model(
             ds, options.stage1_covariates, options.stage2_covariates
         )
         weights = weight_model.fitted_weights
-    else:
-        weights = np.array([design_weight(cl, ds.design) for cl in clusters])
 
-    ws = _Workspace(ds, mean_spec, weights, clusters)
+    ws = _make_workspace(ds, mean_spec, weights)
     theta0, _, _ = ws.solve(None)
-    alpha0 = estimate_alpha(ws.residual_groups(theta0), cov_spec, cais)
+    alpha0 = estimate_alpha(ws.residual_groups(theta0), cov_spec, ws.cais)
 
     if not options.tolerance < math.inf:
         # degenerate stopping rule: accept the identity-covariance fit
@@ -432,7 +436,7 @@ def fit(
                 converged = True
                 break
             if k < options.max_iter:
-                alpha = estimate_alpha(ws.residual_groups(theta), cov_spec, cais)
+                alpha = estimate_alpha(ws.residual_groups(theta), cov_spec, ws.cais)
         if not converged:
             warnings.warn(
                 f"fit did not converge in {options.max_iter} iterations "
@@ -519,11 +523,12 @@ def sandwich_estimated_weights(fit_result: FitResult, wm: WeightModel) -> np.nda
     factors = None
     if fit_result.cov_spec is not None and fit_result.iterations > 0:
         factors = ws.factorize(fit_result.cov_spec, fit_result.alpha)
-    vd = ws._vinv_design(factors)
-    U = ws.u_rows(fit_result.theta.full, vd)
-    q_raw = U.T @ U / ws.N
-    q_corr = _score_corrected_q(q_raw, U, wm.scores)
-    return sandwich_covariance(fit_result.j_hat, q_corr, ws.N)
+    return _assemble(
+        ws, fit_result.mean_spec, fit_result.cov_spec, fit_result.theta.full,
+        fit_result.alpha, factors,
+        iterations=fit_result.iterations, converged=fit_result.converged,
+        max_delta=fit_result.max_delta, weight_mode=WeightMode.ESTIMATED, weight_model=wm,
+    ).sigma_theta
 
 
 # -- estimated weights ---------------------------------------------------------
@@ -598,7 +603,6 @@ def estimate_weight_model(
     except Separation:
         beta1 = np.array([math.log(design.p_a1 / (1.0 - design.p_a1))] + [0.0] * (X1.shape[1] - 1))
         p1_plus = np.full(N, design.p_a1)
-        fallback.append((0, -9))  # sentinel for the first-stage model
 
     prob = np.where(y1 == 1.0, p1_plus, 1.0 - p1_plus)
 
@@ -635,7 +639,7 @@ def estimate_weight_model(
         stage2_coef=stage2_coef,
         scores=scores,
         fitted_weights=1.0 / prob,
-        fallback_cells=tuple(c for c in fallback if c != (0, -9)),
+        fallback_cells=tuple(fallback),
     )
 
 
@@ -701,11 +705,12 @@ def wald_test(fit_result: FitResult, contrast: ContrastVector, level: float = 0.
     # work with a max-normalized copy so the statistic is scale-stable
     scale = float(np.abs(c).max())
     cn = c / scale
-    est_n = float(cn @ fit_result.theta.full)
+    theta = fit_result.theta.full
+    est_n = float(cn @ theta)
     var_n = float(cn @ fit_result.sigma_theta @ cn)
-    if var_n <= 0.0:
-        raise ZeroVariance(f"contrast {contrast.label!r} has nonpositive variance")
-    se_n = math.sqrt(var_n)
+    se_n = math.sqrt(max(var_n, 0.0))
+    if not se_n > _ZERO_SE_ULPS * np.finfo(float).eps * float(np.abs(cn * theta).sum()):
+        raise ZeroVariance(f"contrast {contrast.label!r} has numerically zero variance")
     statistic = est_n / se_n
     estimate = scale * est_n
     se = scale * se_n
@@ -731,149 +736,36 @@ def wald_test(fit_result: FitResult, contrast: ContrastVector, level: float = 0.
 # -- end-of-study-only comparator ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndOfStudyFit:
-    """Weighted fit of per-regime means using only the final measurement."""
-
-    cell_means: np.ndarray
-    eta: np.ndarray
-    sigma_theta: np.ndarray
-    cais: Tuple[EmbeddedCai, ...]
-    param_names: Tuple[str, ...]
-    n_clusters: int
-    sigma2: float
-    rho_b: float
-    df: Optional[int]
-
-
 def fit_end_of_study(
     ds: TrialDataset,
     covariate_terms: Sequence[str] = (),
     tolerance: float = 1e-8,
     max_iter: int = 50,
     t_reference: bool = False,
-) -> EndOfStudyFit:
-    """Single-time analysis of the final outcome with an exchangeable
-    between-person working correlation, for efficiency comparisons against
-    the longitudinal fit."""
+) -> FitResult:
+    """The two-level end-of-study comparator (NeCamp, Kilbourne & Almirall,
+    SMMR 2017): :func:`fit` on the final time alone with one mean per regime
+    (``theta.gamma`` in :func:`enumerate_cais` order), a pooled variance and an
+    exchangeable between-person correlation pooled over regimes.  Compare two
+    regimes with ``wald_test(res, contrast_end_of_study(res.mean_spec, d, d_prime))``.
+    """
     _require_valid(ds)
-    clusters = _canonical_clusters(ds)
-    cais = enumerate_cais(ds.design)
-    N = len(clusters)
-    weights = np.array([design_weight(cl, ds.design) for cl in clusters])
-
-    n_cells = len(cais)
-    names = tuple(f"mu[{c}]" for c in cais) + tuple(f"eta_{c}" for c in covariate_terms)
-    p = n_cells + len(covariate_terms)
-
-    entries = []  # (cluster_pos, cai index, n, D, y)
-    for pos, cl in enumerate(clusters):
-        y = np.array([ind.y[-1] for ind in cl.individuals])
-        for ci, d in enumerate(cais):
-            if not consistency_indicator(cl, d, ds.design):
-                continue
-            D = np.zeros((cl.n, p))
-            D[:, ci] = 1.0
-            for k, name in enumerate(covariate_terms):
-                if name in ds.cluster_covariates:
-                    D[:, n_cells + k] = cl.x_cluster[ds.cluster_covariates.index(name)]
-                elif name in ds.individual_covariates:
-                    idx = ds.individual_covariates.index(name)
-                    D[:, n_cells + k] = [ind.x_individual[idx] for ind in cl.individuals]
-                else:
-                    raise ValueError(f"covariate {name!r} not present in the dataset schema")
-            entries.append((pos, ci, cl.n, D, y))
-
-    def solve(sigma2: float, rho_b: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        A = np.zeros((p, p))
-        b = np.zeros(p)
-        vinv_cache: Dict[int, np.ndarray] = {}
-        for pos, ci, n, D, y in entries:
-            if n not in vinv_cache:
-                V = sigma2 * ((1.0 - rho_b) * np.eye(n) + rho_b * np.ones((n, n)))
-                vinv_cache[n] = np.linalg.inv(V)
-            vd = vinv_cache[n] @ D
-            w = weights[pos]
-            A += w * D.T @ vd
-            b += w * vd.T @ y
-        if np.linalg.cond(A) > _MAX_COND:
-            raise RankDeficient("end-of-study normal system is singular")
-        theta = np.linalg.solve(A, b)
-        U = np.zeros((N, p))
-        for pos, ci, n, D, y in entries:
-            vd = vinv_cache[n] @ D
-            U[pos] += weights[pos] * vd.T @ (y - D @ theta)
-        return theta, A, U
-
-    def alpha_step(theta: np.ndarray) -> Tuple[float, float]:
-        s_num = s_den = b_num = b_den = 0.0
-        for pos, ci, n, D, y in entries:
-            w = weights[pos]
-            eps = y - D @ theta
-            s_num += w * float(eps @ eps)
-            s_den += w * n
-            if n >= 2:
-                b_num += w * float(eps.sum() ** 2 - eps @ eps)
-                b_den += w * n * (n - 1)
-        sigma2 = s_num / s_den
-        if sigma2 <= 0.0:
-            raise ZeroVariance("degenerate final-time variance")
-        rho_b = float(np.clip(b_num / b_den / sigma2, -1 + 1e-8, 1 - 1e-8)) if b_den > 0 else 0.0
-        return sigma2, rho_b
-
-    theta, A, U = solve(1.0, 0.0)
-    sigma2, rho_b = alpha_step(theta)
-    for _ in range(max_iter):
-        theta_new, A, U = solve(sigma2, rho_b)
-        if np.abs(theta_new - theta).max() < tolerance:
-            theta = theta_new
-            break
-        theta = theta_new
-        sigma2, rho_b = alpha_step(theta)
-    j_hat = A / N
-    q_hat = U.T @ U / N
-    sigma = sandwich_covariance(j_hat, q_hat, N)
-    return EndOfStudyFit(
-        cell_means=theta[:n_cells],
-        eta=theta[n_cells:],
-        sigma_theta=sigma,
-        cais=tuple(cais),
-        param_names=names,
-        n_clusters=N,
-        sigma2=sigma2,
-        rho_b=rho_b,
-        df=(N - p) if t_reference else None,
+    t_end = ds.grid.t_end
+    grid = TimeGrid((t_end,), knot=t_end)
+    clusters = tuple(
+        replace(cl, individuals=tuple(replace(ind, y=ind.y[-1:]) for ind in cl.individuals))
+        for cl in ds.clusters
     )
-
-
-def end_of_study_contrast(
-    eos: EndOfStudyFit, d: EmbeddedCai, d_prime: EmbeddedCai, level: float = 0.95
-) -> WaldResult:
-    """Wald comparison of two regime means from the end-of-study-only fit."""
-    if d == d_prime:
-        raise ValueError("contrast requires two distinct embedded regimes")
-    c = np.zeros(len(eos.param_names))
-    c[eos.cais.index(d)] = 1.0
-    c[eos.cais.index(d_prime)] = -1.0
-    estimate = float(c[: len(eos.cais)] @ eos.cell_means)
-    var = float(c @ eos.sigma_theta @ c)
-    if var <= 0.0:
-        raise ZeroVariance("end-of-study contrast has nonpositive variance")
-    se = math.sqrt(var)
-    statistic = estimate / se
-    if eos.df is None:
-        p_value = 2.0 * float(norm.sf(abs(statistic)))
-        quantile = float(norm.ppf(0.5 + level / 2.0))
-    else:
-        p_value = 2.0 * float(student_t.sf(abs(statistic), eos.df))
-        quantile = float(student_t.ppf(0.5 + level / 2.0, eos.df))
-    return WaldResult(
-        label=f"end_of_study_static {d} vs {d_prime}",
-        estimate=estimate,
-        se=se,
-        statistic=statistic,
-        df=eos.df,
-        p_value=p_value,
-        ci=(estimate - quantile * se, estimate + quantile * se),
-        level=level,
+    final = replace(ds, grid=grid, clusters=clusters)
+    mean_spec = MeanModelSpec.custom(
+        ds.design, grid, make_saturated_basis(ds.design, grid), covariate_terms
     )
+    # with singletons only there are no between-person pairs to estimate from,
+    # and a one-person V is a scalar under either structure
+    singletons = all(cl.n == 1 for cl in ds.clusters)
+    cov_spec = WorkingCovSpec(
+        VarianceTime.HOMOSCEDASTIC, VarianceCai.HOMOGENEOUS, WithinCorr.INDEPENDENT,
+        BetweenCorr.INDEPENDENT if singletons else BetweenCorr.EXCHANGEABLE, CorrCai.HOMOGENEOUS,
+    )
+    options = FitOptions(tolerance, max_iter, adjustments=AdjustmentOptions(t_reference=t_reference))
+    return fit(final, mean_spec, cov_spec, options)

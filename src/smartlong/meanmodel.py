@@ -82,6 +82,8 @@ class AnchoredKnotBasis(TrajectoryBasis):
     def __init__(self, kind: DesignKind, grid: TimeGrid, transform: str = "linear") -> None:
         if transform not in ("linear", "sqrt"):
             raise ValueError(f"unknown time transform {transform!r}")
+        if grid.n_times < 2:
+            raise ValueError("a two-segment trajectory needs at least two measurement times")
         if transform == "sqrt" and grid.times[0] < 0:
             raise ValueError("sqrt transform requires nonnegative times")
         self.kind = kind
@@ -336,6 +338,8 @@ def contrast_second_stage_slope(
 ) -> ContrastVector:
     """Difference of average slopes from the second decision point to the end."""
     _check_pair(spec, d, d_prime)
+    if spec.grid.n_times < 2:
+        raise ValueError("a slope contrast needs at least two measurement times")
     t_end, knot = spec.grid.t_end, spec.grid.knot
     g = spec.basis.gamma_row
     c_gamma = (g(t_end, d) - g(knot, d) - g(t_end, d_prime) + g(knot, d_prime)) / (t_end - knot)
@@ -347,6 +351,8 @@ def contrast_auc(
 ) -> ContrastVector:
     """Difference of time-averaged areas under the mean trajectories."""
     _check_pair(spec, d, d_prime)
+    if spec.grid.n_times < 2:
+        raise ValueError("an area contrast needs at least two measurement times")
     span = spec.grid.t_end - spec.grid.times[0]
     c_gamma = (spec.basis.gamma_integrals(d) - spec.basis.gamma_integrals(d_prime)) / span
     return _pad_eta(spec, c_gamma, f"auc {d} vs {d_prime}")

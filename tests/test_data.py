@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,13 @@ class TestParse:
         with pytest.raises(InconsistentCluster):
             parse_long_table(bad, schema_for(design2, grid012))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "NA", "abc"])
+    def test_nonfinite_covariate_names_column_and_line(self, design2, grid012, value):
+        text = MINIMAL.replace("a2nr\n", "a2nr,u\n").replace("-1\n", "-1,0.5\n")
+        bad = text.replace("c1,p2,1,0.7,1,0,-1,0.5", f"c1,p2,1,0.7,1,0,-1,{value}")
+        with pytest.raises(MissingCell, match=f"line 6: covariate 'u' is '{value}'"):
+            parse_long_table(bad, schema_for(design2, grid012, cluster_covariates=("u",)))
+
     def test_covariates_and_custom_codes(self, design2, grid012):
         text = (
             "school,sp,week,cbt,coach,resp,facil,lunch\n"
@@ -141,6 +150,13 @@ class TestValidate:
         report = validate(make_dataset([cl], design3, grid012))
         assert any(v.code == "design-consistency" for v in report.violations)
 
+    @pytest.mark.parametrize("level", ["cluster", "individual"])
+    def test_nonfinite_covariate(self, design2, grid012, level):
+        xc, xi = ((math.nan,), [(0.0,)]) if level == "cluster" else ((0.0,), [(math.inf,)])
+        cl = make_cluster("c1", 1, 0, -1, [(1.0, 2.0, 3.0)], x_cluster=xc, x_indiv=xi)
+        report = validate(make_dataset([cl], design2, grid012, ("u",), ("v",)))
+        assert [v.code for v in report.violations] == ["NonFiniteCovariate"]
+
     def test_uncovered_cai_is_warning_not_violation(self, design2, grid012):
         cl = make_cluster("c1", 1, 0, 1, [(1.0, 2.0, 3.0)])
         report = validate(make_dataset([cl], design2, grid012))
@@ -184,6 +200,14 @@ class TestTimeGrid:
     def test_rejects_knot_outside(self):
         with pytest.raises(ValueError):
             TimeGrid(times=(0.0, 1.0), knot=1.0)  # knot must precede the last time
+
+    def test_one_time_grid_needs_knot_at_its_time(self):
+        grid = TimeGrid(times=(3.0,), knot=3.0)
+        assert grid.n_times == 1 and grid.t_end == 3.0 and grid.knot_index == 0
+        with pytest.raises(ValueError):
+            TimeGrid(times=(3.0,), knot=2.0)
+        with pytest.raises(ValueError):
+            TimeGrid(times=(), knot=0.0)
 
     def test_knot_index(self):
         grid = TimeGrid(times=(0.0, 1.0, 2.0, 5.0), knot=1.5)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smartlong import (
     AdjustmentOptions,
+    POOLED,
     BetweenCorr,
     CorrCai,
     EmbeddedCai,
@@ -15,6 +17,7 @@ from smartlong import (
     VarianceTime,
     WithinCorr,
     WorkingCovSpec,
+    build_V,
     consistency_indicator,
     contrast_end_of_study,
     custom_contrast,
@@ -23,7 +26,6 @@ from smartlong import (
     finite_sample_adjust,
     fit,
     fit_end_of_study,
-    end_of_study_contrast,
     make_saturated_basis,
     mu,
     sandwich_covariance,
@@ -31,7 +33,7 @@ from smartlong import (
     stack_design_matrix,
     wald_test,
 )
-from smartlong.errors import InsufficientData, ZeroVariance
+from smartlong.errors import InconsistentCluster, InsufficientData, ZeroVariance
 from smartlong.gee import _make_workspace
 
 from conftest import make_cluster, make_dataset, random_design2_dataset
@@ -98,6 +100,16 @@ class TestSolveTheta:
         doubled = solve_theta(ds, spec, weights=2.0 * ws.weights)
         np.testing.assert_allclose(doubled.full, base.full, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_or_nonfinite_weights(self, design2, grid012, bad):
+        rng = np.random.default_rng(1)
+        ds = random_design2_dataset(rng, 30, grid012, design2)
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        weights = _make_workspace(ds, spec).weights.copy()
+        weights[3] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_theta(ds, spec, weights=weights)
+
     def test_saturated_identity_v_reproduces_weighted_means(self, design2, grid012):
         # six-cluster hand dataset; oracle computed by direct weighted means
         clusters = [
@@ -162,6 +174,9 @@ class TestFit:
             res = fit(ds, spec, EXCH, FitOptions(max_iter=1))
         assert not res.converged
         assert res.iterations == 1
+        # the last iterate is returned: the exact root under its own V(alpha)
+        y_max = max(abs(v) for cl in ds.clusters for ind in cl.individuals for v in ind.y)
+        assert res.ee_residual_norm < 1e-12 * (1.0 + y_max)
 
     def test_missing_regime_is_hard_error(self, design2, grid012):
         clusters = [
@@ -173,6 +188,17 @@ class TestFit:
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         with pytest.raises(InsufficientData):
             fit(ds, spec, IID)
+
+    def test_nonfinite_covariate_rejected_before_solving(self, design2, grid012):
+        rng = np.random.default_rng(20)
+        ds = random_design2_dataset(rng, 30, grid012, design2, cluster_covariates=("u",))
+        bad = replace(ds.clusters[0], x_cluster=(math.nan,))
+        ds = replace(ds, clusters=(bad, *ds.clusters[1:]))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("u",))
+        with pytest.raises(InconsistentCluster, match="not all finite"):
+            fit(ds, spec, IID)
+        with pytest.raises(InconsistentCluster, match="not all finite"):
+            fit_end_of_study(ds, ("u",))
 
     def test_determinism_and_cluster_order_invariance(self, design2, grid012):
         rng = np.random.default_rng(6)
@@ -405,19 +431,79 @@ class TestEndOfStudyComparator:
         rng = np.random.default_rng(17)
         ds = random_design2_dataset(rng, 50, grid012, design2, sizes=(1,))
         eos = fit_end_of_study(ds)
-        for ci, d in enumerate(eos.cais):
+        for ci, d in enumerate(enumerate_cais(design2)):
             num = den = 0.0
             for cl in ds.clusters:
                 if consistency_indicator(cl, d, design2):
                     w = design_weight(cl, design2)
                     num += w * cl.individuals[0].y[-1]
                     den += w
-            assert eos.cell_means[ci] == pytest.approx(num / den)
+            assert eos.theta.gamma[ci] == pytest.approx(num / den)
 
     def test_contrast_runs(self, design2, grid012):
         rng = np.random.default_rng(18)
         ds = random_design2_dataset(rng, 60, grid012, design2, sizes=(2, 3))
         eos = fit_end_of_study(ds)
-        w = end_of_study_contrast(eos, D11, DMM)
+        w = wald_test(eos, contrast_end_of_study(eos.mean_spec, D11, DMM))
         assert w.se > 0
         assert w.ci[0] <= w.estimate <= w.ci[1]
+
+    @pytest.mark.parametrize("covariates", [(), ("u",)])
+    def test_fixed_point_oracle(self, design2, grid012, covariates):
+        rng = np.random.default_rng(19)
+        ds = random_design2_dataset(
+            rng, 80, grid012, design2, sizes=(2, 3, 4, 5), cluster_covariates=covariates,
+            mean_fn=lambda a1, r, a2nr, t: 0.3 * a1 * t,
+        )
+        res = fit_end_of_study(ds, covariates, tolerance=1e-12, t_reference=True)
+        assert res.converged
+        cais = enumerate_cais(design2)
+        theta = res.theta.full
+        p = theta.size
+        entries = []  # (cluster index, regime index, weight, D, y) at the final time
+        for i, cl in enumerate(ds.clusters):
+            y = np.array([ind.y[-1] for ind in cl.individuals])
+            for ci, d in enumerate(cais):
+                if consistency_indicator(cl, d, design2):
+                    D = np.zeros((cl.n, p))
+                    D[:, ci] = 1.0
+                    D[:, len(cais):] = cl.x_cluster
+                    entries.append((i, ci, design_weight(cl, design2), D, y))
+
+        # moments at theta-hat: a pooled variance, and rho_b standardized by
+        # each regime's own variance
+        ss, wn = np.zeros(len(cais)), np.zeros(len(cais))
+        for _, ci, w, D, y in entries:
+            e = y - D @ theta
+            ss[ci] += w * e @ e
+            wn[ci] += w * len(y)
+        num = den = 0.0
+        for _, ci, w, D, y in entries:
+            z = (y - D @ theta) / math.sqrt(ss[ci] / wn[ci])
+            num += w * (z.sum() ** 2 - z @ z)
+            den += w * len(y) * (len(y) - 1)
+        assert res.alpha.sigma2 == {(POOLED, POOLED): pytest.approx(ss.sum() / wn.sum(), rel=1e-10)}
+        assert res.alpha.rho_b == {(POOLED,): pytest.approx(num / den, abs=1e-10)}
+
+        # theta-hat is the root of the estimating equation under V(alpha-hat)
+        A, b = np.zeros((p, p)), np.zeros(p)
+        U = np.zeros((ds.n_clusters, p))
+        for i, ci, w, D, y in entries:
+            vd = np.linalg.solve(build_V(res.cov_spec, res.alpha, cais[ci], len(y), 1), D)
+            A += w * D.T @ vd
+            b += w * vd.T @ y
+            U[i] += w * vd.T @ (y - D @ theta)
+        np.testing.assert_allclose(U.sum(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(np.linalg.solve(A, b), theta, atol=1e-10)
+        A_inv = np.linalg.inv(A)
+        sigma = A_inv @ U.T @ U @ A_inv
+        np.testing.assert_allclose(res.sigma_theta, sigma, rtol=1e-10, atol=1e-14)
+        assert res.df == ds.n_clusters - p
+        for ci, d in enumerate(cais):
+            for cj in range(ci + 1, len(cais)):
+                w = wald_test(res, contrast_end_of_study(res.mean_spec, d, cais[cj]))
+                z = (theta[ci] - theta[cj]) / math.sqrt(
+                    sigma[ci, ci] + sigma[cj, cj] - 2.0 * sigma[ci, cj]
+                )
+                assert w.statistic == pytest.approx(z, abs=1e-10)
+                assert w.label == f"end_of_study {d} vs {cais[cj]}"

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from smartlong import (
+    AnchoredKnotBasis,
     CustomBasis,
     DesignKind,
     EmbeddedCai,
@@ -279,6 +280,17 @@ class TestContrasts:
             c = fn(spec, D11, DMM).c
             assert c.size == 9
             np.testing.assert_array_equal(c[7:], [0.0, 0.0])
+
+    def test_one_time_grid_has_no_span(self, design2):
+        grid = TimeGrid(times=(2.0,), knot=2.0)
+        with pytest.raises(ValueError):
+            AnchoredKnotBasis(DesignKind.II, grid)
+        spec = MeanModelSpec.custom(design2, grid, make_saturated_basis(design2, grid))
+        assert contrast_end_of_study(spec, D11, DMM).c.tolist() == [1.0, 0.0, 0.0, -1.0]
+        with pytest.raises(ValueError):
+            contrast_second_stage_slope(spec, D11, DMM)
+        with pytest.raises(ValueError):
+            contrast_auc(spec, D11, DMM)
 
     def test_custom_contrast_padding(self, design2, grid012):
         spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("u",))
