@@ -9,10 +9,17 @@ covariance parameters until the theta iterates stabilize.  Variance
 estimates are of sandwich form J^{-1} Q J^{-1} / N and remain valid under
 working covariance misspecification.
 
-Per-cluster contributions are grouped by (regime, cluster size) so each
-iteration reduces to a handful of batched einsum contractions; clusters are
-processed in sorted-id order, which makes every result reproducible and
-independent of input row order.
+Every cluster's working covariance is block exchangeable,
+V = I_n (x) A' + J_n (x) B' with (T+1) x (T+1) blocks, so its inverse is
+I_n (x) A'^{-1} + J_n (x) C with C = (A_n'^{-1} - A'^{-1}) / n and
+A_n' = A' + n B'.  The engine never forms V: per (regime, cluster size) it
+keeps those two small matrices and applies V^{-1} D as A'^{-1} D_j + C sum_k D_k
+over each cluster's individuals j, and the bias-corrected meat uses the
+Woodbury form of the inverse leverage, one p x p solve per cluster.  Work is
+cubic in T+1 and p and linear in the number of observations.  Clusters are
+grouped by (regime, cluster size), because C depends on n, and processed in
+sorted-id order, which makes every result reproducible and independent of
+input row order.
 
 :func:`fit` is the only estimating-equation solver (the end-of-study
 comparator runs it on the final time alone) and :func:`wald_test` the only
@@ -27,7 +34,6 @@ from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 from scipy.stats import norm, t as student_t
 
@@ -51,7 +57,7 @@ from .workingcov import (
     VarianceTime,
     WithinCorr,
     WorkingCovSpec,
-    build_V,
+    cluster_blocks,
     estimate_alpha,
 )
 
@@ -92,9 +98,6 @@ class AdjustmentOptions:
     @classmethod
     def all(cls) -> "AdjustmentOptions":
         return cls(enforce_nonneg_corr=True, t_reference=True, bias_correct=True)
-
-    def any(self) -> bool:
-        return self.enforce_nonneg_corr or self.t_reference or self.bias_correct
 
 
 @dataclass(frozen=True)
@@ -220,17 +223,20 @@ class _Workspace:
 
     # -- linear algebra over groups ------------------------------------------
 
-    def _vinv_design(self, factors: Optional[Mapping[Tuple[EmbeddedCai, int], object]]) -> List[np.ndarray]:
-        """Per group, V^{-1} D applied through the cached Cholesky factor."""
+    def _vinv_design(
+        self, factors: Optional[Mapping[Tuple[EmbeddedCai, int], Tuple[np.ndarray, np.ndarray]]]
+    ) -> List[np.ndarray]:
+        """Per group, V^{-1} D = A'^{-1} D_j + C sum_k D_k for each individual j."""
         out = []
         for g in self.groups:
             if factors is None:
                 out.append(g.design)
                 continue
+            a_inv, c = factors[(g.cai, g.n)]
             m, rows, p = g.design.shape
-            flat = g.design.transpose(1, 0, 2).reshape(rows, m * p)
-            solved = cho_solve(factors[(g.cai, g.n)], flat)
-            out.append(solved.reshape(rows, m, p).transpose(1, 0, 2))
+            blocks = g.design.reshape(m, g.n, -1, p)
+            solved = a_inv @ blocks + (c @ blocks.sum(axis=1))[:, None]
+            out.append(solved.reshape(m, rows, p))
         return out
 
     def normal_equations(self, vinv_design: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -238,8 +244,9 @@ class _Workspace:
         b = np.zeros(self.p)
         for g, vd in zip(self.groups, vinv_design):
             w = self.weights[g.cluster_pos]
-            A += np.einsum("mrp,mrq,m->pq", g.design, vd, w, optimize=True)
-            b += np.einsum("mrp,mr,m->p", vd, g.y, w, optimize=True)
+            vd_rows = vd.reshape(-1, self.p)
+            A += (w[:, None, None] * g.design).reshape(-1, self.p).T @ vd_rows
+            b += (w[:, None] * g.y).ravel() @ vd_rows
         return A, b
 
     def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
@@ -274,30 +281,41 @@ class _Workspace:
     ) -> np.ndarray:
         """Per-cluster estimating-function contributions U_i, shape (N, p).
 
-        With ``leverage_inverse_from`` set to the unnormalized bread matrix,
+        With ``leverage_inverse_from`` set to the unnormalized bread matrix A,
         each residual block is premultiplied by (I - H_id)^{-1} where H_id
-        is that cluster-regime's hat block.
+        is that cluster-regime's hat block w D A^{-1} D'V^{-1}.  By Woodbury
+        that makes r = D'V^{-1} eps into r + M (A/w - M)^{-1} r with
+        M = D'V^{-1} D: one p x p solve per cluster.
         """
         U = np.zeros((self.N, self.p))
-        G = None
-        if leverage_inverse_from is not None:
-            G = np.linalg.inv(leverage_inverse_from)
         for g, vd in zip(self.groups, vinv_design):
             w = self.weights[g.cluster_pos]
             eps = g.y - np.einsum("mrp,p->mr", g.design, theta)
-            if G is not None:
-                hat = np.einsum("mrp,pq,msq,m->mrs", g.design, G, vd, w, optimize=True)
-                eye = np.eye(g.design.shape[1])
-                eps = np.linalg.solve(eye[None] - hat, eps[..., None])[..., 0]
-            contrib = np.einsum("mrp,mr,m->mp", vd, eps, w, optimize=True)
-            np.add.at(U, g.cluster_pos, contrib)
+            r = np.einsum("mrp,mr->mp", vd, eps)
+            if leverage_inverse_from is not None:
+                M = np.einsum("mrp,mrq->mpq", vd, g.design)
+                K = leverage_inverse_from[None] / w[:, None, None] - M
+                r = r + (M @ np.linalg.solve(K, r[..., None]))[..., 0]
+            np.add.at(U, g.cluster_pos, w[:, None] * r)
         return U
 
     def factorize(self, cov_spec: WorkingCovSpec, alpha: AlphaEstimate):
+        """Per (regime, n): A'^{-1} and C = (A_n'^{-1} - A'^{-1}) / n, with
+        V^{-1} = I_n (x) A'^{-1} + J_n (x) C (see :func:`cluster_blocks`).
+
+        A singleton's V is A_1' itself, and its A' may be singular, so its pair
+        is (A_1'^{-1}, 0).
+        """
         factors = {}
         for key in {(g.cai, g.n) for g in self.groups}:
-            V = build_V(cov_spec, alpha, key[0], key[1], self.mean_spec.grid)
-            factors[key] = cho_factor(V, lower=True)
+            d, n = key
+            W, B = cluster_blocks(cov_spec, alpha, d, n, self.mean_spec.grid)
+            an_inv = np.linalg.inv(W + (n - 1) * B)
+            if n == 1:
+                factors[key] = (an_inv, np.zeros_like(an_inv))
+            else:
+                a_inv = np.linalg.inv(W - B)
+                factors[key] = (a_inv, (an_inv - a_inv) / n)
         return factors
 
 
@@ -400,7 +418,8 @@ def fit(
     sup-norm change in theta falls below ``options.tolerance``, and returns
     the last iterate with ``converged=False`` after ``max_iter`` sweeps.
     Either way the returned theta is the exact root under the working
-    covariance it was solved with.
+    covariance it was solved with.  ``options.adjustments`` are applied as
+    :func:`finite_sample_adjust` would, before the sandwich is assembled once.
     """
     _require_valid(ds)
     weight_model = weights = None
@@ -444,14 +463,15 @@ def fit(
                 RuntimeWarning,
             )
 
-    result = _assemble(
+    theta, alpha, factors, applied, df = _adjust(
+        ws, cov_spec, theta, alpha, factors, options.adjustments
+    )
+    return _assemble(
         ws, mean_spec, cov_spec, theta, alpha, factors,
         iterations=iterations, converged=converged, max_delta=max_delta,
         weight_mode=options.weight_mode, weight_model=weight_model,
+        adjustments=applied, df=df, bias_correct=options.adjustments.bias_correct,
     )
-    if options.adjustments.any():
-        result = finite_sample_adjust(result, options.adjustments)
-    return result
 
 
 def _assemble(
@@ -652,6 +672,30 @@ def _clamp_nonneg(alpha: AlphaEstimate) -> AlphaEstimate:
     return replace(alpha, rho_w=rho_w, rho_b=rho_b)
 
 
+def _adjust(
+    ws: _Workspace,
+    cov_spec: WorkingCovSpec,
+    theta: np.ndarray,
+    alpha: AlphaEstimate,
+    factors,
+    options: AdjustmentOptions,
+) -> Tuple[np.ndarray, AlphaEstimate, object, Tuple[str, ...], Optional[int]]:
+    """Clamp-and-refit, then the names applied and the t reference's df."""
+    applied = []
+    if options.enforce_nonneg_corr:
+        alpha = _clamp_nonneg(alpha)
+        factors = ws.factorize(cov_spec, alpha)
+        theta, _, _ = ws.solve(factors)
+        applied.append("enforce_nonneg_corr")
+    if options.bias_correct:
+        applied.append("bias_correct")
+    df = None
+    if options.t_reference:
+        df = ws.N - ws.p
+        applied.append("t_reference")
+    return theta, alpha, factors, tuple(applied), df
+
+
 def finite_sample_adjust(fit_result: FitResult, options: AdjustmentOptions) -> FitResult:
     """Small-sample refinements applied on top of a converged fit.
 
@@ -663,36 +707,24 @@ def finite_sample_adjust(fit_result: FitResult, options: AdjustmentOptions) -> F
     ws = fit_result._workspace
     if ws is None:
         raise ValueError("fit result carries no workspace; refit before adjusting")
-    applied = list(fit_result.adjustments_applied)
-    theta = fit_result.theta.full
-    alpha = fit_result.alpha
-
-    if options.enforce_nonneg_corr:
-        alpha = _clamp_nonneg(alpha)
-        factors = ws.factorize(fit_result.cov_spec, alpha)
-        theta, _, _ = ws.solve(factors)
-        applied.append("enforce_nonneg_corr")
-    elif fit_result.cov_spec is not None and fit_result.iterations > 0:
-        factors = ws.factorize(fit_result.cov_spec, alpha)
-    else:
-        factors = None
-
-    if options.bias_correct:
-        applied.append("bias_correct")
-
-    df = fit_result.df
-    if options.t_reference:
-        df = ws.N - ws.p
-        applied.append("t_reference")
-
-    updated = _assemble(
+    factors = None
+    if (
+        not options.enforce_nonneg_corr
+        and fit_result.cov_spec is not None
+        and fit_result.iterations > 0
+    ):
+        factors = ws.factorize(fit_result.cov_spec, fit_result.alpha)
+    theta, alpha, factors, applied, df = _adjust(
+        ws, fit_result.cov_spec, fit_result.theta.full, fit_result.alpha, factors, options
+    )
+    return _assemble(
         ws, fit_result.mean_spec, fit_result.cov_spec, theta, alpha, factors,
         iterations=fit_result.iterations, converged=fit_result.converged,
         max_delta=fit_result.max_delta, weight_mode=fit_result.weight_mode,
         weight_model=fit_result.weight_model,
-        adjustments=tuple(applied), df=df, bias_correct=options.bias_correct,
+        adjustments=fit_result.adjustments_applied + applied,
+        df=fit_result.df if df is None else df, bias_correct=options.bias_correct,
     )
-    return updated
 
 
 def wald_test(fit_result: FitResult, contrast: ContrastVector, level: float = 0.95) -> WaldResult:

@@ -2,11 +2,19 @@
 
 A working covariance for one cluster factors as ``S^1/2 P S^1/2`` where ``S``
 is diagonal (marginal variances, replicated across individuals) and ``P`` is
-a correlation matrix with within-person blocks on the diagonal and a common
-between-person block elsewhere.  Parameters are estimated from weighted
-residuals by the moment formulas appropriate to each structure; correlation
-estimators always standardize by the fully disaggregated per-regime,
-per-time variances, regardless of how the variance model itself pools.
+a correlation matrix with within-person blocks ``W`` on the diagonal and a
+common between-person block ``B`` elsewhere.  Every supported structure is
+therefore block exchangeable, V = I_n (x) A' + J_n (x) B' with
+A' = S^1/2 (W - B) S^1/2 and B' = S^1/2 B S^1/2: :func:`cluster_blocks`
+returns its (T+1) x (T+1) blocks and holds the single positive-definiteness
+rule, judged on spec(A') and spec(A' + n B'), which together are V's spectrum.
+The estimator inverts V in closed form from those blocks; :func:`build_V`
+assembles the dense matrix as a reference.
+
+Parameters are estimated from weighted residuals by the moment formulas
+appropriate to each structure; correlation estimators always standardize by
+the fully disaggregated per-regime, per-time variances, regardless of how the
+variance model itself pools.
 """
 from __future__ import annotations
 
@@ -34,6 +42,7 @@ __all__ = [
     "estimate_alpha",
     "pool_alpha",
     "build_V",
+    "cluster_blocks",
 ]
 
 POOLED = "pooled"
@@ -422,6 +431,42 @@ def _between_block(spec: WorkingCovSpec, alpha: AlphaEstimate, d: EmbeddedCai, n
     return B
 
 
+def cluster_blocks(
+    spec: WorkingCovSpec,
+    alpha: AlphaEstimate,
+    d: EmbeddedCai,
+    n: int,
+    grid: Union[TimeGrid, int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 of one cluster's V.
+
+    V = I_n (x) (W' - B') + J_n (x) B', so its spectrum is spec(W' - B')
+    repeated n - 1 times together with spec(W' + (n - 1) B').  This is the one
+    positive-definiteness rule: :class:`NotPositiveDefinite` when the smallest
+    eigenvalue over those spectra is at most 1e-10 of the largest.  ``grid``
+    may be a :class:`TimeGrid` or a bare count of measurement times
+    (single-time analyses have no grid object).
+    """
+    if n < 1:
+        raise ValueError("cluster size must be positive")
+    n_times = grid if isinstance(grid, int) else grid.n_times
+    s = np.sqrt([alpha.sigma2_at(spec, d, k) for k in range(n_times)])
+    scale = np.outer(s, s)
+    W = scale * _within_block(spec, alpha, d, n_times)
+    B = scale * _between_block(spec, alpha, d, n_times)
+    spectra = [np.linalg.eigvalsh(W + (n - 1) * B)]
+    if n > 1:
+        spectra.append(np.linalg.eigvalsh(W - B))
+    lo = min(e[0] for e in spectra)
+    hi = max(e[-1] for e in spectra)
+    if lo <= 1e-10 * max(hi, 0.0):
+        raise NotPositiveDefinite(
+            f"working covariance for regime {d}, cluster size {n} is not positive "
+            f"definite (eigenvalue range [{lo:.3e}, {hi:.3e}])"
+        )
+    return W, B
+
+
 def build_V(
     spec: WorkingCovSpec,
     alpha: AlphaEstimate,
@@ -429,25 +474,11 @@ def build_V(
     n: int,
     grid: Union[TimeGrid, int],
 ) -> np.ndarray:
-    """Working covariance for one cluster of ``n`` individuals under ``d``.
+    """Dense working covariance for one cluster of ``n`` individuals under ``d``.
 
-    ``grid`` may be a :class:`TimeGrid` or a bare count of measurement times
-    (single-time analyses have no grid object).
+    The estimator never forms it (see :func:`cluster_blocks`); it is the
+    reference the closed-form inverse is tested against.
     """
-    if n < 1:
-        raise ValueError("cluster size must be positive")
-    n_times = grid if isinstance(grid, int) else grid.n_times
-    W = _within_block(spec, alpha, d, n_times)
-    B = _between_block(spec, alpha, d, n_times)
+    W, B = cluster_blocks(spec, alpha, d, n, grid)
     eye = np.eye(n)
-    P = np.kron(eye, W) + np.kron(np.ones((n, n)) - eye, B)
-    s = np.sqrt([alpha.sigma2_at(spec, d, k) for k in range(n_times)])
-    scale = np.tile(s, n)
-    V = np.outer(scale, scale) * P
-    eigvals = np.linalg.eigvalsh(V)
-    if eigvals[0] <= 1e-10 * max(eigvals[-1], 0.0):
-        raise NotPositiveDefinite(
-            f"working covariance for regime {d}, cluster size {n} is not positive "
-            f"definite (eigenvalue range [{eigvals[0]:.3e}, {eigvals[-1]:.3e}])"
-        )
-    return V
+    return np.kron(eye, W) + np.kron(np.ones((n, n)) - eye, B)

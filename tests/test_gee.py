@@ -1,18 +1,26 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from smartlong import (
     AdjustmentOptions,
+    AlphaEstimate,
     POOLED,
     BetweenCorr,
     CorrCai,
+    DesignKind,
     EmbeddedCai,
     FitOptions,
     MeanModelSpec,
+    SmartDesign,
     ThetaEstimate,
+    TimeGrid,
     VarianceCai,
     VarianceTime,
     WithinCorr,
@@ -33,7 +41,8 @@ from smartlong import (
     stack_design_matrix,
     wald_test,
 )
-from smartlong.errors import InconsistentCluster, InsufficientData, ZeroVariance
+from smartlong import gee, workingcov
+from smartlong.errors import InconsistentCluster, InsufficientData, NotPositiveDefinite, ZeroVariance
 from smartlong.gee import _make_workspace
 
 from conftest import make_cluster, make_dataset, random_design2_dataset
@@ -49,6 +58,13 @@ EXCH = WorkingCovSpec(
     variance_cai=VarianceCai.HETEROGENEOUS,
     within_corr=WithinCorr.EXCHANGEABLE,
     between_corr=BetweenCorr.EXCHANGEABLE,
+    corr_cai=CorrCai.HETEROGENEOUS,
+)
+UNSTR = WorkingCovSpec(
+    variance_time=VarianceTime.HETEROSCEDASTIC,
+    variance_cai=VarianceCai.HETEROGENEOUS,
+    within_corr=WithinCorr.UNSTRUCTURED,
+    between_corr=BetweenCorr.UNSTRUCTURED,
     corr_cai=CorrCai.HETEROGENEOUS,
 )
 
@@ -425,6 +441,42 @@ class TestAdjustments:
         }
         assert res.df == 30 - spec.n_params
 
+    @pytest.mark.parametrize(
+        "adjustments",
+        [
+            AdjustmentOptions(),
+            AdjustmentOptions(t_reference=True),
+            AdjustmentOptions(bias_correct=True),
+            AdjustmentOptions(enforce_nonneg_corr=True),
+            AdjustmentOptions.all(),
+        ],
+        ids=["none", "t", "bias", "clamp", "all"],
+    )
+    def test_fit_assembles_once(self, design2, grid012, monkeypatch, adjustments):
+        rng = np.random.default_rng(13)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        calls = {"factorize": 0, "assemble": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gee._Workspace, "factorize", counted("factorize", gee._Workspace.factorize))
+        monkeypatch.setattr(gee, "_assemble", counted("assemble", gee._assemble))
+        res = fit(ds, spec, EXCH, FitOptions(adjustments=adjustments))
+        assert calls == {
+            "factorize": res.iterations + adjustments.enforce_nonneg_corr,
+            "assemble": 1,
+        }
+        ref = finite_sample_adjust(fit(ds, spec, EXCH), adjustments)
+        np.testing.assert_allclose(res.theta.full, ref.theta.full, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.sigma_theta, ref.sigma_theta, rtol=1e-12, atol=0)
+        assert res.df == ref.df
+        assert res.adjustments_applied == ref.adjustments_applied
+
 
 class TestEndOfStudyComparator:
     def test_singleton_clusters_match_weighted_mean(self, design2, grid012):
@@ -507,3 +559,190 @@ class TestEndOfStudyComparator:
                 )
                 assert w.statistic == pytest.approx(z, abs=1e-10)
                 assert w.label == f"end_of_study {d} vs {cais[cj]}"
+
+
+def with_cluster_effects(ds, rng, sd=0.7):
+    """Add a shared random shift to every outcome of each cluster."""
+    clusters = []
+    for cl in ds.clusters:
+        shift = float(rng.normal(scale=sd))
+        people = tuple(replace(ind, y=tuple(v + shift for v in ind.y)) for ind in cl.individuals)
+        clusters.append(replace(cl, individuals=people))
+    return replace(ds, clusters=tuple(clusters))
+
+
+def dense_reference(ds, spec, res, bias_correct):
+    """theta root, Sigma and pairwise end-of-study z from dense per-cluster V."""
+    cais = enumerate_cais(ds.design)
+    clusters = sorted(ds.clusters, key=lambda cl: cl.cluster_id)
+    p = spec.n_params
+    theta = res.theta.full
+    A, b = np.zeros((p, p)), np.zeros(p)
+    entries = []
+    for pos, cl in enumerate(clusters):
+        y = np.array([v for ind in cl.individuals for v in ind.y])
+        for d in cais:
+            if consistency_indicator(cl, d, ds.design):
+                D = stack_design_matrix(spec, d, cl, ds)
+                vd = np.linalg.solve(build_V(res.cov_spec, res.alpha, d, cl.n, ds.grid), D)
+                w = design_weight(cl, ds.design)
+                A += w * D.T @ vd
+                b += w * vd.T @ y
+                entries.append((pos, w, D, vd, y))
+    U = np.zeros((len(clusters), p))
+    A_inv = np.linalg.inv(A)
+    for pos, w, D, vd, y in entries:
+        eps = y - D @ theta
+        if bias_correct:
+            eps = np.linalg.solve(np.eye(len(y)) - w * D @ A_inv @ vd.T, eps)
+        U[pos] += w * vd.T @ eps
+    sigma = A_inv @ U.T @ U @ A_inv
+    z = {}
+    for d, d2 in itertools.combinations(cais, 2):
+        c = contrast_end_of_study(spec, d, d2).c
+        z[(d, d2)] = (c @ theta) / math.sqrt(c @ sigma @ c)
+    return np.linalg.solve(A, b), sigma, z
+
+
+def full_alpha(rng, cais, n_times, rho_b=None):
+    """An estimate holding every key any structure can ask for."""
+    dkeys = [*cais, POOLED]
+    tkeys = [*range(n_times), POOLED]
+    sigma2 = {(dk, tk): float(rng.uniform(0.5, 3.0)) for dk in dkeys for tk in tkeys}
+    rho_w, rho_b_table = {}, {}
+    for dk in dkeys:
+        rho_w[(dk,)] = float(rng.uniform(-0.3, 0.8))
+        rho_b_table[(dk,)] = float(rng.uniform(-0.15, 0.3)) if rho_b is None else rho_b
+        for l in range(n_times):
+            for m in range(l, n_times):
+                if l < m:
+                    rho_w[(dk, l, m)] = float(rng.uniform(0.0, 0.6))
+                rho_b_table[(dk, l, m)] = (
+                    float(rng.uniform(-0.05, 0.2)) if rho_b is None else rho_b
+                )
+    return AlphaEstimate(n_times=n_times, sigma2=sigma2, rho_w=rho_w, rho_b=rho_b_table)
+
+
+def unchecked_V(spec, alpha, d, n, n_times):
+    """A cluster's V assembled entry by entry, with no definiteness check."""
+    W = workingcov._within_block(spec, alpha, d, n_times)
+    B = workingcov._between_block(spec, alpha, d, n_times)
+    s = np.sqrt([alpha.sigma2_at(spec, d, k) for k in range(n_times)])
+    V = np.empty((n * n_times, n * n_times))
+    for i, j, l, m in itertools.product(range(n), range(n), range(n_times), range(n_times)):
+        corr = W[l, m] if i == j else B[l, m]
+        V[i * n_times + l, j * n_times + m] = s[l] * s[m] * corr
+    return V
+
+
+STRUCTURES = list(itertools.product(WithinCorr, BetweenCorr, CorrCai))
+
+
+class TestClosedFormInverse:
+    @pytest.mark.parametrize("within,between,corr_cai", STRUCTURES)
+    def test_matches_dense_cholesky_on_every_structure(self, design2, within, between, corr_cai):
+        spec = WorkingCovSpec(VarianceTime.HETEROSCEDASTIC, VarianceCai.HETEROGENEOUS, within, between, corr_cai)
+        rng = np.random.default_rng(30)
+        grids = {1: TimeGrid((2.0,), knot=2.0), 3: TimeGrid((0.0, 1.0, 2.0), knot=1.0)}
+        raised = 0
+        # rho_b = -0.9 breaks A_n' and rho_b = 0.6 can break A' = W - B
+        for n_times, n, rho_b in itertools.product((1, 3), (1, 2, 5, 6), (None, -0.9, 0.6)):
+            grid = grids[n_times]
+            ds = random_design2_dataset(
+                rng, 16, grid, design2, sizes=(n,),
+                cluster_covariates=("u",), individual_covariates=("v",),
+            )
+            basis = make_saturated_basis(design2, grid)
+            mean_spec = MeanModelSpec.custom(design2, grid, basis, ("u", "v"))
+            ws = _make_workspace(ds, mean_spec)
+            alpha = full_alpha(rng, ws.cais, n_times, rho_b)
+            dense = {}
+            for key in {(g.cai, g.n) for g in ws.groups}:
+                eig = np.linalg.eigvalsh(unchecked_V(spec, alpha, *key, n_times))
+                if eig[0] <= 1e-10 * max(eig[-1], 0.0):
+                    with pytest.raises(NotPositiveDefinite):
+                        build_V(spec, alpha, key[0], key[1], grid)
+                    dense[key] = None
+                else:
+                    dense[key] = cho_factor(build_V(spec, alpha, key[0], key[1], grid))
+            if any(f is None for f in dense.values()):
+                raised += 1
+                with pytest.raises(NotPositiveDefinite):
+                    ws.factorize(spec, alpha)
+                continue
+            for g, vd in zip(ws.groups, ws._vinv_design(ws.factorize(spec, alpha))):
+                for D, got in zip(g.design, vd):
+                    want = cho_solve(dense[(g.cai, g.n)], D)
+                    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # rho_b = -0.9 makes every V of five or more people indefinite
+        assert raised >= (0 if between is BetweenCorr.INDEPENDENT else 4)
+
+    def test_same_rejection_as_dense(self, design2, grid012):
+        spec = WorkingCovSpec(
+            variance_time=VarianceTime.HOMOSCEDASTIC,
+            variance_cai=VarianceCai.HETEROGENEOUS,
+            within_corr=WithinCorr.INDEPENDENT,
+            between_corr=BetweenCorr.EXCHANGEABLE,
+        )
+        alpha = AlphaEstimate(n_times=3, sigma2={(D11, POOLED): 1.0}, rho_b={(D11,): -0.9})
+        clusters = [make_cluster(f"c{i}", 1, 0, 1, [(0.0, 1.0, 2.0)] * 5) for i in range(3)]
+        ws = _make_workspace(
+            make_dataset(clusters, design2, grid012), MeanModelSpec.piecewise_linear(design2, grid012)
+        )
+        with pytest.raises(NotPositiveDefinite):
+            build_V(spec, alpha, D11, 5, grid012)
+        with pytest.raises(NotPositiveDefinite):
+            ws.factorize(spec, alpha)
+
+    @pytest.mark.parametrize("cov_spec", [EXCH, UNSTR], ids=["exchangeable", "unstructured"])
+    @pytest.mark.parametrize("bias_correct", [False, True])
+    def test_fit_matches_dense_reference(self, design2, grid012, cov_spec, bias_correct):
+        rng = np.random.default_rng(31)
+        ds = random_design2_dataset(
+            rng, 70, grid012, design2, sizes=(1, 2, 3, 4, 5, 6), individual_covariates=("v",),
+            mean_fn=lambda a1, r, a2nr, t: 0.4 * a1 * t,
+        )
+        ds = with_cluster_effects(ds, rng)
+        spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("v",))
+        options = FitOptions(adjustments=AdjustmentOptions(bias_correct=bias_correct))
+        res = fit(ds, spec, cov_spec, options)
+        assert res.converged
+        theta, sigma, z = dense_reference(ds, spec, res, bias_correct)
+        np.testing.assert_allclose(res.theta.full, theta, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(res.sigma_theta, sigma, rtol=1e-10, atol=1e-14)
+        for (d, d2), want in z.items():
+            got = wald_test(res, contrast_end_of_study(spec, d, d2)).statistic
+            assert got == pytest.approx(want, abs=1e-10)
+
+
+def permuted(ds, rng):
+    """The same trial with clusters and each cluster's individuals reordered."""
+    clusters = [
+        replace(cl, individuals=tuple(cl.individuals[j] for j in rng.permutation(cl.n)))
+        for cl in ds.clusters
+    ]
+    return replace(ds, clusters=tuple(clusters[i] for i in rng.permutation(len(clusters))))
+
+
+class TestPermutationInvariance:
+    @pytest.fixture(scope="class")
+    def base(self):
+        design = SmartDesign.balanced(DesignKind.II)
+        grid = TimeGrid(times=(0.0, 1.0, 2.0), knot=1.0)
+        rng = np.random.default_rng(32)
+        ds = random_design2_dataset(
+            rng, 70, grid, design, sizes=(1, 2, 3, 4, 5, 6), individual_covariates=("v",),
+        )
+        ds = with_cluster_effects(ds, rng)
+        spec = MeanModelSpec.piecewise_linear(design, grid, covariate_terms=("v",))
+        return ds, spec, {c: fit(ds, spec, c) for c in (EXCH, UNSTR)}
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), unstructured=st.booleans())
+    def test_cluster_and_individual_order(self, base, seed, unstructured):
+        ds, spec, fits = base
+        cov_spec = UNSTR if unstructured else EXCH
+        res = fit(permuted(ds, np.random.default_rng(seed)), spec, cov_spec)
+        ref = fits[cov_spec]
+        np.testing.assert_allclose(res.theta.full, ref.theta.full, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(res.sigma_theta, ref.sigma_theta, rtol=1e-10, atol=1e-14)
