@@ -57,11 +57,8 @@ from .gee import (
     WeightMode,
     WeightModel,
     estimate_weight_model,
-    finite_sample_adjust,
     fit,
     fit_end_of_study,
     sandwich_covariance,
-    sandwich_estimated_weights,
-    solve_theta,
     wald_test,
 )

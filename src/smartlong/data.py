@@ -227,6 +227,8 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
             t = float(row[col_index["time"]])
         except ValueError as exc:
             raise MissingCell(f"{where}: non-numeric outcome or time") from exc
+        if not math.isfinite(y):
+            raise MissingCell(f"{where}: outcome is {raw_y!r}, not a finite number")
         k = _match_time(t, grid, where)
 
         a1 = _decode_treatment(row[col_index["a1"]], schema.a1_codes, (-1, 1), "a1", where)

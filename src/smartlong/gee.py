@@ -21,9 +21,11 @@ grouped by (regime, cluster size), because C depends on n, and processed in
 sorted-id order, which makes every result reproducible and independent of
 input row order.
 
-:func:`fit` is the only estimating-equation solver (the end-of-study
-comparator runs it on the final time alone) and :func:`wald_test` the only
-source of p-values and confidence intervals.
+:func:`fit` is the only entry point: it solves, applies the finite-sample
+adjustments and the estimated-weight correction, and assembles the sandwich
+once (the end-of-study comparator runs it on the final time alone).  A
+:class:`FitResult` holds values only, nothing to re-enter the engine with.
+:func:`wald_test` is the only source of p-values and confidence intervals.
 """
 from __future__ import annotations
 
@@ -69,11 +71,8 @@ __all__ = [
     "WaldResult",
     "WeightModel",
     "fit",
-    "solve_theta",
     "sandwich_covariance",
     "estimate_weight_model",
-    "sandwich_estimated_weights",
-    "finite_sample_adjust",
     "wald_test",
     "fit_end_of_study",
 ]
@@ -108,6 +107,13 @@ class FitOptions:
     adjustments: AdjustmentOptions = AdjustmentOptions()
     stage1_covariates: Tuple[str, ...] = ()
     stage2_covariates: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # NaN fails both comparisons; math.inf accepts the identity-covariance fit
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -338,7 +344,6 @@ class FitResult:
     weight_model: Optional[WeightModel] = None
     mean_spec: Optional[MeanModelSpec] = field(default=None, repr=False, compare=False)
     cov_spec: Optional[WorkingCovSpec] = field(default=None, repr=False, compare=False)
-    _workspace: Optional[_Workspace] = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -359,29 +364,6 @@ def sandwich_covariance(j_hat: np.ndarray, q_hat: np.ndarray, n_clusters: int) -
     ji = np.linalg.inv(j_hat)
     sigma = ji @ q_hat @ ji / n_clusters
     return (sigma + sigma.T) / 2.0
-
-
-def solve_theta(
-    ds: TrialDataset,
-    mean_spec: MeanModelSpec,
-    cov_spec: Optional[WorkingCovSpec] = None,
-    alpha: Optional[AlphaEstimate] = None,
-    weights: Optional[np.ndarray] = None,
-) -> ThetaEstimate:
-    """One weighted linear solve of the estimating equation.
-
-    ``cov_spec``/``alpha`` absent means an identity working covariance.
-    ``weights`` (aligned with clusters sorted by id) default to the design
-    weights.
-    """
-    ws = _make_workspace(ds, mean_spec, weights)
-    factors = None
-    if cov_spec is not None:
-        if alpha is None:
-            raise ValueError("alpha estimates are required alongside cov_spec")
-        factors = ws.factorize(cov_spec, alpha)
-    theta, A, vd = ws.solve(factors)
-    return _split_theta(mean_spec, theta)
 
 
 def _canonical_clusters(ds: TrialDataset) -> List[ClusterRecord]:
@@ -418,8 +400,17 @@ def fit(
     sup-norm change in theta falls below ``options.tolerance``, and returns
     the last iterate with ``converged=False`` after ``max_iter`` sweeps.
     Either way the returned theta is the exact root under the working
-    covariance it was solved with.  ``options.adjustments`` are applied as
-    :func:`finite_sample_adjust` would, before the sandwich is assembled once.
+    covariance it was solved with; ``tolerance=math.inf`` accepts the
+    identity-covariance initializer with no iterations.
+
+    Then ``options.adjustments`` apply: ``enforce_nonneg_corr`` clamps
+    negative correlation estimates to zero and solves theta once more under
+    the clamped working covariance; ``bias_correct`` inflates each cluster's
+    residuals by its inverse leverage inside the meat matrix (Mancl &
+    DeRouen, Biometrics 2001); ``t_reference`` sets ``df = N - p`` so that
+    :func:`wald_test` refers to ``t`` instead of the normal.  Under estimated
+    weights the meat matrix is projected off the weight-model scores.  The
+    sandwich is assembled once, from the final theta.
     """
     _require_valid(ds)
     weight_model = weights = None
@@ -430,21 +421,15 @@ def fit(
         weights = weight_model.fitted_weights
 
     ws = _make_workspace(ds, mean_spec, weights)
-    theta0, _, _ = ws.solve(None)
-    alpha0 = estimate_alpha(ws.residual_groups(theta0), cov_spec, ws.cais)
-
-    if not options.tolerance < math.inf:
-        # degenerate stopping rule: accept the identity-covariance fit
-        theta, alpha = theta0, alpha0
+    # invariant: theta is always the exact root under V(alpha), or under the
+    # identity while factors is None
+    theta, _, _ = ws.solve(None)
+    alpha = estimate_alpha(ws.residual_groups(theta), cov_spec, ws.cais)
+    factors = None
+    if options.tolerance == math.inf:
         iterations, converged, max_delta = 0, True, 0.0
-        factors = None
     else:
-        # invariant: theta is always the exact root under V(alpha)
-        theta, alpha = theta0, alpha0
-        factors = None
-        iterations = 0
-        converged = False
-        max_delta = math.inf
+        iterations, converged, max_delta = 0, False, math.inf
         for k in range(1, options.max_iter + 1):
             factors = ws.factorize(cov_spec, alpha)
             theta_new, _, _ = ws.solve(factors)
@@ -463,44 +448,18 @@ def fit(
                 RuntimeWarning,
             )
 
-    theta, alpha, factors, applied, df = _adjust(
-        ws, cov_spec, theta, alpha, factors, options.adjustments
+    adjustments = options.adjustments
+    if adjustments.enforce_nonneg_corr:
+        alpha = _clamp_nonneg(alpha)
+        factors = ws.factorize(cov_spec, alpha)
+        theta, _, _ = ws.solve(factors)
+    applied = tuple(
+        name for name in ("enforce_nonneg_corr", "bias_correct", "t_reference")
+        if getattr(adjustments, name)
     )
-    return _assemble(
-        ws, mean_spec, cov_spec, theta, alpha, factors,
-        iterations=iterations, converged=converged, max_delta=max_delta,
-        weight_mode=options.weight_mode, weight_model=weight_model,
-        adjustments=applied, df=df, bias_correct=options.adjustments.bias_correct,
+    j_hat, q_hat, sigma, ee_residual = _assemble(
+        ws, theta, factors, adjustments.bias_correct, weight_model
     )
-
-
-def _assemble(
-    ws: _Workspace,
-    mean_spec: MeanModelSpec,
-    cov_spec: WorkingCovSpec,
-    theta: np.ndarray,
-    alpha: AlphaEstimate,
-    factors,
-    *,
-    iterations: int,
-    converged: bool,
-    max_delta: float,
-    weight_mode: WeightMode,
-    weight_model: Optional[WeightModel],
-    adjustments: Tuple[str, ...] = (),
-    df: Optional[int] = None,
-    bias_correct: bool = False,
-) -> FitResult:
-    vd = ws._vinv_design(factors)
-    A, b = ws.normal_equations(vd)
-    ee_residual = float(np.abs(b - A @ theta).max())
-    j_hat = A / ws.N
-    leverage = A if bias_correct else None
-    U = ws.u_rows(theta, vd, leverage_inverse_from=leverage)
-    q_hat = U.T @ U / ws.N
-    if weight_mode is WeightMode.ESTIMATED and weight_model is not None:
-        q_hat = _score_corrected_q(q_hat, U, weight_model.scores)
-    sigma = sandwich_covariance(j_hat, q_hat, ws.N)
     return FitResult(
         theta=_split_theta(mean_spec, theta),
         alpha=alpha,
@@ -508,19 +467,37 @@ def _assemble(
         iterations=iterations,
         converged=converged,
         max_delta=max_delta,
-        weight_mode=weight_mode,
-        adjustments_applied=adjustments,
+        weight_mode=options.weight_mode,
+        adjustments_applied=applied,
         n_clusters=ws.N,
         param_names=mean_spec.param_names,
-        df=df,
+        df=ws.N - ws.p if adjustments.t_reference else None,
         ee_residual_norm=ee_residual,
         j_hat=j_hat,
         q_hat=q_hat,
         weight_model=weight_model,
         mean_spec=mean_spec,
         cov_spec=cov_spec,
-        _workspace=ws,
     )
+
+
+def _assemble(
+    ws: _Workspace,
+    theta: np.ndarray,
+    factors,
+    bias_correct: bool,
+    weight_model: Optional[WeightModel],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The sandwich stage: J, Q, Sigma and the estimating-equation residual."""
+    vd = ws._vinv_design(factors)
+    A, b = ws.normal_equations(vd)
+    ee_residual = float(np.abs(b - A @ theta).max())
+    j_hat = A / ws.N
+    U = ws.u_rows(theta, vd, leverage_inverse_from=A if bias_correct else None)
+    q_hat = U.T @ U / ws.N
+    if weight_model is not None:
+        q_hat = _score_corrected_q(q_hat, U, weight_model.scores)
+    return j_hat, q_hat, sandwich_covariance(j_hat, q_hat, ws.N), ee_residual
 
 
 def _score_corrected_q(q_hat: np.ndarray, U: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -533,22 +510,6 @@ def _score_corrected_q(q_hat: np.ndarray, U: np.ndarray, scores: np.ndarray) -> 
         raise RankDeficient("score outer-product matrix is singular")
     corrected = q_hat - B @ np.linalg.solve(M, B.T)
     return (corrected + corrected.T) / 2.0
-
-
-def sandwich_estimated_weights(fit_result: FitResult, wm: WeightModel) -> np.ndarray:
-    """Sandwich with the score-projection-corrected meat matrix."""
-    ws = fit_result._workspace
-    if ws is None:
-        raise ValueError("fit result carries no workspace; refit before adjusting")
-    factors = None
-    if fit_result.cov_spec is not None and fit_result.iterations > 0:
-        factors = ws.factorize(fit_result.cov_spec, fit_result.alpha)
-    return _assemble(
-        ws, fit_result.mean_spec, fit_result.cov_spec, fit_result.theta.full,
-        fit_result.alpha, factors,
-        iterations=fit_result.iterations, converged=fit_result.converged,
-        max_delta=fit_result.max_delta, weight_mode=WeightMode.ESTIMATED, weight_model=wm,
-    ).sigma_theta
 
 
 # -- estimated weights ---------------------------------------------------------
@@ -670,61 +631,6 @@ def _clamp_nonneg(alpha: AlphaEstimate) -> AlphaEstimate:
     rho_w = {k: max(v, 0.0) for k, v in alpha.rho_w.items()}
     rho_b = {k: max(v, 0.0) for k, v in alpha.rho_b.items()}
     return replace(alpha, rho_w=rho_w, rho_b=rho_b)
-
-
-def _adjust(
-    ws: _Workspace,
-    cov_spec: WorkingCovSpec,
-    theta: np.ndarray,
-    alpha: AlphaEstimate,
-    factors,
-    options: AdjustmentOptions,
-) -> Tuple[np.ndarray, AlphaEstimate, object, Tuple[str, ...], Optional[int]]:
-    """Clamp-and-refit, then the names applied and the t reference's df."""
-    applied = []
-    if options.enforce_nonneg_corr:
-        alpha = _clamp_nonneg(alpha)
-        factors = ws.factorize(cov_spec, alpha)
-        theta, _, _ = ws.solve(factors)
-        applied.append("enforce_nonneg_corr")
-    if options.bias_correct:
-        applied.append("bias_correct")
-    df = None
-    if options.t_reference:
-        df = ws.N - ws.p
-        applied.append("t_reference")
-    return theta, alpha, factors, tuple(applied), df
-
-
-def finite_sample_adjust(fit_result: FitResult, options: AdjustmentOptions) -> FitResult:
-    """Small-sample refinements applied on top of a converged fit.
-
-    Nonnegative-correlation clamping refits theta once under the clamped
-    working covariance; the bias correction inflates each cluster's residual
-    by its inverse leverage inside the meat matrix; the t reference switches
-    Wald inference to ``t`` with ``N - p`` degrees of freedom.
-    """
-    ws = fit_result._workspace
-    if ws is None:
-        raise ValueError("fit result carries no workspace; refit before adjusting")
-    factors = None
-    if (
-        not options.enforce_nonneg_corr
-        and fit_result.cov_spec is not None
-        and fit_result.iterations > 0
-    ):
-        factors = ws.factorize(fit_result.cov_spec, fit_result.alpha)
-    theta, alpha, factors, applied, df = _adjust(
-        ws, fit_result.cov_spec, fit_result.theta.full, fit_result.alpha, factors, options
-    )
-    return _assemble(
-        ws, fit_result.mean_spec, fit_result.cov_spec, theta, alpha, factors,
-        iterations=fit_result.iterations, converged=fit_result.converged,
-        max_delta=fit_result.max_delta, weight_mode=fit_result.weight_mode,
-        weight_model=fit_result.weight_model,
-        adjustments=fit_result.adjustments_applied + applied,
-        df=fit_result.df if df is None else df, bias_correct=options.bias_correct,
-    )
 
 
 def wald_test(fit_result: FitResult, contrast: ContrastVector, level: float = 0.95) -> WaldResult:

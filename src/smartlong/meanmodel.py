@@ -244,6 +244,8 @@ class ContrastVector:
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=float)
         object.__setattr__(self, "c", c)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("contrast vector entries must be finite")
         if not np.any(c != 0.0):
             raise ValueError("contrast vector must be nonzero")
 

@@ -94,6 +94,12 @@ class TestParse:
         with pytest.raises(MissingCell, match=f"line 6: covariate 'u' is '{value}'"):
             parse_long_table(bad, schema_for(design2, grid012, cluster_covariates=("u",)))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_outcome_names_line(self, design2, grid012, value):
+        bad = MINIMAL.replace("c1,p2,1,0.7", f"c1,p2,1,{value}")
+        with pytest.raises(MissingCell, match=f"line 6: outcome is '{value}'"):
+            parse_long_table(bad, schema_for(design2, grid012))
+
     def test_covariates_and_custom_codes(self, design2, grid012):
         text = (
             "school,sp,week,cbt,coach,resp,facil,lunch\n"

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
@@ -27,23 +27,23 @@ from smartlong import (
     WorkingCovSpec,
     build_V,
     consistency_indicator,
+    contrast_auc,
     contrast_end_of_study,
+    contrast_second_stage_slope,
     custom_contrast,
     design_weight,
     enumerate_cais,
-    finite_sample_adjust,
     fit,
     fit_end_of_study,
     make_saturated_basis,
     mu,
     sandwich_covariance,
-    solve_theta,
     stack_design_matrix,
     wald_test,
 )
 from smartlong import gee, workingcov
 from smartlong.errors import InconsistentCluster, InsufficientData, NotPositiveDefinite, ZeroVariance
-from smartlong.gee import _make_workspace
+from smartlong.gee import _assemble, _make_workspace, _Workspace
 
 from conftest import make_cluster, make_dataset, random_design2_dataset
 
@@ -80,6 +80,12 @@ def model_mean(theta, a1, a2nr, t, knot=1.0):
     )
 
 
+def identity_solve(ds, spec, weights=None):
+    """theta from one weighted solve under an identity working covariance."""
+    theta, _, _ = _make_workspace(ds, spec, weights).solve(None)
+    return ThetaEstimate(theta[: spec.n_gamma], theta[spec.n_gamma :], spec.param_names)
+
+
 def exact_dataset(design, grid, theta, rng, n_clusters=24, responders=False):
     """Outcomes exactly on the model surface (no noise)."""
     clusters = []
@@ -98,23 +104,30 @@ def exact_dataset(design, grid, theta, rng, n_clusters=24, responders=False):
     return make_dataset(clusters, design, grid)
 
 
+DESIGN2 = SmartDesign.balanced(DesignKind.II)
+GRID012 = TimeGrid(times=(0.0, 1.0, 2.0), knot=1.0)
+
+
 class TestSolveTheta:
     def test_exact_fixed_point(self, design2, grid012):
         rng = np.random.default_rng(0)
         theta0 = np.array([0.5, 0.3, -0.1, 0.2, 0.05, 0.1, -0.02])
         ds = exact_dataset(design2, grid012, theta0, rng)
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        est = solve_theta(ds, spec)
+        est = identity_solve(ds, spec)
         np.testing.assert_allclose(est.gamma, theta0, atol=1e-10)
 
-    def test_weight_scale_invariance(self, design2, grid012):
+    @settings(max_examples=25, deadline=None)
+    @given(scale=st.floats(1e-3, 1e3))
+    @example(scale=2.0)
+    def test_weight_scale_invariance(self, scale):
         rng = np.random.default_rng(1)
-        ds = random_design2_dataset(rng, 30, grid012, design2)
-        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        ds = random_design2_dataset(rng, 30, GRID012, DESIGN2)
+        spec = MeanModelSpec.piecewise_linear(DESIGN2, GRID012)
         ws = _make_workspace(ds, spec)
-        base = solve_theta(ds, spec)
-        doubled = solve_theta(ds, spec, weights=2.0 * ws.weights)
-        np.testing.assert_allclose(doubled.full, base.full, rtol=1e-12)
+        base = identity_solve(ds, spec)
+        scaled = identity_solve(ds, spec, weights=scale * ws.weights)
+        np.testing.assert_allclose(scaled.full, base.full, rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_nonpositive_or_nonfinite_weights(self, design2, grid012, bad):
@@ -124,7 +137,7 @@ class TestSolveTheta:
         weights = _make_workspace(ds, spec).weights.copy()
         weights[3] = bad
         with pytest.raises(ValueError, match="finite and positive"):
-            solve_theta(ds, spec, weights=weights)
+            identity_solve(ds, spec, weights=weights)
 
     def test_saturated_identity_v_reproduces_weighted_means(self, design2, grid012):
         # six-cluster hand dataset; oracle computed by direct weighted means
@@ -138,7 +151,7 @@ class TestSolveTheta:
         ]
         ds = make_dataset(clusters, design2, grid012)
         spec = MeanModelSpec.custom(design2, grid012, make_saturated_basis(design2, grid012))
-        est = solve_theta(ds, spec)
+        est = identity_solve(ds, spec)
 
         for ci, d in enumerate(enumerate_cais(design2)):
             for k, t in enumerate(grid012.times):
@@ -169,7 +182,7 @@ class TestFit:
         ds = random_design2_dataset(rng, 40, grid012, design2)
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, EXCH, FitOptions(tolerance=math.inf))
-        base = solve_theta(ds, spec)
+        base = identity_solve(ds, spec)
         np.testing.assert_array_equal(res.theta.full, base.full)
         assert res.iterations == 0 and res.converged
 
@@ -193,6 +206,15 @@ class TestFit:
         # the last iterate is returned: the exact root under its own V(alpha)
         y_max = max(abs(v) for cl in ds.clusters for ind in cl.individuals for v in ind.y)
         assert res.ee_residual_norm < 1e-12 * (1.0 + y_max)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tolerance": math.nan}, {"tolerance": 0.0}, {"tolerance": -1.0}, {"max_iter": 0}],
+        ids=["nan-tolerance", "zero-tolerance", "negative-tolerance", "zero-max-iter"],
+    )
+    def test_options_reject_bad_stopping_rule(self, kwargs):
+        with pytest.raises(ValueError, match="tolerance must be positive|max_iter must be at least 1"):
+            FitOptions(**kwargs)
 
     def test_missing_regime_is_hard_error(self, design2, grid012):
         clusters = [
@@ -296,39 +318,35 @@ class TestSandwich:
         np.testing.assert_array_equal(sig, sig.T)
         assert np.linalg.eigvalsh(sig)[0] >= 0
 
-    def test_weight_scale_leaves_sigma_invariant(self, design2, grid012):
+    @settings(max_examples=25, deadline=None)
+    @given(scale=st.floats(1e-3, 1e3))
+    @example(scale=5.0)
+    def test_weight_scale_leaves_sigma_invariant(self, scale):
         rng = np.random.default_rng(9)
-        ds = random_design2_dataset(rng, 25, grid012, design2)
-        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        ds = random_design2_dataset(rng, 25, GRID012, DESIGN2)
+        spec = MeanModelSpec.piecewise_linear(DESIGN2, GRID012)
         ws = _make_workspace(ds, spec)
-
-        from smartlong.gee import _Workspace, _assemble, WeightMode
-        from smartlong.workingcov import estimate_alpha as est_alpha
 
         def run(scale):
             w = _Workspace(ds, spec, ws.weights * scale, ws.clusters)
             theta, _, _ = w.solve(None)
-            alpha = est_alpha(w.residual_groups(theta), IID, enumerate_cais(design2))
-            return _assemble(
-                w, spec, IID, theta, alpha, None,
-                iterations=0, converged=True, max_delta=0.0,
-                weight_mode=WeightMode.DESIGN_KNOWN, weight_model=None,
-            )
+            _, _, sigma, _ = _assemble(w, theta, None, False, None)
+            return theta, sigma
 
-        r1, r5 = run(1.0), run(5.0)
-        np.testing.assert_allclose(r1.theta.full, r5.theta.full, rtol=1e-12)
-        np.testing.assert_allclose(r1.sigma_theta, r5.sigma_theta, rtol=1e-10)
+        (theta1, sigma1), (theta_s, sigma_s) = run(1.0), run(scale)
+        np.testing.assert_allclose(theta1, theta_s, rtol=1e-12)
+        np.testing.assert_allclose(sigma1, sigma_s, rtol=1e-10)
 
 
 class TestWald:
-    @pytest.fixture
-    def fitted(self, design2, grid012):
+    @pytest.fixture(scope="class")
+    def fitted(self):
         rng = np.random.default_rng(10)
         ds = random_design2_dataset(
-            rng, 60, grid012, design2, sizes=(2, 3),
+            rng, 60, GRID012, DESIGN2, sizes=(2, 3),
             mean_fn=lambda a1, r, a2nr, t: 0.5 + 0.2 * t + 0.1 * (a1 == 1) * t,
         )
-        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        spec = MeanModelSpec.piecewise_linear(DESIGN2, GRID012)
         return spec, fit(ds, spec, EXCH)
 
     def test_zero_estimate_gives_unit_p(self, fitted):
@@ -347,22 +365,25 @@ class TestWald:
         assert w.p_value == 1.0
         assert w.ci[0] <= 0.0 <= w.ci[1]
 
-    def test_contrast_scale_invariance(self, fitted):
+    @settings(max_examples=25, deadline=None)
+    @given(power=st.integers(-30, 30), factor=st.floats(1e-6, 1e6))
+    @example(power=5, factor=37.0)
+    def test_contrast_scale_invariance(self, fitted, power, factor):
         spec, res = fitted
         c = contrast_end_of_study(spec, D11, DMM)
         from smartlong import ContrastVector
 
         # power-of-two scaling is exact in floating point: bitwise equality
-        pow2 = ContrastVector(c=32.0 * c.c, label="x32")
-        w1, w2 = wald_test(res, c), wald_test(res, pow2)
+        pow2 = 2.0**power
+        w1, w2 = wald_test(res, c), wald_test(res, ContrastVector(c=pow2 * c.c, label="pow2"))
         assert w1.statistic == w2.statistic
         assert w1.p_value == w2.p_value
-        np.testing.assert_allclose([v / 32.0 for v in w2.ci], w1.ci, rtol=0, atol=0)
+        np.testing.assert_allclose([v / pow2 for v in w2.ci], w1.ci, rtol=0, atol=0)
         # arbitrary positive scaling agrees to floating-point accuracy
-        w3 = wald_test(res, ContrastVector(c=37.0 * c.c, label="x37"))
+        w3 = wald_test(res, ContrastVector(c=factor * c.c, label="scaled"))
         assert w3.statistic == pytest.approx(w1.statistic, rel=1e-12)
         assert w3.p_value == pytest.approx(w1.p_value, rel=1e-12)
-        np.testing.assert_allclose([v / 37.0 for v in w3.ci], w1.ci, rtol=1e-12)
+        np.testing.assert_allclose([v / factor for v in w3.ci], w1.ci, rtol=1e-12)
 
     def test_ci_contains_estimate_and_se_positive(self, fitted):
         spec, res = fitted
@@ -389,7 +410,7 @@ class TestAdjustments:
         )
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, EXCH)
-        adj = finite_sample_adjust(res, AdjustmentOptions(enforce_nonneg_corr=True))
+        adj = fit(ds, spec, EXCH, FitOptions(adjustments=AdjustmentOptions(enforce_nonneg_corr=True)))
         if all(v >= 0 for v in {**res.alpha.rho_w, **res.alpha.rho_b}.values()):
             assert adj.alpha.rho_w == res.alpha.rho_w
             assert adj.alpha.rho_b == res.alpha.rho_b
@@ -402,7 +423,7 @@ class TestAdjustments:
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, EXCH)
         negatives = [v for v in {**res.alpha.rho_w, **res.alpha.rho_b}.values() if v < 0]
-        adj = finite_sample_adjust(res, AdjustmentOptions(enforce_nonneg_corr=True))
+        adj = fit(ds, spec, EXCH, FitOptions(adjustments=AdjustmentOptions(enforce_nonneg_corr=True)))
         assert all(v >= 0 for v in {**adj.alpha.rho_w, **adj.alpha.rho_b}.values())
         if negatives:
             assert not np.array_equal(adj.theta.full, res.theta.full)
@@ -415,7 +436,7 @@ class TestAdjustments:
         )
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, IID)
-        adj = finite_sample_adjust(res, AdjustmentOptions(t_reference=True))
+        adj = fit(ds, spec, IID, FitOptions(adjustments=AdjustmentOptions(t_reference=True)))
         assert adj.df == 2000 - spec.n_params
         c = contrast_end_of_study(spec, D11, DMM)
         wz, wt = wald_test(res, c), wald_test(adj, c)
@@ -426,7 +447,7 @@ class TestAdjustments:
         ds = random_design2_dataset(rng, 25, grid012, design2, sizes=(2, 3))
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, EXCH)
-        adj = finite_sample_adjust(res, AdjustmentOptions(bias_correct=True))
+        adj = fit(ds, spec, EXCH, FitOptions(adjustments=AdjustmentOptions(bias_correct=True)))
         assert "bias_correct" in adj.adjustments_applied
         # leverage inflation cannot shrink every diagonal entry
         assert np.trace(adj.sigma_theta) > np.trace(res.sigma_theta)
@@ -471,11 +492,6 @@ class TestAdjustments:
             "factorize": res.iterations + adjustments.enforce_nonneg_corr,
             "assemble": 1,
         }
-        ref = finite_sample_adjust(fit(ds, spec, EXCH), adjustments)
-        np.testing.assert_allclose(res.theta.full, ref.theta.full, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(res.sigma_theta, ref.sigma_theta, rtol=1e-12, atol=0)
-        assert res.df == ref.df
-        assert res.adjustments_applied == ref.adjustments_applied
 
 
 class TestEndOfStudyComparator:
@@ -746,3 +762,84 @@ class TestPermutationInvariance:
         ref = fits[cov_spec]
         np.testing.assert_allclose(res.theta.full, ref.theta.full, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(res.sigma_theta, ref.sigma_theta, rtol=1e-10, atol=1e-14)
+
+
+POOLED_EXCH = WorkingCovSpec(
+    variance_time=VarianceTime.HETEROSCEDASTIC,
+    variance_cai=VarianceCai.HOMOGENEOUS,
+    within_corr=WithinCorr.EXCHANGEABLE,
+    between_corr=BetweenCorr.EXCHANGEABLE,
+    corr_cai=CorrCai.HOMOGENEOUS,
+)
+POOLED_UNSTR = replace(
+    POOLED_EXCH, within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.UNSTRUCTURED
+)
+RESCALING_CASES = list(itertools.product(range(40, 46), (POOLED_EXCH, POOLED_UNSTR)))
+RESCALING_IDS = [
+    f"seed{seed}-{spec.within_corr.name.lower()}" for seed, spec in RESCALING_CASES
+]
+# an absolute stopping rule is not scale-free; this one stays far below 1e-10
+TIGHT = FitOptions(tolerance=1e-12)
+
+
+def all_z(spec, res):
+    """Wald z of every end-of-study, slope and AUC contrast between two regimes."""
+    return np.array([
+        wald_test(res, contrast(spec, d, d2)).statistic
+        for d, d2 in itertools.combinations(enumerate_cais(spec.design), 2)
+        for contrast in (contrast_end_of_study, contrast_second_stage_slope, contrast_auc)
+    ])
+
+
+def max_abs(x):
+    return float(np.abs(x).max())
+
+
+class TestRescalingInvariance:
+    @pytest.fixture(scope="class")
+    def fits(self):
+        spec = MeanModelSpec.piecewise_linear(DESIGN2, GRID012, covariate_terms=("u",))
+        out = {}
+        for seed, cov_spec in RESCALING_CASES:
+            rng = np.random.default_rng(seed)
+            ds = random_design2_dataset(
+                rng, 40, GRID012, DESIGN2, sizes=(1, 2, 3, 4), cluster_covariates=("u",)
+            )
+            ds = with_cluster_effects(ds, rng)
+            res = fit(ds, spec, cov_spec, TIGHT)
+            out[(seed, cov_spec)] = ds, spec, res, all_z(spec, res)
+        return out
+
+    @pytest.mark.parametrize("case", RESCALING_CASES, ids=RESCALING_IDS)
+    def test_duplicating_every_cluster(self, fits, case):
+        ds, spec, res, z = fits[case]
+        copies = tuple(replace(cl, cluster_id=f"{cl.cluster_id}-copy") for cl in ds.clusters)
+        doubled = fit(replace(ds, clusters=ds.clusters + copies), spec, case[1], TIGHT)
+        assert doubled.n_clusters == 2 * res.n_clusters
+        assert max_abs(doubled.theta.full - res.theta.full) <= 1e-10 * max_abs(res.theta.full)
+        assert max_abs(doubled.sigma_theta - res.sigma_theta / 2) <= 1e-10 * max_abs(res.sigma_theta)
+        assert max_abs(all_z(spec, doubled) - math.sqrt(2.0) * z) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=st.sampled_from(RESCALING_CASES),
+        a=st.floats(-10.0, 10.0),
+        b=st.floats(0.1, 10.0),
+        negative=st.booleans(),
+    )
+    def test_affine_outcome_map(self, fits, case, a, b, negative):
+        ds, spec, res, z = fits[case]
+        b = -b if negative else b
+        clusters = tuple(
+            replace(cl, individuals=tuple(
+                replace(ind, y=tuple(a + b * v for v in ind.y)) for ind in cl.individuals
+            ))
+            for cl in ds.clusters
+        )
+        mapped = fit(replace(ds, clusters=clusters), spec, case[1], TIGHT)
+        # the piecewise-linear basis carries the intercept in theta[0]
+        want = b * res.theta.full
+        want[0] += a
+        assert max_abs(mapped.theta.full - want) <= 1e-10 * max_abs(want)
+        assert max_abs(mapped.sigma_theta - b * b * res.sigma_theta) <= 1e-10 * b * b * max_abs(res.sigma_theta)
+        assert max_abs(all_z(spec, mapped) - math.copysign(1.0, b) * z) <= 1e-10

@@ -292,6 +292,12 @@ class TestContrasts:
         with pytest.raises(ValueError):
             contrast_auc(spec, D11, DMM)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_contrast_rejects_nonfinite_entries(self, design2, grid012, bad):
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        with pytest.raises(ValueError, match="must be finite"):
+            custom_contrast(spec, [bad, 0, 1, 0, 0, 0, 0], "bad")
+
     def test_custom_contrast_padding(self, design2, grid012):
         spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("u",))
         c = custom_contrast(spec, [0, 0, 1, 0, 0, 0, 0], "gamma2")

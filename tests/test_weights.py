@@ -5,12 +5,11 @@ from smartlong import (
     FitOptions,
     MeanModelSpec,
     WeightMode,
-    WeightModel,
     estimate_weight_model,
     fit,
-    sandwich_estimated_weights,
+    sandwich_covariance,
 )
-from smartlong.gee import _canonical_clusters
+from smartlong.gee import _canonical_clusters, _make_workspace, _score_corrected_q
 from smartlong import WorkingCovSpec
 
 from conftest import make_cluster, make_dataset, random_design2_dataset
@@ -98,13 +97,11 @@ class TestCorrectedSandwich:
         ds = random_design2_dataset(rng, 50, grid012, design2, sizes=(2,))
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, IID)
-        wm = WeightModel(
-            stage1_coef=np.zeros(1),
-            stage2_coef={},
-            scores=np.zeros((res.n_clusters, 3)),
-            fitted_weights=np.ones(res.n_clusters),
-        )
-        corrected = sandwich_estimated_weights(res, wm)
+        ws = _make_workspace(ds, spec)
+        U = ws.u_rows(res.theta.full, ws._vinv_design(ws.factorize(res.cov_spec, res.alpha)))
+        q = _score_corrected_q(res.q_hat, U, np.zeros((res.n_clusters, 3)))
+        assert q is res.q_hat
+        corrected = sandwich_covariance(res.j_hat, q, res.n_clusters)
         np.testing.assert_allclose(corrected, res.sigma_theta, atol=1e-15)
 
     def test_correction_never_inflates_diagonal(self, design2, grid012):
@@ -121,7 +118,7 @@ class TestCorrectedSandwich:
             )
             wm = res.weight_model
             # rebuild the uncorrected meat for comparison
-            ws = res._workspace
+            ws = _make_workspace(ds, spec, wm.fitted_weights)
             factors = ws.factorize(res.cov_spec, res.alpha) if res.iterations else None
             U = ws.u_rows(res.theta.full, ws._vinv_design(factors))
             q_plain = U.T @ U / res.n_clusters
