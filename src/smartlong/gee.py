@@ -12,14 +12,15 @@ working covariance misspecification.
 Every cluster's working covariance is block exchangeable,
 V = I_n (x) A' + J_n (x) B' with (T+1) x (T+1) blocks, so its inverse is
 I_n (x) A'^{-1} + J_n (x) C with C = (A_n'^{-1} - A'^{-1}) / n and
-A_n' = A' + n B'.  The engine never forms V: per (regime, cluster size) it
-keeps those two small matrices and applies V^{-1} D as A'^{-1} D_j + C sum_k D_k
-over each cluster's individuals j, and the bias-corrected meat uses the
-Woodbury form of the inverse leverage, one p x p solve per cluster.  Work is
-cubic in T+1 and p and linear in the number of observations.  Clusters are
-grouped by (regime, cluster size), because C depends on n, and processed in
-sorted-id order, which makes every result reproducible and independent of
-input row order.
+A_n' = A' + n B'.  The engine never forms V: it factorizes the regime blocks
+once per regime and only A_n' per cluster size, and applies V^{-1} D as
+A'^{-1} D_j + C sum_k D_k over each cluster's individuals j; the bias-corrected
+meat uses the Woodbury form of the inverse leverage, one p x p solve per
+cluster.  Work is cubic in T+1 and p and linear in the number of observations.
+Clusters are grouped by (regime, cluster size), because C depends on n, in
+sorted-id order, so results are reproducible and independent of input row
+order; the groups are filled array-at-once, regime membership decided once per
+observed pathway.
 
 :func:`fit` is the only entry point: it solves, applies the finite-sample
 adjustments and the estimated-weight correction, and assembles the sandwich
@@ -29,6 +30,7 @@ once (the end-of-study comparator runs it on the final time alone).  A
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -177,54 +179,42 @@ class _Workspace:
 
     # -- assembly -----------------------------------------------------------
 
-    def _cluster_design(self, d: EmbeddedCai, cl: ClusterRecord, gamma_block: np.ndarray) -> np.ndarray:
-        n_times, n_gamma = gamma_block.shape
-        spec = self.mean_spec
-        n_cov = len(spec.covariate_terms)
-        rows = cl.n * n_times
-        out = np.empty((rows, n_gamma + n_cov))
-        out[:, :n_gamma] = np.tile(gamma_block, (cl.n, 1))
-        for c_idx, name in enumerate(spec.covariate_terms):
-            if name in self.ds.cluster_covariates:
-                value = cl.x_cluster[self.ds.cluster_covariates.index(name)]
-                out[:, n_gamma + c_idx] = value
-            else:
-                idx = self.ds.individual_covariates.index(name)
-                col = np.repeat([ind.x_individual[idx] for ind in cl.individuals], n_times)
-                out[:, n_gamma + c_idx] = col
-        return out
-
     def _build_groups(self) -> List[_Group]:
-        spec = self.mean_spec
-        for name in spec.covariate_terms:
-            if (
-                name not in self.ds.cluster_covariates
-                and name not in self.ds.individual_covariates
-            ):
+        spec, ds = self.mean_spec, self.ds
+        # flattened once: sizes, first-individual offsets, per-individual y and covariates
+        sizes = np.array([cl.n for cl in self.clusters], dtype=int)
+        first = np.cumsum(sizes) - sizes
+        people = [ind for cl in self.clusters for ind in cl.individuals]
+        y = np.array([ind.y for ind in people], dtype=float)
+        x = np.empty((len(people), len(spec.covariate_terms)))
+        for c_idx, name in enumerate(spec.covariate_terms):
+            if name in ds.cluster_covariates:
+                idx = ds.cluster_covariates.index(name)
+                x[:, c_idx] = np.repeat([cl.x_cluster[idx] for cl in self.clusters], sizes)
+            elif name in ds.individual_covariates:
+                idx = ds.individual_covariates.index(name)
+                x[:, c_idx] = [ind.x_individual[idx] for ind in people]
+            else:
                 raise ValueError(f"covariate {name!r} not present in the dataset schema")
-        gamma_blocks = {
-            d: np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
-            for d in self.cais
-        }
-        buckets: Dict[Tuple[EmbeddedCai, int], List[Tuple[int, np.ndarray, np.ndarray]]] = {}
+        # consistency depends only on the pathway: decide it once per pathway
+        by_pathway: Dict[tuple, List[int]] = {}
         for pos, cl in enumerate(self.clusters):
-            y = np.asarray([v for ind in cl.individuals for v in ind.y], dtype=float)
-            for d in self.cais:
-                if consistency_indicator(cl, d, self.ds.design):
-                    D = self._cluster_design(d, cl, gamma_blocks[d])
-                    buckets.setdefault((d, cl.n), []).append((pos, D, y))
+            by_pathway.setdefault((cl.a1, cl.r, cl.a2nr, cl.a2r), []).append(pos)
+        consistent = np.zeros((len(self.cais), self.N), dtype=bool)
+        for members in by_pathway.values():
+            for k, d in enumerate(self.cais):
+                consistent[k, members] = consistency_indicator(self.clusters[members[0]], d, ds.design)
         groups = []
-        for (d, n) in sorted(buckets, key=lambda k: (self.cais.index(k[0]), k[1])):
-            items = buckets[(d, n)]
-            groups.append(
-                _Group(
-                    cai=d,
-                    n=n,
-                    cluster_pos=np.array([i for i, _, _ in items]),
-                    design=np.stack([D for _, D, _ in items]),
-                    y=np.stack([y for _, _, y in items]),
-                )
-            )
+        for k, d in enumerate(self.cais):
+            gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
+            in_regime = np.flatnonzero(consistent[k])
+            for n in np.unique(sizes[in_regime]):
+                pos = in_regime[sizes[in_regime] == n]
+                person = first[pos][:, None] + np.arange(n)  # (m, n)
+                design = np.empty((pos.size, n * len(gamma), self.p))
+                design[..., : spec.n_gamma] = np.tile(gamma, (n, 1))
+                design[..., spec.n_gamma :] = np.repeat(x[person], len(gamma), axis=1)
+                groups.append(_Group(d, int(n), pos, design, y[person].reshape(pos.size, -1)))
         return groups
 
     # -- linear algebra over groups ------------------------------------------
@@ -309,19 +299,18 @@ class _Workspace:
         """Per (regime, n): A'^{-1} and C = (A_n'^{-1} - A'^{-1}) / n, with
         V^{-1} = I_n (x) A'^{-1} + J_n (x) C (see :func:`cluster_blocks`).
 
-        A singleton's V is A_1' itself, and its A' may be singular, so its pair
-        is (A_1'^{-1}, 0).
+        W', B' and A'^{-1} are built once per regime, in canonical order, and
+        A_n'^{-1} per size, ascending.  A singleton's V is A_1' itself, and its
+        A' may be singular, so its pair is (A_1'^{-1}, 0).
         """
         factors = {}
-        for key in {(g.cai, g.n) for g in self.groups}:
-            d, n = key
-            W, B = cluster_blocks(cov_spec, alpha, d, n, self.mean_spec.grid)
-            an_inv = np.linalg.inv(W + (n - 1) * B)
-            if n == 1:
-                factors[key] = (an_inv, np.zeros_like(an_inv))
-            else:
-                a_inv = np.linalg.inv(W - B)
-                factors[key] = (a_inv, (an_inv - a_inv) / n)
+        for d, same_regime in itertools.groupby(self.groups, key=lambda g: g.cai):
+            sizes = [g.n for g in same_regime]
+            W, B = cluster_blocks(cov_spec, alpha, d, sizes, self.mean_spec.grid)
+            a_inv = np.linalg.inv(W - B) if sizes[-1] > 1 else None
+            for n in sizes:
+                an_inv = np.linalg.inv(W + (n - 1) * B)
+                factors[d, n] = (an_inv, np.zeros_like(an_inv)) if n == 1 else (a_inv, (an_inv - a_inv) / n)
         return factors
 
 

@@ -288,9 +288,8 @@ def estimate_alpha(
             if denom == 0.0:
                 raise InsufficientData(f"no residuals inform {what} cell {key}")
             value = num[key] / denom
-            if abs(value) > _CLIP:
-                clipped = True
-            target[key] = float(np.clip(value, -1.0, 1.0))
+            clipped = clipped or abs(value) > _CLIP
+            target[key] = min(max(float(value), -1.0), 1.0)
 
     if spec.within_corr is not WithinCorr.INDEPENDENT and T >= 1:
         if spec.within_corr is WithinCorr.AR1:
@@ -395,7 +394,7 @@ def pool_alpha(alpha: AlphaEstimate, spec: WorkingCovSpec) -> AlphaEstimate:
 
 
 def _clip_open(rho: float) -> float:
-    return float(np.clip(rho, -_CLIP, _CLIP))
+    return min(max(float(rho), -_CLIP), _CLIP)
 
 
 def _within_block(spec: WorkingCovSpec, alpha: AlphaEstimate, d: EmbeddedCai, n_times: int) -> np.ndarray:
@@ -435,35 +434,37 @@ def cluster_blocks(
     spec: WorkingCovSpec,
     alpha: AlphaEstimate,
     d: EmbeddedCai,
-    n: int,
+    sizes: Sequence[int],
     grid: Union[TimeGrid, int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 of one cluster's V.
+    """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 of the V of a cluster
+    of each size in ``sizes`` under ``d``.
 
     V = I_n (x) (W' - B') + J_n (x) B', so its spectrum is spec(W' - B')
     repeated n - 1 times together with spec(W' + (n - 1) B').  This is the one
-    positive-definiteness rule: :class:`NotPositiveDefinite` when the smallest
-    eigenvalue over those spectra is at most 1e-10 of the largest.  ``grid``
-    may be a :class:`TimeGrid` or a bare count of measurement times
-    (single-time analyses have no grid object).
+    positive-definiteness rule: :class:`NotPositiveDefinite`, naming the
+    smallest failing n, when the smallest eigenvalue over those spectra is at
+    most 1e-10 of the largest.  ``grid`` may be a :class:`TimeGrid` or a bare
+    count of measurement times (single-time analyses have no grid object).
     """
-    if n < 1:
-        raise ValueError("cluster size must be positive")
+    if not sizes or min(sizes) < 1:
+        raise ValueError("cluster sizes must be positive")
     n_times = grid if isinstance(grid, int) else grid.n_times
     s = np.sqrt([alpha.sigma2_at(spec, d, k) for k in range(n_times)])
     scale = np.outer(s, s)
     W = scale * _within_block(spec, alpha, d, n_times)
     B = scale * _between_block(spec, alpha, d, n_times)
-    spectra = [np.linalg.eigvalsh(W + (n - 1) * B)]
-    if n > 1:
-        spectra.append(np.linalg.eigvalsh(W - B))
-    lo = min(e[0] for e in spectra)
-    hi = max(e[-1] for e in spectra)
-    if lo <= 1e-10 * max(hi, 0.0):
-        raise NotPositiveDefinite(
-            f"working covariance for regime {d}, cluster size {n} is not positive "
-            f"definite (eigenvalue range [{lo:.3e}, {hi:.3e}])"
-        )
+    shared = np.linalg.eigvalsh(W - B) if max(sizes) > 1 else None
+    for n in sorted(sizes):
+        eig = np.linalg.eigvalsh(W + (n - 1) * B)
+        lo, hi = eig[0], eig[-1]
+        if n > 1:
+            lo, hi = min(lo, shared[0]), max(hi, shared[-1])
+        if lo <= 1e-10 * max(hi, 0.0):
+            raise NotPositiveDefinite(
+                f"working covariance for regime {d}, cluster size {n} is not positive "
+                f"definite (eigenvalue range [{lo:.3e}, {hi:.3e}])"
+            )
     return W, B
 
 
@@ -479,6 +480,6 @@ def build_V(
     The estimator never forms it (see :func:`cluster_blocks`); it is the
     reference the closed-form inverse is tested against.
     """
-    W, B = cluster_blocks(spec, alpha, d, n, grid)
+    W, B = cluster_blocks(spec, alpha, d, (n,), grid)
     eye = np.eye(n)
     return np.kron(eye, W) + np.kron(np.ones((n, n)) - eye, B)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 
 from smartlong import (
     DesignKind,
+    MeanModelSpec,
     SmartDesign,
     TableSchema,
     TimeGrid,
+    WorkingCovSpec,
+    data,
+    fit,
     parse_long_table,
     serialize_long_table,
     validate,
@@ -168,6 +173,42 @@ class TestValidate:
         report = validate(make_dataset([cl], design2, grid012))
         assert report.ok
         assert len(report.warnings) == 3  # (1,-1), (-1,1), (-1,-1) uncovered
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def pathway_calls(self, monkeypatch):
+        calls = []
+        original = data._pathway_violation
+
+        def counted(cl, kind):
+            calls.append(cl.cluster_id)
+            return original(cl, kind)
+
+        monkeypatch.setattr(data, "_pathway_violation", counted)
+        return calls
+
+    def test_parse_then_fit_validates_once(self, design2, grid012, pathway_calls):
+        rng = np.random.default_rng(40)
+        text = serialize_long_table(random_design2_dataset(rng, 20, grid012, design2))
+        ds = parse_long_table(text, schema_for(design2, grid012))
+        fit(ds, MeanModelSpec.piecewise_linear(design2, grid012), WorkingCovSpec.independent_homoscedastic())
+        assert sorted(pathway_calls) == sorted(cl.cluster_id for cl in ds.clusters)
+
+    def test_equal_and_invalid_datasets_are_checked_in_full(self, design2, grid012, pathway_calls):
+        rng = np.random.default_rng(41)
+        ds = random_design2_dataset(rng, 12, grid012, design2)
+        report = validate(ds)
+        assert validate(ds) is report
+        assert len(pathway_calls) == 12
+        assert validate(replace(ds)) == report
+        assert len(pathway_calls) == 24
+        bad = replace(ds.clusters[0], a2r=1)
+        invalid = replace(ds, clusters=(bad, *ds.clusters[1:]))
+        assert [v.code for v in validate(invalid).violations] == ["design-consistency"]
+        assert len(pathway_calls) == 36
+        assert validate(ds) == report
+        assert len(pathway_calls) == 48
 
 
 class TestRoundTrip:

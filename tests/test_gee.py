@@ -104,6 +104,24 @@ def exact_dataset(design, grid, theta, rng, n_clusters=24, responders=False):
     return make_dataset(clusters, design, grid)
 
 
+def random_dataset(rng, n_clusters, grid, design, sizes, cluster_covariates=(), individual_covariates=()):
+    """Arbitrary outcomes and covariates on valid pathways of any design kind."""
+    clusters = []
+    for i in range(n_clusters):
+        a1, r, a2 = int(rng.choice([1, -1])), int(rng.integers(0, 2)), int(rng.choice([1, -1]))
+        if design.kind is DesignKind.I:
+            a2nr, a2r = (None, a2) if r else (a2, None)
+        else:
+            a2nr, a2r = (a2 if design.rerandomizes(a1, r) else None), None
+        n = int(rng.choice(sizes))
+        clusters.append(make_cluster(
+            f"c{i:03d}", a1, r, a2nr, rng.normal(size=(n, grid.n_times)), a2r=a2r,
+            x_cluster=rng.normal(size=len(cluster_covariates)),
+            x_indiv=rng.normal(size=(n, len(individual_covariates))),
+        ))
+    return make_dataset(clusters, design, grid, cluster_covariates, individual_covariates)
+
+
 DESIGN2 = SmartDesign.balanced(DesignKind.II)
 GRID012 = TimeGrid(times=(0.0, 1.0, 2.0), knot=1.0)
 
@@ -251,20 +269,32 @@ class TestFit:
         np.testing.assert_array_equal(res1.theta.full, res3.theta.full)
         np.testing.assert_array_equal(res1.sigma_theta, res3.sigma_theta)
 
-    def test_engine_design_path_matches_public_stacker(self, design2, grid012):
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("sizes", [(1,), (1, 2, 3, 5)], ids=["singletons", "mixed"])
+    @pytest.mark.parametrize("terms", [(), ("u", "v"), ("v", "u")])
+    def test_engine_design_path_matches_public_stacker(self, grid012, kind, sizes, terms):
         rng = np.random.default_rng(7)
-        ds = random_design2_dataset(
-            rng, 10, grid012, design2,
-            cluster_covariates=("u",), individual_covariates=("v",),
-        )
-        spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("u", "v"))
+        design = SmartDesign.balanced(kind)
+        ds = random_dataset(rng, 40, grid012, design, sizes, cluster_covariates=("u",), individual_covariates=("v",))
+        spec = MeanModelSpec.piecewise_linear(design, grid012, covariate_terms=terms)
         ws = _make_workspace(ds, spec)
-        by_id = {cl.cluster_id: cl for cl in ds.clusters}
+        cais = enumerate_cais(design)
+        # every consistent (cluster, regime) pair once, in canonical regime,
+        # ascending size, ascending position order
+        expected = [
+            (cais.index(d), cl.n, pos, d)
+            for pos, cl in enumerate(ws.clusters)
+            for d in cais
+            if consistency_indicator(cl, d, design)
+        ]
+        got = [(cais.index(g.cai), g.n, pos, g.cai) for g in ws.groups for pos in g.cluster_pos]
+        assert got == sorted(expected, key=lambda e: e[:3])
         for g in ws.groups:
             for row_idx, pos in enumerate(g.cluster_pos):
                 cl = ws.clusters[pos]
-                expected = stack_design_matrix(spec, g.cai, cl, ds)
-                np.testing.assert_allclose(g.design[row_idx], expected)
+                assert cl.n == g.n
+                np.testing.assert_array_equal(g.design[row_idx], stack_design_matrix(spec, g.cai, cl, ds))
+                np.testing.assert_array_equal(g.y[row_idx], [v for ind in cl.individuals for v in ind.y])
 
 
 class TestSandwich:
@@ -709,6 +739,55 @@ class TestClosedFormInverse:
             build_V(spec, alpha, D11, 5, grid012)
         with pytest.raises(NotPositiveDefinite):
             ws.factorize(spec, alpha)
+
+    def test_rejection_names_first_regime_and_smallest_size(self, design2, grid012):
+        spec = WorkingCovSpec(
+            variance_time=VarianceTime.HOMOSCEDASTIC,
+            variance_cai=VarianceCai.HETEROGENEOUS,
+            within_corr=WithinCorr.INDEPENDENT,
+            between_corr=BetweenCorr.EXCHANGEABLE,
+        )
+        # rho_b = -0.2 makes V indefinite from three people on, -0.9 from two
+        alpha = AlphaEstimate(
+            n_times=3,
+            sigma2={(D11, POOLED): 1.0, (D1M, POOLED): 1.0},
+            rho_b={(D11,): -0.2, (D1M,): -0.9},
+        )
+        clusters = [
+            make_cluster(f"c{i}{a2nr}", 1, 0, a2nr, [(0.0, 1.0, 2.0)] * n)
+            for a2nr in (-1, 1) for i, n in enumerate((4, 1, 3, 2))
+        ]
+        ws = _make_workspace(
+            make_dataset(clusters, design2, grid012), MeanModelSpec.piecewise_linear(design2, grid012)
+        )
+        message = (
+            "working covariance for regime (+1,+1), cluster size 3 is not positive "
+            "definite (eigenvalue range [-2.000e-01, 1.600e+00])"
+        )
+        for _ in range(3):
+            with pytest.raises(NotPositiveDefinite) as raised:
+                ws.factorize(spec, alpha)
+            assert str(raised.value) == message
+
+    def test_regime_blocks_built_once_per_regime(self, design2, grid012, monkeypatch):
+        rng = np.random.default_rng(32)
+        ds = random_design2_dataset(rng, 60, grid012, design2, sizes=(1, 2, 3, 4))
+        ws = _make_workspace(ds, MeanModelSpec.piecewise_linear(design2, grid012))
+        alpha = full_alpha(rng, ws.cais, 3)
+        calls = {"_within_block": 0, "_between_block": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(workingcov, name, counted(name, getattr(workingcov, name)))
+        ws.factorize(UNSTR, alpha)
+        regimes = {g.cai for g in ws.groups}
+        assert len({(g.cai, g.n) for g in ws.groups}) > len(regimes) == 4
+        assert calls == {"_within_block": 4, "_between_block": 4}
 
     @pytest.mark.parametrize("cov_spec", [EXCH, UNSTR], ids=["exchangeable", "unstructured"])
     @pytest.mark.parametrize("bias_correct", [False, True])

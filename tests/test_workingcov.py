@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from smartlong import (
     build_V,
     estimate_alpha,
     pool_alpha,
+    workingcov,
 )
 from smartlong.errors import DegenerateVariance, InsufficientData, NotPositiveDefinite
 
@@ -388,6 +390,14 @@ class TestBuildV:
         alpha = AlphaEstimate(n_times=3, sigma2={(D11, POOLED): 1.0}, rho_b={(D11,): -0.9})
         with pytest.raises(NotPositiveDefinite):
             build_V(spec, alpha, D11, 5, grid012)
+
+    def test_open_clip_bounds_and_passes_nan(self):
+        clip = workingcov._CLIP
+        assert [workingcov._clip_open(v) for v in (2.0, -2.0, 0.25, -0.0)] == [clip, -clip, 0.25, 0.0]
+        assert all(type(workingcov._clip_open(v)) is float for v in (np.float64(0.5), 1, 2.0))
+        assert math.isnan(workingcov._clip_open(math.nan))
+        with pytest.raises(ValueError, match="must lie in"):
+            AlphaEstimate(n_times=1, sigma2={(D11, 0): 1.0}, rho_b={(D11,): math.nan})
 
     def test_perfect_correlation_estimates_still_assemble(self):
         # rho-hat of 1 is stored exactly; assembly clips into the open interval
