@@ -1,24 +1,44 @@
 """Observed-data model for a clustered SMART with repeated measures.
 
-Datasets are ingested from long-format delimited text (one row per
-cluster/individual/time) and held immutable afterwards, so they can be
-shared freely across parallel workers.
+A :class:`TrialDataset` is a set of columns in canonical order: clusters
+sorted by id, and each cluster's individuals sorted by id and stored next to
+each other.  Per cluster it holds the ids, the pathway codes ``a1``, ``r``,
+``a2nr`` and ``a2r`` (small ints, 0 for an absent second-stage slot), the
+sizes and the cluster covariates; per individual the ids, the individual
+covariates and one outcome per grid time.  The distinct observed pathways and
+each cluster's index into them are derived once, as are the invariant checks:
+the :class:`ValidationReport` is computed when the dataset is built, judging
+the pathway rule once per distinct pathway, and :func:`validate` returns it.
+Datasets are immutable afterwards, so they can be shared freely across
+parallel workers.
+
+Datasets come from long-format delimited text (one row per cluster,
+individual and time), which :func:`parse_long_table` reads column-wise, a
+chunk of rows at a time, or from :class:`ClusterRecord` and
+:class:`IndividualRecord` records, which also serve as a read-only view
+(``ds.clusters``).  Records can hold what columns cannot, such as an outcome
+vector of the wrong length; the report lists such faults as violations.
 """
 from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import io
+import itertools
 import math
-import weakref
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, TextIO, Tuple
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple
 
-from .design import DesignKind, EmbeddedCai, SmartDesign, consistency_indicator, enumerate_cais
+import numpy as np
+
+from .design import DesignKind, SmartDesign, consistency_indicator, enumerate_cais
 from .errors import (
     BadTreatmentCode,
     InconsistentCluster,
     MissingCell,
+    SmartlongError,
     UnknownTime,
 )
 
@@ -26,6 +46,7 @@ __all__ = [
     "TimeGrid",
     "IndividualRecord",
     "ClusterRecord",
+    "Pathway",
     "TrialDataset",
     "TableSchema",
     "Violation",
@@ -94,17 +115,232 @@ class ClusterRecord:
         return len(self.individuals)
 
 
-@dataclass(frozen=True)
+class Pathway(NamedTuple):
+    """An observed treatment/response pathway; absent second-stage slots are None."""
+
+    a1: int
+    r: int
+    a2nr: Optional[int]
+    a2r: Optional[int]
+
+
+# the columns, each in canonical cluster or individual order
+_ID_COLUMNS = ("cluster_ids", "individual_ids")
+_ARRAY_COLUMNS = ("a1", "r", "a2nr", "a2r", "sizes", "x_cluster", "x_individual", "y")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class TrialDataset:
+    """A trial's observations as columns in canonical (sorted-id) order.
+
+    Per cluster: ``cluster_ids``; ``a1``, ``r``, ``a2nr``, ``a2r`` (int8, 0
+    for an absent slot); ``sizes``; ``x_cluster`` (N x q).  Per individual,
+    clusters' members contiguous: ``individual_ids``; ``x_individual``
+    (M x q'); ``y`` (M x (T+1)).  ``pathways`` lists the distinct observed
+    pathways and ``pathway_index`` maps each cluster to its entry.  Arrays are
+    read-only.
+
+    The constructor is the record route: clusters and their individuals may
+    come in any order.  Its arguments are the dataclass fields, so
+    :func:`dataclasses.replace` rebuilds a dataset through records.
+    ``clusters`` is the records in canonical order; for a parsed dataset that
+    view is made on first use.  Two datasets are equal when they hold the
+    same schema, columns and validation report, whichever route built them.
+    """
+
     design: SmartDesign
     grid: TimeGrid
     clusters: Tuple[ClusterRecord, ...]
     cluster_covariates: Tuple[str, ...] = ()
     individual_covariates: Tuple[str, ...] = ()
 
+    def __init__(
+        self,
+        design: SmartDesign,
+        grid: TimeGrid,
+        clusters: Sequence[ClusterRecord],
+        cluster_covariates: Sequence[str] = (),
+        individual_covariates: Sequence[str] = (),
+    ) -> None:
+        records = tuple(sorted(map(_with_sorted_individuals, clusters), key=lambda cl: cl.cluster_id))
+        people = [ind for cl in records for ind in cl.individuals]
+        n_times, n_xc, n_xi = grid.n_times, len(cluster_covariates), len(individual_covariates)
+        x_cluster, bad_xc = _record_matrix([cl.x_cluster for cl in records], n_xc)
+        y, bad_y = _record_matrix([ind.y for ind in people], n_times)
+        x_individual, bad_xi = _record_matrix([ind.x_individual for ind in people], n_xi)
+        sizes = np.array([cl.n for cl in records], dtype=np.intp)
+        owner = np.repeat(np.arange(len(records)), sizes)
+
+        # what columns cannot hold, keyed by position as _check orders violations
+        faults = [
+            ((pos, 3), Violation(
+                records[pos].cluster_id, "CovariateSchema",
+                f"expected {n_xc} cluster covariates, got {len(records[pos].x_cluster)}",
+            ))
+            for pos in bad_xc
+        ]
+        for j in bad_y:
+            ind = people[j]
+            faults.append(((int(owner[j]), 4, j, 0), Violation(
+                records[owner[j]].cluster_id, "MissingCell",
+                f"individual {ind.individual_id!r} has {len(ind.y)} outcomes, expected {n_times}",
+            )))
+        for j in bad_xi:
+            ind = people[j]
+            faults.append(((int(owner[j]), 4, j, 1), Violation(
+                records[owner[j]].cluster_id, "CovariateSchema",
+                f"individual {ind.individual_id!r} has {len(ind.x_individual)} covariates, expected {n_xi}",
+            )))
+
+        # pathways are judged as recorded; the int8 columns encode valid ones exactly
+        table: Dict[Pathway, int] = {}
+        index = [table.setdefault(Pathway(cl.a1, cl.r, cl.a2nr, cl.a2r), len(table)) for cl in records]
+        codes = np.array([[_code(v) for v in p] for p in table], dtype=np.int8).reshape(-1, 4)
+        pathway_index = np.array(index, dtype=np.intp)
+        a1, r, a2nr, a2r = codes[pathway_index].T
+
+        object.__setattr__(self, "clusters", records)
+        self._set_columns(
+            design, grid, cluster_covariates, individual_covariates,
+            cluster_ids=tuple(cl.cluster_id for cl in records), a1=a1, r=r, a2nr=a2nr, a2r=a2r,
+            sizes=sizes, x_cluster=x_cluster,
+            individual_ids=tuple(ind.individual_id for ind in people), x_individual=x_individual, y=y,
+            pathways=tuple(table), pathway_index=pathway_index,
+        )
+        object.__setattr__(self, "_report", _check(self, faults))
+
+    @classmethod
+    def _from_columns(
+        cls,
+        design: SmartDesign,
+        grid: TimeGrid,
+        cluster_covariates: Sequence[str],
+        individual_covariates: Sequence[str],
+        report: Optional[ValidationReport] = None,
+        **columns,
+    ) -> "TrialDataset":
+        """The column route: columns already in canonical order.
+
+        Without ``pathways``/``pathway_index`` they are derived from the
+        codes; without ``report`` the dataset is checked.
+        """
+        ds = cls.__new__(cls)
+        if "pathways" not in columns:
+            columns["pathways"], columns["pathway_index"] = _distinct_pathways(
+                columns["a1"], columns["r"], columns["a2nr"], columns["a2r"]
+            )
+        ds._set_columns(design, grid, cluster_covariates, individual_covariates, **columns)
+        object.__setattr__(ds, "_report", _check(ds) if report is None else report)
+        return ds
+
+    def _set_columns(self, design, grid, cluster_covariates, individual_covariates, **columns) -> None:
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "cluster_covariates", tuple(cluster_covariates))
+        object.__setattr__(self, "individual_covariates", tuple(individual_covariates))
+        for name, value in columns.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        # only reached for an attribute not set yet: the record view of a
+        # dataset built from columns
+        if name != "clusters":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = self._record_view()
+        object.__setattr__(self, "clusters", view)
+        return view
+
+    def _record_view(self) -> Tuple[ClusterRecord, ...]:
+        first = np.cumsum(self.sizes) - self.sizes
+        people = [
+            IndividualRecord(iid, tuple(xi), tuple(y))
+            for iid, xi, y in zip(self.individual_ids, self.x_individual.tolist(), self.y.tolist())
+        ]
+        return tuple(
+            ClusterRecord(
+                cluster_id=cid, a1=p.a1, r=p.r, a2nr=p.a2nr, a2r=p.a2r, x_cluster=tuple(xc),
+                individuals=tuple(people[f : f + n]),
+            )
+            for cid, p, xc, f, n in zip(
+                self.cluster_ids, (self.pathways[i] for i in self.pathway_index),
+                self.x_cluster.tolist(), first.tolist(), self.sizes.tolist(),
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialDataset):
+            return NotImplemented
+        schema = (self.design, self.grid, self.cluster_covariates, self.individual_covariates)
+        if schema != (other.design, other.grid, other.cluster_covariates, other.individual_covariates):
+            return False
+        if "clusters" in vars(self) and "clusters" in vars(other):
+            return self.clusters == other.clusters  # records can hold what columns cannot
+        return (
+            self._report == other._report
+            and all(getattr(self, c) == getattr(other, c) for c in _ID_COLUMNS)
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _ARRAY_COLUMNS)
+        )
+
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.cluster_ids)
+
+    def final_time(self) -> "TrialDataset":
+        """The dataset on a one-time grid holding its last time alone.
+
+        Every other column, and the validation report, is shared.
+        """
+        t_end = self.grid.t_end
+        columns = {c: getattr(self, c) for c in (*_ID_COLUMNS, *_ARRAY_COLUMNS, "pathways", "pathway_index")}
+        columns["y"] = self.y[:, -1:]
+        return TrialDataset._from_columns(
+            self.design, TimeGrid((t_end,), knot=t_end),
+            self.cluster_covariates, self.individual_covariates, report=self._report, **columns,
+        )
+
+
+def _with_sorted_individuals(cl: ClusterRecord) -> ClusterRecord:
+    people = tuple(sorted(cl.individuals, key=lambda ind: ind.individual_id))
+    return cl if people == cl.individuals else replace(cl, individuals=people)
+
+
+def _record_matrix(rows: Sequence[Sequence[float]], width: int) -> Tuple[np.ndarray, List[int]]:
+    """Records' value tuples as a float matrix, and the rows not ``width`` long
+    (stored as zeros, so that only their length is reported)."""
+    wrong = [j for j, row in enumerate(rows) if len(row) != width]
+    if wrong:
+        rows = [(0.0,) * width if len(row) != width else row for row in rows]
+    return np.array(rows, dtype=float).reshape(len(rows), width), wrong
+
+
+# int8 code of a pathway entry that is not -1, 0, 1 or absent
+_BAD_CODE = 2
+
+
+def _code(value: Optional[int]) -> int:
+    """int8 code of a pathway entry, 0 when absent.  An invalid entry's code
+    loses its value, but only datasets whose report flags it hold one."""
+    if value is None:
+        return 0
+    return int(value) if value in (-1, 0, 1) else _BAD_CODE
+
+
+def _distinct_pathways(*codes: np.ndarray) -> Tuple[Tuple[Pathway, ...], np.ndarray]:
+    """Distinct (a1, r, a2nr, a2r) code rows in order of first appearance, and
+    each cluster's index into them."""
+    stacked = np.stack(codes, axis=1)
+    if not len(stacked):
+        return (), np.zeros(0, dtype=np.intp)
+    unique, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pathways = tuple(
+        Pathway(a1, r, a2nr or None, a2r or None) for a1, r, a2nr, a2r in unique[order].tolist()
+    )
+    return pathways, rank[inverse.reshape(-1)]
 
 
 @dataclass(frozen=True)
@@ -172,22 +408,290 @@ def _parse_covariates(
     return tuple(values)
 
 
+# rows read and checked together: enough to amortize the per-chunk NumPy
+# calls, few enough that the chunk's row lists stay small next to the text
+_CHUNK_ROWS = 512
+# time indices of a time cell that is not a number, or not on the grid
+_NON_NUMERIC_TIME, _OFF_GRID_TIME = -1, -2
+
+
+# characters of text split into lines at once
+_BLOCK_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """Lines split at "\\n" only, each keeping it, as :class:`io.StringIO` reads
+    them; a block of text at a time, so no copy of the whole text is made."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or end
+        lines = text[start:stop].split("\n")
+        tail = lines.pop()  # empty unless the text ends without a newline
+        yield from map(operator.add, lines, itertools.repeat("\n"))
+        if tail:
+            yield tail
+        start = stop
+
+
+def _floats(raws: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """``float`` of each string, NaN where it raises, and where it raised."""
+    try:
+        return np.fromiter(map(float, raws), float, len(raws)), np.zeros(len(raws), dtype=bool)
+    except ValueError:
+        values = np.empty(len(raws))
+        failed = np.zeros(len(raws), dtype=bool)
+        for i, raw in enumerate(raws):
+            try:
+                values[i] = float(raw)
+            except ValueError:
+                values[i], failed[i] = math.nan, True
+        return values, failed
+
+
+def _decoded(raws: Sequence[str], decode) -> np.ndarray:
+    """Codes of the raw cells, each distinct string decoded once; _BAD_CODE
+    where decoding raises."""
+    table = {}
+    for raw in set(raws):
+        try:
+            table[raw] = _code(decode(raw))
+        except BadTreatmentCode:
+            table[raw] = _BAD_CODE
+    return np.fromiter(map(table.__getitem__, raws), np.int8, len(raws))
+
+
+def _float_columns(columns: Sequence[Sequence[str]], indices: Sequence[int], rows: int) -> np.ndarray:
+    values = np.empty((rows, len(indices)))
+    for j, i in enumerate(indices):
+        values[:, j] = _floats(columns[i])[0]
+    return values
+
+
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` with room for at least ``rows`` rows, contents kept."""
+    if rows <= len(array):
+        return array
+    bigger = np.zeros((max(rows, 2 * len(array)), *array.shape[1:]), dtype=array.dtype)
+    bigger[: len(array)] = array
+    return bigger
+
+
+class _ColumnBuilder:
+    """Checks and accumulates a long table's rows, one chunk at a time.
+
+    Rows are numbered in the order they are added.  A dict keyed by id maps
+    each cluster, and each (cluster id, individual id), to the number of the
+    row that introduced it; arrays indexed by that number hold a cluster's
+    first-row codes and covariates, and an individual's cluster, first-row
+    covariates and outcomes.  :meth:`add` raises on the earliest failing row
+    with :meth:`_row_error`'s error, the only source of row messages.
+    """
+
+    def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int]) -> None:
+        self.schema = schema
+        self.n_fields = n_fields
+        self.col = col_index
+        self.n_times = schema.grid.n_times
+        self.n_rows = 0
+        self.cluster_of: Dict[str, int] = {}
+        self.person_of: Dict[Tuple[str, str], int] = {}
+        n_xc, n_xi = len(schema.cluster_covariates), len(schema.individual_covariates)
+        self.codes = np.zeros((0, 4), dtype=np.int8)  # a1, r, a2nr, a2r
+        self.xc = np.zeros((0, n_xc))
+        self.owner = np.zeros(0, dtype=np.intp)
+        self.xi = np.zeros((0, n_xi))
+        self.y = np.zeros((0, self.n_times))
+        self.filled = np.zeros((0, self.n_times), dtype=bool)
+
+    def add(self, first_line: int, rows: List[List[str]]) -> None:
+        """Check and store rows numbered from ``first_line``; blank rows are skipped."""
+        lines = list(range(first_line, first_line + len(rows)))
+        nonblank = list(map(any, map(map, itertools.repeat(str.strip), rows)))
+        if not all(nonblank):
+            rows = list(itertools.compress(rows, nonblank))
+            lines = list(itertools.compress(lines, nonblank))
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        wrong_length = np.flatnonzero(lengths != self.n_fields)
+        m = int(wrong_length[0]) if wrong_length.size else len(rows)
+        start = self.n_rows
+        fault = self._add_columns(rows[:m]) if m else m
+        if fault < len(rows):
+            error = self._row_error(lines[fault], rows[fault], start + fault)
+            if error is None:
+                raise RuntimeError(f"line {lines[fault]} was flagged but passes every row check")
+            raise error
+
+    def _add_columns(self, rows: List[List[str]]) -> int:
+        """Convert and check rows that have the right number of fields.
+
+        Returns the position of the first row failing a check (``len(rows)``
+        if none).  Outcomes are stored up to that row, first-row references
+        for every cluster and individual the rows introduce.
+        """
+        schema, col, grid = self.schema, self.col, self.schema.grid
+        m = len(rows)
+        columns = list(zip(*rows))
+        cids = list(map(str.strip, columns[col["cluster_id"]]))
+        iids = list(map(str.strip, columns[col["individual_id"]]))
+        raw_y = list(map(str.strip, columns[col["y"]]))
+
+        y, y_unreadable = _floats(raw_y)
+        times = {}
+        for raw in set(columns[col["time"]]):
+            try:
+                t = float(raw)
+            except ValueError:
+                times[raw] = _NON_NUMERIC_TIME
+                continue
+            try:
+                times[raw] = _match_time(t, grid, "")
+            except UnknownTime:
+                times[raw] = _OFF_GRID_TIME
+        k = np.fromiter(map(times.__getitem__, columns[col["time"]]), np.intp, m)
+        codes = np.zeros((m, 4), dtype=np.int8)  # a2r stays absent outside design I
+        for j, name in enumerate(Pathway._fields):
+            if name in col:
+                codes[:, j] = _decoded(columns[col[name]], functools.partial(self._decode, name, where=""))
+        xc = _float_columns(columns, [col[name] for name in schema.cluster_covariates], m)
+        xi = _float_columns(columns, [col[name] for name in schema.individual_covariates], m)
+
+        # each row's cluster and individual, as the number of the row that introduced it
+        here = np.arange(self.n_rows, self.n_rows + m)
+        c = np.fromiter(map(self.cluster_of.setdefault, cids, itertools.count(self.n_rows)), np.intp, m)
+        p = np.fromiter(
+            map(self.person_of.setdefault, zip(cids, iids), itertools.count(self.n_rows)), np.intp, m
+        )
+        self.n_rows += m
+        for name in ("codes", "xc", "owner", "xi", "y", "filled"):
+            setattr(self, name, _grown(getattr(self, name), self.n_rows))
+        new_c, new_p = c == here, p == here
+        self.codes[here[new_c]] = codes[new_c]
+        self.xc[here[new_c]] = xc[new_c]
+        self.owner[here[new_p]] = c[new_p]
+        self.xi[here[new_p]] = xi[new_p]
+
+        # the key of an off-grid row is unique, so it never counts as a duplicate
+        on_grid = k >= 0
+        key = np.where(on_grid, p * self.n_times + k, -1 - np.arange(m))
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(m, dtype=bool)
+        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+        k_safe = np.where(on_grid, k, 0)
+
+        failed = (
+            np.fromiter(map(_ABSENT.__contains__, raw_y), bool, m)
+            | y_unreadable | (k == _NON_NUMERIC_TIME) | ~np.isfinite(y) | (k == _OFF_GRID_TIME)
+            | (codes == _BAD_CODE).any(axis=1)
+            | ~np.isfinite(xc).all(axis=1) | ~np.isfinite(xi).all(axis=1)
+            | (self.codes[c] != codes).any(axis=1) | (self.xc[c] != xc).any(axis=1)
+            | (on_grid & (self.filled[p, k_safe] | repeated))
+            | (self.xi[p] != xi).any(axis=1)
+        )
+        fault = int(np.argmax(failed)) if failed.any() else m
+        self.y[p[:fault], k[:fault]] = y[:fault]
+        self.filled[p[:fault], k[:fault]] = True
+        return fault
+
+    def _decode(self, name: str, raw: str, where: str) -> Optional[int]:
+        """The pathway entry ``name`` coded in ``raw``; raises BadTreatmentCode."""
+        schema = self.schema
+        if name == "a1":
+            return _decode_treatment(raw, schema.a1_codes, (-1, 1), name, where)
+        if name == "r":
+            return _decode_treatment(raw, schema.r_codes, (0, 1), name, where)
+        return _decode_optional_treatment(raw, schema.a2_codes, name, where)
+
+    def _row_error(self, line: int, row: Sequence[str], number: int) -> Optional[SmartlongError]:
+        """The error of the first check row ``number`` fails, given the rows before it."""
+        if len(row) != self.n_fields:
+            return InconsistentCluster(f"line {line}: expected {self.n_fields} fields, got {len(row)}")
+        schema, col = self.schema, self.col
+        where = f"line {line}"
+        cid = row[col["cluster_id"]].strip()
+        iid = row[col["individual_id"]].strip()
+        raw_y = row[col["y"]].strip()
+        try:
+            if raw_y in _ABSENT:
+                raise MissingCell(f"{where}: missing outcome for cluster {cid!r}")
+            try:
+                y = float(raw_y)
+                t = float(row[col["time"]])
+            except ValueError as exc:
+                raise MissingCell(f"{where}: non-numeric outcome or time") from exc
+            if not math.isfinite(y):
+                raise MissingCell(f"{where}: outcome is {raw_y!r}, not a finite number")
+            k = _match_time(t, schema.grid, where)
+            pathway = [
+                self._decode(name, row[col[name]], where) if name in col else None for name in Pathway._fields
+            ]
+            xc = _parse_covariates(row, col, schema.cluster_covariates, where)
+            xi = _parse_covariates(row, col, schema.individual_covariates, where)
+        except SmartlongError as exc:
+            return exc
+
+        c = self.cluster_of.get(cid, number)
+        if c < number:
+            if self.codes[c].tolist() != list(map(_code, pathway)):
+                return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on treatment/response")
+            if tuple(self.xc[c].tolist()) != xc:
+                return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on cluster covariates")
+        p = self.person_of.get((cid, iid), number)
+        if p < number:
+            if self.filled[p, k]:
+                return InconsistentCluster(
+                    f"{where}: duplicate time {t} for individual {iid!r} in cluster {cid!r}"
+                )
+            if tuple(self.xi[p].tolist()) != xi:
+                return InconsistentCluster(f"{where}: individual {iid!r} rows disagree on covariates")
+        return None
+
+    def dataset(self) -> TrialDataset:
+        """The canonical-order dataset, once every row has been added."""
+        schema, grid = self.schema, self.schema.grid
+        keys = list(self.person_of)  # (cluster id, individual id)
+        numbers = np.fromiter(self.person_of.values(), np.intp, len(keys))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        people = numbers[order]
+        filled = self.filled[people]
+        incomplete = np.flatnonzero(~filled.all(axis=1))
+        if incomplete.size:
+            j = int(incomplete[0])
+            cid, iid = keys[order[j]]
+            missing = [grid.times[k] for k in np.flatnonzero(~filled[j]).tolist()]
+            raise MissingCell(f"cluster {cid!r} individual {iid!r}: missing outcomes at times {missing}")
+        cids = sorted(self.cluster_of)
+        clusters = np.fromiter(map(self.cluster_of.__getitem__, cids), np.intp, len(cids))
+        position = np.zeros(self.n_rows, dtype=np.intp)
+        position[clusters] = np.arange(len(cids))
+        codes = self.codes[clusters]
+        return TrialDataset._from_columns(
+            schema.design, grid, schema.cluster_covariates, schema.individual_covariates,
+            cluster_ids=tuple(cids),
+            a1=codes[:, 0], r=codes[:, 1], a2nr=codes[:, 2], a2r=codes[:, 3],
+            sizes=np.bincount(position[self.owner[people]], minlength=len(cids)),
+            x_cluster=self.xc[clusters],
+            individual_ids=tuple(keys[j][1] for j in order),
+            x_individual=self.xi[people],
+            y=self.y[people],
+        )
+
+
 def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
     """Parse a delimited long-format table into a :class:`TrialDataset`.
 
     Comma and tab delimiters are accepted; a header row is required.  Rows
     belonging to one cluster must agree on treatment, response, and
     cluster-level covariates.  Every individual must contribute exactly one
-    complete outcome per grid time.
+    complete outcome per grid time.  The earliest failing row raises; after
+    all rows, missing outcomes and then the first validation violation do.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    sample = source.readline()
+    lines = _lines(source) if isinstance(source, str) else iter(source)
+    sample = next(lines, "")
     if not sample:
         raise MissingCell("empty input: header row required")
     delimiter = "\t" if sample.count("\t") >= sample.count(",") else ","
     header = [h.strip() for h in sample.rstrip("\r\n").split(delimiter)]
-    reader = csv.reader(source, delimiter=delimiter)
+    reader = csv.reader(lines, delimiter=delimiter)
 
     cols = dict(schema.columns)
     needed = ["cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr"]
@@ -204,104 +708,21 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
             raise MissingCell(f"covariate column {cov!r} missing from header")
         col_index[cov] = header.index(cov)
 
-    grid = schema.grid
-    n_times = grid.n_times
-
-    pathways: dict[str, tuple] = {}
-    cluster_x: dict[str, Tuple[float, ...]] = {}
-    outcomes: dict[str, dict[str, dict[int, float]]] = {}
-    indiv_x: dict[str, dict[str, Tuple[float, ...]]] = {}
-
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise InconsistentCluster(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        where = f"line {lineno}"
-        cid = row[col_index["cluster_id"]].strip()
-        iid = row[col_index["individual_id"]].strip()
-        raw_y = row[col_index["y"]].strip()
-        if raw_y in _ABSENT:
-            raise MissingCell(f"{where}: missing outcome for cluster {cid!r}")
+    builder = _ColumnBuilder(schema, len(header), col_index)
+    line = 2
+    while True:
+        rows: List[List[str]] = []
         try:
-            y = float(raw_y)
-            t = float(row[col_index["time"]])
-        except ValueError as exc:
-            raise MissingCell(f"{where}: non-numeric outcome or time") from exc
-        if not math.isfinite(y):
-            raise MissingCell(f"{where}: outcome is {raw_y!r}, not a finite number")
-        k = _match_time(t, grid, where)
+            rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+        except csv.Error:
+            builder.add(line, rows)  # a fault on an earlier row is reported first
+            raise
+        if not rows:
+            break
+        builder.add(line, rows)
+        line += len(rows)
 
-        a1 = _decode_treatment(row[col_index["a1"]], schema.a1_codes, (-1, 1), "a1", where)
-        r = _decode_treatment(row[col_index["r"]], schema.r_codes, (0, 1), "r", where)
-        a2nr = _decode_optional_treatment(row[col_index["a2nr"]], schema.a2_codes, "a2nr", where)
-        a2r = None
-        if "a2r" in col_index:
-            a2r = _decode_optional_treatment(row[col_index["a2r"]], schema.a2_codes, "a2r", where)
-        xc = _parse_covariates(row, col_index, schema.cluster_covariates, where)
-        xi = _parse_covariates(row, col_index, schema.individual_covariates, where)
-
-        pathway = (a1, r, a2nr, a2r)
-        if cid in pathways:
-            if pathways[cid] != pathway:
-                raise InconsistentCluster(
-                    f"{where}: cluster {cid!r} rows disagree on treatment/response"
-                )
-            if cluster_x[cid] != xc:
-                raise InconsistentCluster(
-                    f"{where}: cluster {cid!r} rows disagree on cluster covariates"
-                )
-        else:
-            pathways[cid] = pathway
-            cluster_x[cid] = xc
-            outcomes[cid] = {}
-            indiv_x[cid] = {}
-        per_indiv = outcomes[cid].setdefault(iid, {})
-        if k in per_indiv:
-            raise InconsistentCluster(
-                f"{where}: duplicate time {t} for individual {iid!r} in cluster {cid!r}"
-            )
-        per_indiv[k] = y
-        if iid in indiv_x[cid]:
-            if indiv_x[cid][iid] != xi:
-                raise InconsistentCluster(
-                    f"{where}: individual {iid!r} rows disagree on covariates"
-                )
-        else:
-            indiv_x[cid][iid] = xi
-
-    clusters = []
-    for cid in sorted(pathways):
-        a1, r, a2nr, a2r = pathways[cid]
-        individuals = []
-        for iid in sorted(outcomes[cid]):
-            series = outcomes[cid][iid]
-            if len(series) != n_times:
-                missing = [grid.times[k] for k in range(n_times) if k not in series]
-                raise MissingCell(
-                    f"cluster {cid!r} individual {iid!r}: missing outcomes at times {missing}"
-                )
-            y = tuple(series[k] for k in range(n_times))
-            individuals.append(IndividualRecord(iid, indiv_x[cid][iid], y))
-        clusters.append(
-            ClusterRecord(
-                cluster_id=cid,
-                a1=a1,
-                r=r,
-                a2nr=a2nr,
-                a2r=a2r,
-                x_cluster=cluster_x[cid],
-                individuals=tuple(individuals),
-            )
-        )
-
-    ds = TrialDataset(
-        design=schema.design,
-        grid=schema.grid,
-        clusters=tuple(clusters),
-        cluster_covariates=tuple(schema.cluster_covariates),
-        individual_covariates=tuple(schema.individual_covariates),
-    )
+    ds = builder.dataset()
     report = validate(ds)
     if report.violations:
         first = report.violations[0]
@@ -320,27 +741,25 @@ def serialize_long_table(ds: TrialDataset, delimiter: str = ",") -> str:
     header.extend(ds.cluster_covariates)
     header.extend(ds.individual_covariates)
 
-    def enc(v: Optional[int]) -> str:
-        return "NA" if v is None else str(v)
+    def enc(v: int) -> str:
+        return "NA" if v == 0 else str(v)
 
-    def num(v: float) -> str:
-        return repr(float(v))
+    # the cells after y, shared by every row of a cluster
+    cluster_cells = [
+        [str(a1), str(r), enc(a2nr), *([enc(a2r)] if include_a2r else []), *map(repr, xc)]
+        for a1, r, a2nr, a2r, xc in zip(
+            ds.a1.tolist(), ds.r.tolist(), ds.a2nr.tolist(), ds.a2r.tolist(), ds.x_cluster.tolist()
+        )
+    ]
+    times = [repr(t) for t in ds.grid.times]
+    owner = np.repeat(np.arange(ds.n_clusters), ds.sizes).tolist()
 
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(header)
-    for cl in ds.clusters:
-        for indiv in cl.individuals:
-            for k, t in enumerate(ds.grid.times):
-                row = [
-                    cl.cluster_id, indiv.individual_id, num(t), num(indiv.y[k]),
-                    str(cl.a1), str(cl.r), enc(cl.a2nr),
-                ]
-                if include_a2r:
-                    row.append(enc(cl.a2r))
-                row.extend(num(v) for v in cl.x_cluster)
-                row.extend(num(v) for v in indiv.x_individual)
-                writer.writerow(row)
+    for c, iid, xi, ys in zip(owner, ds.individual_ids, ds.x_individual.tolist(), ds.y.tolist()):
+        cid, cells, xi = ds.cluster_ids[c], cluster_cells[c], [repr(v) for v in xi]
+        writer.writerows([cid, iid, t, repr(v), *cells, *xi] for t, v in zip(times, ys))
     return out.getvalue()
 
 
@@ -361,100 +780,92 @@ class ValidationReport:
         return not self.violations
 
 
-def _pathway_violation(cl: ClusterRecord, kind: DesignKind) -> Optional[str]:
-    if cl.a1 not in (-1, 1):
-        return f"a1 must be -1/+1, got {cl.a1}"
-    if cl.r not in (0, 1):
-        return f"r must be 0/1, got {cl.r}"
+def _pathway_violation(p: Pathway, kind: DesignKind) -> Optional[str]:
+    if p.a1 not in (-1, 1):
+        return f"a1 must be -1/+1, got {p.a1}"
+    if p.r not in (0, 1):
+        return f"r must be 0/1, got {p.r}"
     for name in ("a2nr", "a2r"):
-        v = getattr(cl, name)
+        v = getattr(p, name)
         if v is not None and v not in (-1, 1):
             return f"{name} must be -1/+1 or absent, got {v}"
     if kind is DesignKind.II:
-        if (cl.a2nr is None) != (cl.r == 1):
+        if (p.a2nr is None) != (p.r == 1):
             return "design II: a2nr must be present exactly for non-responders"
-        if cl.a2r is not None:
+        if p.a2r is not None:
             return "design II: responders are never re-randomized, a2r must be absent"
     elif kind is DesignKind.I:
-        if cl.r == 1 and (cl.a2r is None or cl.a2nr is not None):
+        if p.r == 1 and (p.a2r is None or p.a2nr is not None):
             return "design I: responders carry a2r only"
-        if cl.r == 0 and (cl.a2nr is None or cl.a2r is not None):
+        if p.r == 0 and (p.a2nr is None or p.a2r is not None):
             return "design I: non-responders carry a2nr only"
     elif kind is DesignKind.III:
-        expected = cl.r == 0 and cl.a1 == 1
-        if (cl.a2nr is not None) != expected:
+        expected = p.r == 0 and p.a1 == 1
+        if (p.a2nr is not None) != expected:
             return "design III: a2nr present exactly for non-responders of the +1 arm"
-        if cl.a2r is not None:
+        if p.a2r is not None:
             return "design III: a2r must be absent"
     else:  # IV
-        if cl.a2nr is None:
+        if p.a2nr is None:
             return "design IV: second-stage treatment (a2nr slot) always present"
-        if cl.a2r is not None:
+        if p.a2r is not None:
             return "design IV: a2r slot unused"
     return None
 
 
-# datasets are immutable: validating the last one checked again reuses its report
-_last_checked: Tuple[Optional[weakref.ref], Optional[ValidationReport]] = (None, None)
+def _check(ds: TrialDataset, faults: Sequence[Tuple[tuple, Violation]] = ()) -> ValidationReport:
+    """Every invariant violation, per cluster in canonical order, plus
+    ``faults`` the columns could not hold; warnings only on a valid dataset.
+
+    A key (cluster position, check, individual position, slot) orders the
+    violations: duplicate id, pathway, empty cluster, cluster covariates,
+    then each individual's outcomes and covariates.
+    """
+    faults = list(faults)
+    ids = ds.cluster_ids
+    if len(set(ids)) != len(ids):
+        faults += [
+            ((pos, 0), Violation(ids[pos], "DuplicateCluster", "duplicate cluster id"))
+            for pos in range(1, len(ids)) if ids[pos] == ids[pos - 1]
+        ]
+    messages = [_pathway_violation(p, ds.design.kind) for p in ds.pathways]
+    if any(messages):
+        faults += [
+            ((pos, 1), Violation(ids[pos], "design-consistency", messages[i]))
+            for pos, i in enumerate(ds.pathway_index.tolist()) if messages[i] is not None
+        ]
+    faults += [
+        ((pos, 2), Violation(ids[pos], "EmptyCluster", "cluster has no individuals"))
+        for pos in np.flatnonzero(ds.sizes == 0).tolist()
+    ]
+    faults += [
+        ((pos, 3), Violation(ids[pos], "NonFiniteCovariate", "cluster covariates are not all finite"))
+        for pos in np.flatnonzero(~np.isfinite(ds.x_cluster).all(axis=1)).tolist()
+    ]
+    owner = np.repeat(np.arange(ds.n_clusters), ds.sizes)
+    for slot, values, code, what in (
+        (0, ds.y, "MissingCell", "outcomes"), (1, ds.x_individual, "NonFiniteCovariate", "covariates"),
+    ):
+        faults += [
+            ((int(owner[j]), 4, j, slot), Violation(
+                ids[owner[j]], code, f"individual {ds.individual_ids[j]!r} has non-finite {what}",
+            ))
+            for j in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
+        ]
+    violations = tuple(v for _, v in sorted(faults, key=lambda fault: fault[0]))
+    warnings: Tuple[str, ...] = ()
+    if not violations:
+        warnings = tuple(
+            f"no cluster is consistent with embedded regime {cai}"
+            for cai in enumerate_cais(ds.design)
+            if not any(consistency_indicator(p, cai, ds.design) for p in ds.pathways)
+        )
+    return ValidationReport(violations, warnings)
 
 
 def validate(ds: TrialDataset) -> ValidationReport:
-    """Report every invariant violation; empty report iff the dataset is valid."""
-    global _last_checked
-    ref, report = _last_checked
-    if ref is not None and ref() is ds:
-        return report
-    violations: list[Violation] = []
-    warnings: list[str] = []
-    n_times = ds.grid.n_times
-    n_xc = len(ds.cluster_covariates)
-    n_xi = len(ds.individual_covariates)
+    """Report every invariant violation; empty report iff the dataset is valid.
 
-    seen_ids = set()
-    for cl in ds.clusters:
-        if cl.cluster_id in seen_ids:
-            violations.append(Violation(cl.cluster_id, "DuplicateCluster", "duplicate cluster id"))
-        seen_ids.add(cl.cluster_id)
-        msg = _pathway_violation(cl, ds.design.kind)
-        if msg is not None:
-            violations.append(Violation(cl.cluster_id, "design-consistency", msg))
-        if cl.n < 1:
-            violations.append(Violation(cl.cluster_id, "EmptyCluster", "cluster has no individuals"))
-        if len(cl.x_cluster) != n_xc:
-            violations.append(Violation(
-                cl.cluster_id, "CovariateSchema",
-                f"expected {n_xc} cluster covariates, got {len(cl.x_cluster)}",
-            ))
-        elif not all(map(math.isfinite, cl.x_cluster)):
-            violations.append(Violation(
-                cl.cluster_id, "NonFiniteCovariate", "cluster covariates are not all finite",
-            ))
-        for indiv in cl.individuals:
-            if len(indiv.y) != n_times:
-                violations.append(Violation(
-                    cl.cluster_id, "MissingCell",
-                    f"individual {indiv.individual_id!r} has {len(indiv.y)} outcomes, expected {n_times}",
-                ))
-            elif not all(map(math.isfinite, indiv.y)):
-                violations.append(Violation(
-                    cl.cluster_id, "MissingCell",
-                    f"individual {indiv.individual_id!r} has non-finite outcomes",
-                ))
-            if len(indiv.x_individual) != n_xi:
-                violations.append(Violation(
-                    cl.cluster_id, "CovariateSchema",
-                    f"individual {indiv.individual_id!r} has {len(indiv.x_individual)} covariates, expected {n_xi}",
-                ))
-            elif not all(map(math.isfinite, indiv.x_individual)):
-                violations.append(Violation(
-                    cl.cluster_id, "NonFiniteCovariate",
-                    f"individual {indiv.individual_id!r} has non-finite covariates",
-                ))
-
-    if not violations:
-        for cai in enumerate_cais(ds.design):
-            if not any(consistency_indicator(cl, cai, ds.design) for cl in ds.clusters):
-                warnings.append(f"no cluster is consistent with embedded regime {cai}")
-
-    _last_checked = (weakref.ref(ds), ValidationReport(tuple(violations), tuple(warnings)))
-    return _last_checked[1]
+    The report is computed when the dataset is built; this returns it.
+    """
+    return ds._report

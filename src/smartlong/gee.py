@@ -17,10 +17,11 @@ once per regime and only A_n' per cluster size, and applies V^{-1} D as
 A'^{-1} D_j + C sum_k D_k over each cluster's individuals j; the bias-corrected
 meat uses the Woodbury form of the inverse leverage, one p x p solve per
 cluster.  Work is cubic in T+1 and p and linear in the number of observations.
-Clusters are grouped by (regime, cluster size), because C depends on n, in
-sorted-id order, so results are reproducible and independent of input row
-order; the groups are filled array-at-once, regime membership decided once per
-observed pathway.
+Clusters are grouped by (regime, cluster size), because C depends on n, and
+keep the dataset's canonical sorted-id order within a group, so results are
+reproducible and independent of input row order.  The groups are filled
+array-at-once from the dataset's columns, regime membership and design
+weights decided once per distinct observed pathway.
 
 :func:`fit` is the only entry point: it solves, applies the finite-sample
 adjustments and the estimated-weight correction, and assembles the sandwich
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import norm, t as student_t
 
-from .data import ClusterRecord, TimeGrid, TrialDataset, validate
+from .data import TrialDataset, validate
 from .design import DesignKind, EmbeddedCai, consistency_indicator, design_weight, enumerate_cais
 from .errors import (
     InconsistentCluster,
@@ -159,18 +160,11 @@ class _Group:
 class _Workspace:
     """Preassembled design/outcome stacks for one dataset and mean model."""
 
-    def __init__(
-        self,
-        ds: TrialDataset,
-        mean_spec: MeanModelSpec,
-        weights: np.ndarray,
-        clusters: Sequence[ClusterRecord],
-    ) -> None:
+    def __init__(self, ds: TrialDataset, mean_spec: MeanModelSpec, weights: np.ndarray) -> None:
         self.ds = ds
         self.mean_spec = mean_spec
-        self.clusters = list(clusters)
         self.weights = np.asarray(weights, dtype=float)
-        self.N = len(self.clusters)
+        self.N = ds.n_clusters
         if self.weights.shape != (self.N,) or not np.all(np.isfinite(self.weights) & (self.weights > 0)):
             raise ValueError("weights must be finite and positive, one per cluster")
         self.p = mean_spec.n_params
@@ -181,29 +175,21 @@ class _Workspace:
 
     def _build_groups(self) -> List[_Group]:
         spec, ds = self.mean_spec, self.ds
-        # flattened once: sizes, first-individual offsets, per-individual y and covariates
-        sizes = np.array([cl.n for cl in self.clusters], dtype=int)
+        sizes, y = ds.sizes, ds.y
         first = np.cumsum(sizes) - sizes
-        people = [ind for cl in self.clusters for ind in cl.individuals]
-        y = np.array([ind.y for ind in people], dtype=float)
-        x = np.empty((len(people), len(spec.covariate_terms)))
+        x = np.empty((len(y), len(spec.covariate_terms)))
         for c_idx, name in enumerate(spec.covariate_terms):
             if name in ds.cluster_covariates:
-                idx = ds.cluster_covariates.index(name)
-                x[:, c_idx] = np.repeat([cl.x_cluster[idx] for cl in self.clusters], sizes)
+                x[:, c_idx] = np.repeat(ds.x_cluster[:, ds.cluster_covariates.index(name)], sizes)
             elif name in ds.individual_covariates:
-                idx = ds.individual_covariates.index(name)
-                x[:, c_idx] = [ind.x_individual[idx] for ind in people]
+                x[:, c_idx] = ds.x_individual[:, ds.individual_covariates.index(name)]
             else:
                 raise ValueError(f"covariate {name!r} not present in the dataset schema")
         # consistency depends only on the pathway: decide it once per pathway
-        by_pathway: Dict[tuple, List[int]] = {}
-        for pos, cl in enumerate(self.clusters):
-            by_pathway.setdefault((cl.a1, cl.r, cl.a2nr, cl.a2r), []).append(pos)
-        consistent = np.zeros((len(self.cais), self.N), dtype=bool)
-        for members in by_pathway.values():
-            for k, d in enumerate(self.cais):
-                consistent[k, members] = consistency_indicator(self.clusters[members[0]], d, ds.design)
+        by_pathway = np.array(
+            [[consistency_indicator(p, d, ds.design) for p in ds.pathways] for d in self.cais], dtype=bool
+        ).reshape(len(self.cais), len(ds.pathways))
+        consistent = by_pathway[:, ds.pathway_index]
         groups = []
         for k, d in enumerate(self.cais):
             gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
@@ -236,6 +222,7 @@ class _Workspace:
         return out
 
     def normal_equations(self, vinv_design: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """A = sum w D'V^{-1} D and b = sum w D'V^{-1} y over every group."""
         A = np.zeros((self.p, self.p))
         b = np.zeros(self.p)
         for g, vd in zip(self.groups, vinv_design):
@@ -245,7 +232,9 @@ class _Workspace:
             b += (w[:, None] * g.y).ravel() @ vd_rows
         return A, b
 
-    def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
+        """theta under ``factors`` (the identity when None), with the A, b and
+        V^{-1} D it was solved from."""
         vd = self._vinv_design(factors)
         A, b = self.normal_equations(vd)
         if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _MAX_COND:
@@ -254,7 +243,7 @@ class _Workspace:
                 "identified on this dataset"
             )
         theta = np.linalg.solve(A, b)
-        return theta, A, vd
+        return theta, A, b, vd
 
     def residual_groups(self, theta: np.ndarray) -> ResidualSet:
         groups = []
@@ -355,17 +344,13 @@ def sandwich_covariance(j_hat: np.ndarray, q_hat: np.ndarray, n_clusters: int) -
     return (sigma + sigma.T) / 2.0
 
 
-def _canonical_clusters(ds: TrialDataset) -> List[ClusterRecord]:
-    return sorted(ds.clusters, key=lambda cl: cl.cluster_id)
-
-
 def _make_workspace(
     ds: TrialDataset, mean_spec: MeanModelSpec, weights: Optional[np.ndarray] = None
 ) -> _Workspace:
-    clusters = _canonical_clusters(ds)
     if weights is None:
-        weights = np.array([design_weight(cl, ds.design) for cl in clusters])
-    return _Workspace(ds, mean_spec, weights, clusters)
+        per_pathway = np.array([design_weight(p, ds.design) for p in ds.pathways], dtype=float)
+        weights = per_pathway[ds.pathway_index]
+    return _Workspace(ds, mean_spec, weights)
 
 
 def _require_valid(ds: TrialDataset) -> None:
@@ -410,18 +395,16 @@ def fit(
         weights = weight_model.fitted_weights
 
     ws = _make_workspace(ds, mean_spec, weights)
-    # invariant: theta is always the exact root under V(alpha), or under the
-    # identity while factors is None
-    theta, _, _ = ws.solve(None)
+    # invariant: theta is always the exact root of the normal system (A, b)
+    # under V(alpha), or under the identity before the first factorization
+    theta, A, b, vd = ws.solve(None)
     alpha = estimate_alpha(ws.residual_groups(theta), cov_spec, ws.cais)
-    factors = None
     if options.tolerance == math.inf:
         iterations, converged, max_delta = 0, True, 0.0
     else:
         iterations, converged, max_delta = 0, False, math.inf
         for k in range(1, options.max_iter + 1):
-            factors = ws.factorize(cov_spec, alpha)
-            theta_new, _, _ = ws.solve(factors)
+            theta_new, A, b, vd = ws.solve(ws.factorize(cov_spec, alpha))
             max_delta = float(np.abs(theta_new - theta).max())
             iterations = k
             theta = theta_new
@@ -440,14 +423,13 @@ def fit(
     adjustments = options.adjustments
     if adjustments.enforce_nonneg_corr:
         alpha = _clamp_nonneg(alpha)
-        factors = ws.factorize(cov_spec, alpha)
-        theta, _, _ = ws.solve(factors)
+        theta, A, b, vd = ws.solve(ws.factorize(cov_spec, alpha))
     applied = tuple(
         name for name in ("enforce_nonneg_corr", "bias_correct", "t_reference")
         if getattr(adjustments, name)
     )
     j_hat, q_hat, sigma, ee_residual = _assemble(
-        ws, theta, factors, adjustments.bias_correct, weight_model
+        ws, theta, A, b, vd, adjustments.bias_correct, weight_model
     )
     return FitResult(
         theta=_split_theta(mean_spec, theta),
@@ -473,13 +455,14 @@ def fit(
 def _assemble(
     ws: _Workspace,
     theta: np.ndarray,
-    factors,
+    A: np.ndarray,
+    b: np.ndarray,
+    vd: Sequence[np.ndarray],
     bias_correct: bool,
     weight_model: Optional[WeightModel],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The sandwich stage: J, Q, Sigma and the estimating-equation residual."""
-    vd = ws._vinv_design(factors)
-    A, b = ws.normal_equations(vd)
+    """The sandwich stage: J, Q, Sigma and the estimating-equation residual,
+    from the normal system (A, b) and V^{-1} D that ``theta`` was solved from."""
     ee_residual = float(np.abs(b - A @ theta).max())
     j_hat = A / ws.N
     U = ws.u_rows(theta, vd, leverage_inverse_from=A if bias_correct else None)
@@ -525,24 +508,22 @@ def _logistic_mle(X: np.ndarray, y: np.ndarray, max_iter: int = 50) -> np.ndarra
     return beta
 
 
-def _design_columns(
-    clusters: Sequence[ClusterRecord], ds: TrialDataset, names: Sequence[str]
-) -> np.ndarray:
-    cols = [np.ones(len(clusters))]
+def _design_columns(ds: TrialDataset, names: Sequence[str]) -> np.ndarray:
+    cols = [np.ones(ds.n_clusters)]
     for name in names:
         if name not in ds.cluster_covariates:
             raise ValueError(
                 f"weight-model covariate {name!r} must be a cluster-level covariate"
             )
-        idx = ds.cluster_covariates.index(name)
-        cols.append(np.array([cl.x_cluster[idx] for cl in clusters]))
+        cols.append(ds.x_cluster[:, ds.cluster_covariates.index(name)])
     return np.column_stack(cols)
 
 
-def _observed_a2(cl: ClusterRecord, kind: DesignKind) -> Optional[int]:
-    if kind is DesignKind.I and cl.r == 1:
-        return cl.a2r
-    return cl.a2nr
+def _observed_a2(ds: TrialDataset) -> np.ndarray:
+    """Each cluster's second-stage code (0 where it was not re-randomized)."""
+    if ds.design.kind is DesignKind.I:
+        return np.where(ds.r == 1, ds.a2r, ds.a2nr)
+    return ds.a2nr
 
 
 def estimate_weight_model(
@@ -556,13 +537,11 @@ def estimate_weight_model(
     design re-randomizes.  Cells whose MLE separates fall back to the design
     probabilities (flagged) and contribute no score terms.
     """
-    clusters = _canonical_clusters(ds)
-    N = len(clusters)
+    N = ds.n_clusters
     design = ds.design
-    kind = design.kind
 
-    X1 = _design_columns(clusters, ds, stage1_covariates)
-    y1 = np.array([1.0 if cl.a1 == 1 else 0.0 for cl in clusters])
+    X1 = _design_columns(ds, stage1_covariates)
+    y1 = (ds.a1 == 1).astype(float)
     fallback: List[Tuple[int, int]] = []
     score_blocks: List[np.ndarray] = []
 
@@ -576,18 +555,15 @@ def estimate_weight_model(
 
     prob = np.where(y1 == 1.0, p1_plus, 1.0 - p1_plus)
 
-    X2 = _design_columns(clusters, ds, stage2_covariates)
+    X2 = _design_columns(ds, stage2_covariates)
+    a2_observed = _observed_a2(ds)
     stage2_coef: Dict[Tuple[int, int], np.ndarray] = {}
     for cell in sorted(design.p_a2_given):
         a1_c, r_c = cell
-        members = np.array(
-            [i for i, cl in enumerate(clusters) if cl.a1 == a1_c and cl.r == r_c],
-            dtype=int,
-        )
+        members = np.flatnonzero((ds.a1 == a1_c) & (ds.r == r_c))
         if members.size == 0:
             continue
-        a2_obs = np.array([_observed_a2(clusters[i], kind) for i in members], dtype=float)
-        y2 = (a2_obs == 1).astype(float)
+        y2 = (a2_observed[members] == 1).astype(float)
         Xc = X2[members]
         design_p = design.p_a2_given[cell]
         try:
@@ -677,19 +653,14 @@ def fit_end_of_study(
     regimes with ``wald_test(res, contrast_end_of_study(res.mean_spec, d, d_prime))``.
     """
     _require_valid(ds)
-    t_end = ds.grid.t_end
-    grid = TimeGrid((t_end,), knot=t_end)
-    clusters = tuple(
-        replace(cl, individuals=tuple(replace(ind, y=ind.y[-1:]) for ind in cl.individuals))
-        for cl in ds.clusters
-    )
-    final = replace(ds, grid=grid, clusters=clusters)
+    final = ds.final_time()
+    grid = final.grid
     mean_spec = MeanModelSpec.custom(
         ds.design, grid, make_saturated_basis(ds.design, grid), covariate_terms
     )
     # with singletons only there are no between-person pairs to estimate from,
     # and a one-person V is a scalar under either structure
-    singletons = all(cl.n == 1 for cl in ds.clusters)
+    singletons = bool(np.all(ds.sizes == 1))
     cov_spec = WorkingCovSpec(
         VarianceTime.HOMOSCEDASTIC, VarianceCai.HOMOGENEOUS, WithinCorr.INDEPENDENT,
         BetweenCorr.INDEPENDENT if singletons else BetweenCorr.EXCHANGEABLE, CorrCai.HOMOGENEOUS,

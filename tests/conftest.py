@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,30 @@ def random_design2_dataset(
         cluster_covariates=cluster_covariates,
         individual_covariates=individual_covariates,
     )
+
+
+def random_dataset(rng, n_clusters, grid, design, sizes, cluster_covariates=(), individual_covariates=()):
+    """Arbitrary outcomes and covariates on valid pathways of any design kind."""
+    clusters = []
+    for i in range(n_clusters):
+        a1, r, a2 = int(rng.choice([1, -1])), int(rng.integers(0, 2)), int(rng.choice([1, -1]))
+        if design.kind is DesignKind.I:
+            a2nr, a2r = (None, a2) if r else (a2, None)
+        else:
+            a2nr, a2r = (a2 if design.rerandomizes(a1, r) else None), None
+        n = int(rng.choice(sizes))
+        clusters.append(make_cluster(
+            f"c{i:03d}", a1, r, a2nr, rng.normal(size=(n, grid.n_times)), a2r=a2r,
+            x_cluster=rng.normal(size=len(cluster_covariates)),
+            x_indiv=rng.normal(size=(n, len(individual_covariates))),
+        ))
+    return make_dataset(clusters, design, grid, cluster_covariates, individual_covariates)
+
+
+def permuted(ds, rng):
+    """The same trial with clusters and each cluster's individuals reordered."""
+    clusters = [
+        replace(cl, individuals=tuple(cl.individuals[j] for j in rng.permutation(cl.n)))
+        for cl in ds.clusters
+    ]
+    return replace(ds, clusters=tuple(clusters[i] for i in rng.permutation(len(clusters))))

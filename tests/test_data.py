@@ -1,4 +1,7 @@
+import csv
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +18,7 @@ from smartlong import (
     WorkingCovSpec,
     data,
     fit,
+    fit_end_of_study,
     parse_long_table,
     serialize_long_table,
     validate,
@@ -23,10 +27,12 @@ from smartlong.errors import (
     BadTreatmentCode,
     InconsistentCluster,
     MissingCell,
+    SmartlongError,
     UnknownTime,
 )
+from smartlong.gee import _make_workspace
 
-from conftest import make_cluster, make_dataset, random_design2_dataset
+from conftest import make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset
 
 
 def schema_for(design, grid, **kw):
@@ -142,6 +148,213 @@ class TestParse:
         assert all(len(ind.y) == 45 for cl in ds2.clusters for ind in cl.individuals)
 
 
+# A design-II table with a cluster covariate u and an individual covariate v:
+# five individuals in three clusters, lines 2-16, three times each.
+CHAR_HEADER = "cluster_id,individual_id,time,y,a1,r,a2nr,u,v"
+CHAR_FIELDS = CHAR_HEADER.split(",")
+CHAR_PEOPLE = [
+    ("c1", "p1", "1", "0", "-1", "0.5", "1.0"),
+    ("c1", "p2", "1", "0", "-1", "0.5", "2.0"),
+    ("c2", "p1", "-1", "1", "NA", "-0.25", "0.0"),
+    ("c3", "p1", "-1", "0", "1", "1.5", "-1.0"),
+    ("c3", "p2", "-1", "0", "1", "1.5", "3.0"),
+]
+CHAR_ROWS = [
+    [cid, iid, str(t), f"{k + 0.1 * t:.1f}", a1, r, a2nr, u, v]
+    for k, (cid, iid, a1, r, a2nr, u, v) in enumerate(CHAR_PEOPLE)
+    for t in range(3)
+]
+# one failing check per mutation: (rank in the parser's check order, field, new
+# value); a mutated line is never the first of its cluster or individual
+MUTATIONS = {
+    "field_count": (0, None, "extra"),
+    "y_missing": (1, "y", ""),
+    "y_nonnumeric": (2, "y", "abc"),
+    "t_nonnumeric": (2, "time", "x"),
+    "y_nonfinite": (3, "y", "nan"),
+    "t_unknown": (4, "time", "0.5"),
+    "a1_code": (5, "a1", "2"),
+    "a1_outside": (5, "a1", "0"),
+    "r_code": (6, "r", "5"),
+    "a2nr_code": (7, "a2nr", "7"),
+    "u_nonfinite": (8, "u", "inf"),
+    "v_nonfinite": (9, "v", "NA"),
+    "pathway": (10, "r", "1"),
+    "xc": (11, "u", "9.5"),
+    "dup_time": (12, "time", "0"),
+    "xi": (13, "v", "9.5"),
+}
+MUTATION_ERRORS = {
+    "field_count": (InconsistentCluster, "line {}: expected 9 fields, got 10"),
+    "y_missing": (MissingCell, "line {}: missing outcome for cluster '{}'"),
+    "y_nonnumeric": (MissingCell, "line {}: non-numeric outcome or time"),
+    "t_nonnumeric": (MissingCell, "line {}: non-numeric outcome or time"),
+    "y_nonfinite": (MissingCell, "line {}: outcome is 'nan', not a finite number"),
+    "t_unknown": (UnknownTime, "line {}: time 0.5 is not on the grid (0.0, 1.0, 2.0)"),
+    "a1_code": (BadTreatmentCode, "line {}: unknown a1 code '2'"),
+    "a1_outside": (BadTreatmentCode, "line {}: a1 code '0' maps outside (-1, 1)"),
+    "r_code": (BadTreatmentCode, "line {}: unknown r code '5'"),
+    "a2nr_code": (BadTreatmentCode, "line {}: unknown a2nr code '7'"),
+    "u_nonfinite": (MissingCell, "line {}: covariate 'u' is 'inf', not a finite number"),
+    "v_nonfinite": (MissingCell, "line {}: covariate 'v' is 'NA', not a finite number"),
+    "pathway": (InconsistentCluster, "line {}: cluster '{}' rows disagree on treatment/response"),
+    "xc": (InconsistentCluster, "line {}: cluster '{}' rows disagree on cluster covariates"),
+    "dup_time": (InconsistentCluster, "line {}: duplicate time 0.0 for individual '{}' in cluster '{}'"),
+    "xi": (InconsistentCluster, "line {}: individual '{}' rows disagree on covariates"),
+}
+
+
+def char_schema(design2, grid012):
+    return schema_for(
+        design2, grid012, cluster_covariates=("u",), individual_covariates=("v",),
+        a1_codes={"1": 1, "-1": -1, "0": 0},
+    )
+
+
+def char_table(mutations=(), rows=CHAR_ROWS, header=CHAR_HEADER):
+    """The table with each (line, mutation name) applied."""
+    rows = [list(row) for row in rows]
+    for line, name in mutations:
+        _, name_of_field, value = MUTATIONS[name]
+        row = rows[line - 2]
+        if name_of_field is None:
+            row.append(value)
+        else:
+            row[CHAR_FIELDS.index(name_of_field)] = value
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+def expected_error(name, line, rows=CHAR_ROWS):
+    cls, template = MUTATION_ERRORS[name]
+    cid, iid = rows[line - 2][:2]
+    ids = {"y_missing": (cid,), "pathway": (cid,), "xc": (cid,), "dup_time": (iid, cid), "xi": (iid,)}
+    return cls, template.format(line, *ids.get(name, ()))
+
+
+def raised(text, schema):
+    with pytest.raises(SmartlongError) as info:
+        parse_long_table(text, schema)
+    return type(info.value), str(info.value)
+
+
+class TestParseCharacterization:
+    """Which error the parser raises, and where, on tables with several faults."""
+
+    def test_unmutated_table_parses(self, design2, grid012):
+        ds = parse_long_table(char_table(), char_schema(design2, grid012))
+        assert [cl.cluster_id for cl in ds.clusters] == ["c1", "c2", "c3"]
+
+    @pytest.mark.parametrize("name", list(MUTATIONS))
+    def test_each_check_names_its_line(self, design2, grid012, name):
+        schema = char_schema(design2, grid012)
+        for line in (6, 15):
+            assert raised(char_table([(line, name)]), schema) == expected_error(name, line)
+
+    def test_earlier_line_wins(self, design2, grid012):
+        schema = char_schema(design2, grid012)
+        for first, second in itertools.product(MUTATIONS, repeat=2):
+            text = char_table([(6, first), (15, second)])
+            assert raised(text, schema) == expected_error(first, 6), (first, second)
+
+    def test_check_order_on_one_line(self, design2, grid012):
+        schema = char_schema(design2, grid012)
+        for a, b in itertools.combinations(MUTATIONS, 2):
+            if MUTATIONS[a][1] == MUTATIONS[b][1]:
+                continue  # both rewrite the same field
+            first = min((a, b), key=lambda name: MUTATIONS[name][0])
+            assert raised(char_table([(12, a), (12, b)]), schema) == expected_error(first, 12), (a, b)
+
+    def test_far_apart_lines_of_a_long_shuffled_table(self, design2, grid012):
+        # references (a cluster's or individual's first row) lie hundreds of
+        # lines before the faults
+        rng = np.random.default_rng(12)
+        rows = []
+        for c in range(300):
+            a1, r = ("1", "0") if c % 2 else ("-1", "0")
+            for p in range(2):
+                rows += [[f"c{c:03d}", f"p{p}", str(t), f"{rng.normal():.3f}", a1, r, "1", f"{c}.5", f"{p}.25"]
+                         for t in range(3)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        first_line = {}
+        for line, row in enumerate(rows, start=2):
+            first_line.setdefault((row[0], row[1]), line)
+        late = [line for line, row in enumerate(rows, start=2) if line - first_line[row[0], row[1]] > 600]
+        early, far = late[0], late[-1]
+        assert far - early > 600
+        schema = char_schema(design2, grid012)
+        names = list(MUTATIONS)
+        for i, name in enumerate(names):
+            other = names[(i + 1) % len(names)]
+            assert raised(char_table([(far, name)], rows), schema) == expected_error(name, far, rows)
+            text = char_table([(early, other), (far, name)], rows)
+            assert raised(text, schema) == expected_error(other, early, rows)
+
+    def test_missing_outcomes_come_after_rows_and_before_validation(self, design2, grid012):
+        schema = char_schema(design2, grid012)
+        responder_with_a2nr = [row[:6] + ["1"] + row[7:] if row[0] == "c2" else row for row in CHAR_ROWS]
+        assert raised(char_table(rows=responder_with_a2nr), schema) == (
+            InconsistentCluster,
+            "cluster 'c2': design II: a2nr must be present exactly for non-responders",
+        )
+        missing = [row for line, row in enumerate(responder_with_a2nr, start=2) if line not in (5, 16)]
+        assert raised(char_table(rows=missing), schema) == (
+            MissingCell, "cluster 'c1' individual 'p2': missing outcomes at times [0.0]",
+        )
+        # a fault on a later line still wins over a missing outcome
+        text = char_table([(len(missing) + 1, "y_nonfinite")], missing)
+        assert raised(text, schema) == expected_error("y_nonfinite", len(missing) + 1, missing)
+
+    def test_blank_rows_are_skipped_but_counted(self, design2, grid012):
+        schema = char_schema(design2, grid012)
+        want = parse_long_table(char_table(), schema)
+        head, *lines = char_table().split("\n")
+        blanks = ["", "   ", ",,,,,,,,", " \t, ,"]
+        padded = "\n".join([head, *blanks, *lines])
+        assert parse_long_table(padded, schema) == want
+        head, *lines = char_table([(6, "xi")]).split("\n")
+        padded = "\n".join([head, *blanks, *lines])
+        cls, message = expected_error("xi", 6)
+        assert raised(padded, schema) == (cls, message.replace("line 6", f"line {6 + len(blanks)}"))
+
+    def test_crlf_line_ends(self, design2, grid012):
+        schema = char_schema(design2, grid012)
+        text = char_table()
+        assert parse_long_table(text.replace("\n", "\r\n"), schema) == parse_long_table(text, schema)
+        assert parse_long_table(MINIMAL.replace("\n", "\r\n"), schema_for(design2, grid012)) == (
+            parse_long_table(MINIMAL, schema_for(design2, grid012))
+        )
+
+    def test_fault_before_an_unreadable_line_wins(self, design2, grid012):
+        schema = char_schema(design2, grid012)
+        head, *lines = char_table().split("\n")
+        lines[13] = lines[13].replace(",", "\r,", 1)  # line 15: a lone CR in an unquoted field
+        with pytest.raises(csv.Error):
+            parse_long_table("\n".join([head, *lines]), schema)
+        head, *lines = char_table([(6, "xi")]).split("\n")
+        lines[13] = lines[13].replace(",", "\r,", 1)
+        assert raised("\n".join([head, *lines]), schema) == expected_error("xi", 6)
+
+    def test_lone_cr_line_ends_are_one_header_line(self, design2, grid012):
+        assert raised(MINIMAL.replace("\n", "\r"), schema_for(design2, grid012)) == (
+            MissingCell, "column 'a2nr' (for 'a2nr') missing from header",
+        )
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_quoted_ids_round_trip(self, design2, grid012, delimiter):
+        ids = sorted(["a,b", "x\ny", 'say "hi"', "tab\there"])
+        clusters = [
+            make_cluster(cid, 1, 0, a2nr, [(1.0, 2.0, 3.0), (0.5, 0.25, 0.0)])
+            for cid, a2nr in zip(ids, (1, -1, 1, -1))
+        ]
+        clusters = [replace(cl, individuals=tuple(
+            replace(ind, individual_id=f"{cl.cluster_id}{delimiter}\n{j}")
+            for j, ind in enumerate(cl.individuals)
+        )) for cl in clusters]
+        ds = make_dataset(clusters, design2, grid012)
+        text = serialize_long_table(ds, delimiter=delimiter)
+        assert parse_long_table(text, schema_for(design2, grid012)) == ds
+
+
 class TestValidate:
     def test_well_formed_empty_report(self, design2, grid012):
         rng = np.random.default_rng(1)
@@ -168,11 +381,35 @@ class TestValidate:
         report = validate(make_dataset([cl], design2, grid012, ("u",), ("v",)))
         assert [v.code for v in report.violations] == ["NonFiniteCovariate"]
 
+    def test_report_order_with_faults_columns_cannot_hold(self, design2, grid012):
+        three = (1.0, 2.0, 3.0)
+        c1 = make_cluster("c1", 1, 0, -1, [(1.0, 2.0), three], x_cluster=(math.nan,), x_indiv=[(0.0,), (0.0,)])
+        c1 = replace(c1, individuals=(c1.individuals[0], replace(c1.individuals[1], x_individual=(0.0, 1.0))))
+        c2 = make_cluster("c2", 1, 1, -1, [], x_cluster=(0.0,))
+        c2_again = make_cluster("c2", 1, 0, 1, [three], x_cluster=(0.0,), x_indiv=[(0.0,)])
+        c3 = make_cluster("c3", -1, 0, 1, [(1.0, math.inf, 3.0)], x_cluster=(0.0,), x_indiv=[(math.nan,)])
+        report = validate(make_dataset([c3, c2, c1, c2_again], design2, grid012, ("u",), ("v",)))
+        assert [(v.cluster_id, v.code, v.message) for v in report.violations] == [
+            ("c1", "NonFiniteCovariate", "cluster covariates are not all finite"),
+            ("c1", "MissingCell", "individual 'c1-0' has 2 outcomes, expected 3"),
+            ("c1", "CovariateSchema", "individual 'c1-1' has 2 covariates, expected 1"),
+            ("c2", "design-consistency", "design II: a2nr must be present exactly for non-responders"),
+            ("c2", "EmptyCluster", "cluster has no individuals"),
+            ("c2", "DuplicateCluster", "duplicate cluster id"),
+            ("c3", "MissingCell", "individual 'c3-0' has non-finite outcomes"),
+            ("c3", "NonFiniteCovariate", "individual 'c3-0' has non-finite covariates"),
+        ]
+        assert report.warnings == ()
+
     def test_uncovered_cai_is_warning_not_violation(self, design2, grid012):
         cl = make_cluster("c1", 1, 0, 1, [(1.0, 2.0, 3.0)])
         report = validate(make_dataset([cl], design2, grid012))
         assert report.ok
         assert len(report.warnings) == 3  # (1,-1), (-1,1), (-1,-1) uncovered
+
+
+def distinct_pathways(ds):
+    return {(cl.a1, cl.r, cl.a2nr, cl.a2r) for cl in ds.clusters}
 
 
 class TestValidateOnce:
@@ -181,9 +418,9 @@ class TestValidateOnce:
         calls = []
         original = data._pathway_violation
 
-        def counted(cl, kind):
-            calls.append(cl.cluster_id)
-            return original(cl, kind)
+        def counted(pathway, kind):
+            calls.append(tuple(pathway))
+            return original(pathway, kind)
 
         monkeypatch.setattr(data, "_pathway_violation", counted)
         return calls
@@ -191,38 +428,56 @@ class TestValidateOnce:
     def test_parse_then_fit_validates_once(self, design2, grid012, pathway_calls):
         rng = np.random.default_rng(40)
         text = serialize_long_table(random_design2_dataset(rng, 20, grid012, design2))
+        pathway_calls.clear()
         ds = parse_long_table(text, schema_for(design2, grid012))
         fit(ds, MeanModelSpec.piecewise_linear(design2, grid012), WorkingCovSpec.independent_homoscedastic())
-        assert sorted(pathway_calls) == sorted(cl.cluster_id for cl in ds.clusters)
+        # one pass, judging each distinct observed pathway once
+        assert len(pathway_calls) == len(set(pathway_calls)) < ds.n_clusters
+        assert set(pathway_calls) == distinct_pathways(ds)
+
+    def test_end_of_study_fit_adds_no_pass(self, design2, grid012, pathway_calls):
+        rng = np.random.default_rng(42)
+        ds = random_design2_dataset(rng, 50, grid012, design2)
+        assert set(pathway_calls) == distinct_pathways(ds)
+        passes = len(pathway_calls)
+        fit_end_of_study(ds)
+        assert len(pathway_calls) == passes
 
     def test_equal_and_invalid_datasets_are_checked_in_full(self, design2, grid012, pathway_calls):
         rng = np.random.default_rng(41)
         ds = random_design2_dataset(rng, 12, grid012, design2)
+        per_pass = len(distinct_pathways(ds))
+        assert len(pathway_calls) == per_pass
         report = validate(ds)
         assert validate(ds) is report
-        assert len(pathway_calls) == 12
+        assert len(pathway_calls) == per_pass
         assert validate(replace(ds)) == report
-        assert len(pathway_calls) == 24
+        assert len(pathway_calls) == 2 * per_pass
         bad = replace(ds.clusters[0], a2r=1)
         invalid = replace(ds, clusters=(bad, *ds.clusters[1:]))
         assert [v.code for v in validate(invalid).violations] == ["design-consistency"]
-        assert len(pathway_calls) == 36
+        assert len(pathway_calls) == 2 * per_pass + len(distinct_pathways(invalid))
         assert validate(ds) == report
-        assert len(pathway_calls) == 48
+        assert len(pathway_calls) == 2 * per_pass + len(distinct_pathways(invalid))
 
 
 class TestRoundTrip:
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), n_clusters=st.integers(1, 8))
-    def test_serialize_parse_round_trip(self, seed, n_clusters):
+    @given(
+        seed=st.integers(0, 10_000),
+        n_clusters=st.integers(1, 8),
+        kind=st.sampled_from(list(DesignKind)),
+        delimiter=st.sampled_from([",", "\t"]),
+    )
+    def test_serialize_parse_round_trip(self, seed, n_clusters, kind, delimiter):
         rng = np.random.default_rng(seed)
-        design = SmartDesign.balanced(DesignKind.II)
+        design = SmartDesign.balanced(kind)
         grid = TimeGrid(times=(0.0, 1.0, 2.0), knot=1.0)
-        ds = random_design2_dataset(
-            rng, n_clusters, grid, design,
+        ds = random_dataset(
+            rng, n_clusters, grid, design, (1, 2, 3),
             cluster_covariates=("u",), individual_covariates=("v",),
         )
-        text = serialize_long_table(ds)
+        text = serialize_long_table(ds, delimiter=delimiter)
         ds2 = parse_long_table(
             text,
             schema_for(design, grid, cluster_covariates=("u",), individual_covariates=("v",)),
@@ -237,6 +492,85 @@ class TestRoundTrip:
         rng.shuffle(rows)
         shuffled = "\n".join([header, *rows]) + "\n"
         assert parse_long_table(shuffled, schema_for(design2, grid012)) == ds
+
+
+class TestParseMemory:
+    def test_peak_is_a_small_multiple_of_the_text(self):
+        # a parse holds a chunk of rows and the columns, never every row or a
+        # second copy of the text: 4144 rows peak near 3x the text's length
+        design = SmartDesign.balanced(DesignKind.I)
+        grid = TimeGrid(times=(0.0, 1.0, 2.0), knot=1.0)
+        ds = random_dataset(np.random.default_rng(0), 700, grid, design, (1, 2, 3), ("u",), ("v",))
+        text = serialize_long_table(ds)
+        assert text.isascii() and text.count("\n") > 4000
+        schema = schema_for(design, grid, cluster_covariates=("u",), individual_covariates=("v",))
+        parse_long_table(text, schema)
+        tracemalloc.start()
+        try:
+            parse_long_table(text, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
+
+
+ID_COLUMNS = ("cluster_ids", "individual_ids", "pathways")
+ARRAY_COLUMNS = ("a1", "r", "a2nr", "a2r", "sizes", "x_cluster", "x_individual", "y", "pathway_index")
+
+
+def assert_same_columns(a, b):
+    for name in ID_COLUMNS:
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ARRAY_COLUMNS:
+        got, want = getattr(a, name), getattr(b, name)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert got.dtype == want.dtype and not got.flags.writeable, name
+
+
+class TestRecordRoute:
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("sizes", [(1,), (1, 2, 3, 5)], ids=["singletons", "mixed"])
+    @pytest.mark.parametrize("covariates", [False, True], ids=["plain", "covariates"])
+    def test_parsed_and_record_built_agree(self, grid012, kind, sizes, covariates):
+        rng = np.random.default_rng(8)
+        design = SmartDesign.balanced(kind)
+        xc, xi = (("u",), ("v",)) if covariates else ((), ())
+        records = random_dataset(rng, 30, grid012, design, sizes, xc, xi)
+        schema = schema_for(design, grid012, cluster_covariates=xc, individual_covariates=xi)
+        parsed = parse_long_table(serialize_long_table(records), schema)
+        assert_same_columns(parsed, records)
+        assert parsed.clusters == records.clusters
+        assert parsed == records and records == parsed
+        assert validate(parsed) == validate(records)
+        spec = MeanModelSpec.piecewise_linear(design, grid012, covariate_terms=xc + xi)
+        ws_parsed, ws_records = _make_workspace(parsed, spec), _make_workspace(records, spec)
+        np.testing.assert_array_equal(ws_parsed.weights, ws_records.weights)
+        for g, h in zip(ws_parsed.groups, ws_records.groups, strict=True):
+            assert (g.cai, g.n) == (h.cai, h.n)
+            np.testing.assert_array_equal(g.cluster_pos, h.cluster_pos)
+            np.testing.assert_array_equal(g.design, h.design)
+            np.testing.assert_array_equal(g.y, h.y)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_shuffled_records_give_equal_datasets(self, grid012, kind):
+        rng = np.random.default_rng(9)
+        ds = random_dataset(rng, 25, grid012, SmartDesign.balanced(kind), (1, 2, 4), ("u",), ("v",))
+        shuffled = permuted(ds, rng)
+        assert shuffled == ds
+        assert shuffled.clusters == ds.clusters
+        assert_same_columns(shuffled, ds)
+        assert validate(shuffled) == validate(ds)
+
+    def test_end_of_study_slice_shares_columns_and_report(self, design2, grid012):
+        rng = np.random.default_rng(10)
+        ds = random_design2_dataset(rng, 12, grid012, design2, cluster_covariates=("u",))
+        final = ds.final_time()
+        assert final.grid == TimeGrid(times=(2.0,), knot=2.0)
+        np.testing.assert_array_equal(final.y, ds.y[:, -1:])
+        assert validate(final) is validate(ds)
+        assert [ind.y for cl in final.clusters for ind in cl.individuals] == [
+            ind.y[-1:] for cl in ds.clusters for ind in cl.individuals
+        ]
 
 
 class TestTimeGrid:

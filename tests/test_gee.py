@@ -45,7 +45,7 @@ from smartlong import gee, workingcov
 from smartlong.errors import InconsistentCluster, InsufficientData, NotPositiveDefinite, ZeroVariance
 from smartlong.gee import _assemble, _make_workspace, _Workspace
 
-from conftest import make_cluster, make_dataset, random_design2_dataset
+from conftest import make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
@@ -82,7 +82,7 @@ def model_mean(theta, a1, a2nr, t, knot=1.0):
 
 def identity_solve(ds, spec, weights=None):
     """theta from one weighted solve under an identity working covariance."""
-    theta, _, _ = _make_workspace(ds, spec, weights).solve(None)
+    theta, _, _, _ = _make_workspace(ds, spec, weights).solve(None)
     return ThetaEstimate(theta[: spec.n_gamma], theta[spec.n_gamma :], spec.param_names)
 
 
@@ -102,24 +102,6 @@ def exact_dataset(design, grid, theta, rng, n_clusters=24, responders=False):
         ]
         clusters.append(make_cluster(f"c{i:03d}", a1, r, a2nr, ys))
     return make_dataset(clusters, design, grid)
-
-
-def random_dataset(rng, n_clusters, grid, design, sizes, cluster_covariates=(), individual_covariates=()):
-    """Arbitrary outcomes and covariates on valid pathways of any design kind."""
-    clusters = []
-    for i in range(n_clusters):
-        a1, r, a2 = int(rng.choice([1, -1])), int(rng.integers(0, 2)), int(rng.choice([1, -1]))
-        if design.kind is DesignKind.I:
-            a2nr, a2r = (None, a2) if r else (a2, None)
-        else:
-            a2nr, a2r = (a2 if design.rerandomizes(a1, r) else None), None
-        n = int(rng.choice(sizes))
-        clusters.append(make_cluster(
-            f"c{i:03d}", a1, r, a2nr, rng.normal(size=(n, grid.n_times)), a2r=a2r,
-            x_cluster=rng.normal(size=len(cluster_covariates)),
-            x_indiv=rng.normal(size=(n, len(individual_covariates))),
-        ))
-    return make_dataset(clusters, design, grid, cluster_covariates, individual_covariates)
 
 
 DESIGN2 = SmartDesign.balanced(DesignKind.II)
@@ -283,7 +265,7 @@ class TestFit:
         # ascending size, ascending position order
         expected = [
             (cais.index(d), cl.n, pos, d)
-            for pos, cl in enumerate(ws.clusters)
+            for pos, cl in enumerate(ds.clusters)
             for d in cais
             if consistency_indicator(cl, d, design)
         ]
@@ -291,7 +273,7 @@ class TestFit:
         assert got == sorted(expected, key=lambda e: e[:3])
         for g in ws.groups:
             for row_idx, pos in enumerate(g.cluster_pos):
-                cl = ws.clusters[pos]
+                cl = ds.clusters[pos]
                 assert cl.n == g.n
                 np.testing.assert_array_equal(g.design[row_idx], stack_design_matrix(spec, g.cai, cl, ds))
                 np.testing.assert_array_equal(g.y[row_idx], [v for ind in cl.individuals for v in ind.y])
@@ -358,9 +340,9 @@ class TestSandwich:
         ws = _make_workspace(ds, spec)
 
         def run(scale):
-            w = _Workspace(ds, spec, ws.weights * scale, ws.clusters)
-            theta, _, _ = w.solve(None)
-            _, _, sigma, _ = _assemble(w, theta, None, False, None)
+            w = _Workspace(ds, spec, ws.weights * scale)
+            theta, A, b, vd = w.solve(None)
+            _, _, sigma, _ = _assemble(w, theta, A, b, vd, False, None)
             return theta, sigma
 
         (theta1, sigma1), (theta_s, sigma_s) = run(1.0), run(scale)
@@ -522,6 +504,28 @@ class TestAdjustments:
             "factorize": res.iterations + adjustments.enforce_nonneg_corr,
             "assemble": 1,
         }
+
+    @pytest.mark.parametrize("tolerance", [1e-8, math.inf], ids=["iterated", "identity"])
+    @pytest.mark.parametrize(
+        "adjustments", [AdjustmentOptions(), AdjustmentOptions.all()], ids=["none", "all"]
+    )
+    def test_normal_equations_once_per_solve(self, design2, grid012, monkeypatch, tolerance, adjustments):
+        # the sandwich reuses the last solve's normal system and V^{-1} D
+        rng = np.random.default_rng(13)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        calls = {"solve": 0, "normal_equations": 0, "_vinv_design": 0}
+        for name in calls:
+            original = getattr(gee._Workspace, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gee._Workspace, name, wrapper)
+        res = fit(ds, spec, EXCH, FitOptions(tolerance=tolerance, adjustments=adjustments))
+        solves = 1 + res.iterations + adjustments.enforce_nonneg_corr
+        assert calls == {"solve": solves, "normal_equations": solves, "_vinv_design": solves}
 
 
 class TestEndOfStudyComparator:
@@ -808,15 +812,6 @@ class TestClosedFormInverse:
         for (d, d2), want in z.items():
             got = wald_test(res, contrast_end_of_study(spec, d, d2)).statistic
             assert got == pytest.approx(want, abs=1e-10)
-
-
-def permuted(ds, rng):
-    """The same trial with clusters and each cluster's individuals reordered."""
-    clusters = [
-        replace(cl, individuals=tuple(cl.individuals[j] for j in rng.permutation(cl.n)))
-        for cl in ds.clusters
-    ]
-    return replace(ds, clusters=tuple(clusters[i] for i in rng.permutation(len(clusters))))
 
 
 class TestPermutationInvariance:

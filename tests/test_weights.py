@@ -9,7 +9,7 @@ from smartlong import (
     fit,
     sandwich_covariance,
 )
-from smartlong.gee import _canonical_clusters, _make_workspace, _score_corrected_q
+from smartlong.gee import _make_workspace, _score_corrected_q
 from smartlong import WorkingCovSpec
 
 from conftest import make_cluster, make_dataset, random_design2_dataset
@@ -37,7 +37,7 @@ class TestWeightModel:
     def test_saturated_mle_equals_frequencies(self, design2, grid012):
         ds = balanced_dataset(design2, grid012)
         wm = estimate_weight_model(ds)
-        clusters = _canonical_clusters(ds)
+        clusters = ds.clusters  # canonical order
         # balanced by construction: responders 2, non-responders 4
         for cl, w in zip(clusters, wm.fitted_weights):
             assert w == pytest.approx(2.0 if cl.r == 1 else 4.0, rel=1e-6)
