@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -124,11 +124,6 @@ class Pathway(NamedTuple):
     a2r: Optional[int]
 
 
-# the columns, each in canonical cluster or individual order
-_ID_COLUMNS = ("cluster_ids", "individual_ids")
-_ARRAY_COLUMNS = ("a1", "r", "a2nr", "a2r", "sizes", "x_cluster", "x_individual", "y")
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class TrialDataset:
     """A trial's observations as columns in canonical (sorted-id) order.
@@ -145,7 +140,7 @@ class TrialDataset:
     :func:`dataclasses.replace` rebuilds a dataset through records.
     ``clusters`` is the records in canonical order; for a parsed dataset that
     view is made on first use.  Two datasets are equal when they hold the
-    same schema, columns and validation report, whichever route built them.
+    same schema and records, whichever route built them.
     """
 
     design: SmartDesign
@@ -193,10 +188,8 @@ class TrialDataset:
             )))
 
         # pathways are judged as recorded; the int8 columns encode valid ones exactly
-        table: Dict[Pathway, int] = {}
-        index = [table.setdefault(Pathway(cl.a1, cl.r, cl.a2nr, cl.a2r), len(table)) for cl in records]
-        codes = np.array([[_code(v) for v in p] for p in table], dtype=np.int8).reshape(-1, 4)
-        pathway_index = np.array(index, dtype=np.intp)
+        pathways, pathway_index = _pathway_table(Pathway(cl.a1, cl.r, cl.a2nr, cl.a2r) for cl in records)
+        codes = np.array([[_code(v) for v in p] for p in pathways], dtype=np.int8).reshape(-1, 4)
         a1, r, a2nr, a2r = codes[pathway_index].T
 
         object.__setattr__(self, "clusters", records)
@@ -205,7 +198,7 @@ class TrialDataset:
             cluster_ids=tuple(cl.cluster_id for cl in records), a1=a1, r=r, a2nr=a2nr, a2r=a2r,
             sizes=sizes, x_cluster=x_cluster,
             individual_ids=tuple(ind.individual_id for ind in people), x_individual=x_individual, y=y,
-            pathways=tuple(table), pathway_index=pathway_index,
+            pathways=pathways, pathway_index=pathway_index,
         )
         object.__setattr__(self, "_report", _check(self, faults))
 
@@ -219,16 +212,9 @@ class TrialDataset:
         report: Optional[ValidationReport] = None,
         **columns,
     ) -> "TrialDataset":
-        """The column route: columns already in canonical order.
-
-        Without ``pathways``/``pathway_index`` they are derived from the
-        codes; without ``report`` the dataset is checked.
-        """
+        """The column route: columns already in canonical order.  Without
+        ``report`` the dataset is checked."""
         ds = cls.__new__(cls)
-        if "pathways" not in columns:
-            columns["pathways"], columns["pathway_index"] = _distinct_pathways(
-                columns["a1"], columns["r"], columns["a2nr"], columns["a2r"]
-            )
         ds._set_columns(design, grid, cluster_covariates, individual_covariates, **columns)
         object.__setattr__(ds, "_report", _check(ds) if report is None else report)
         return ds
@@ -275,13 +261,8 @@ class TrialDataset:
         schema = (self.design, self.grid, self.cluster_covariates, self.individual_covariates)
         if schema != (other.design, other.grid, other.cluster_covariates, other.individual_covariates):
             return False
-        if "clusters" in vars(self) and "clusters" in vars(other):
-            return self.clusters == other.clusters  # records can hold what columns cannot
-        return (
-            self._report == other._report
-            and all(getattr(self, c) == getattr(other, c) for c in _ID_COLUMNS)
-            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _ARRAY_COLUMNS)
-        )
+        # records can hold what columns cannot
+        return self.clusters == other.clusters
 
     @property
     def n_clusters(self) -> int:
@@ -293,11 +274,17 @@ class TrialDataset:
         Every other column, and the validation report, is shared.
         """
         t_end = self.grid.t_end
-        columns = {c: getattr(self, c) for c in (*_ID_COLUMNS, *_ARRAY_COLUMNS, "pathways", "pathway_index")}
-        columns["y"] = self.y[:, -1:]
+        columns = {
+            c: getattr(self, c)
+            for c in (
+                "cluster_ids", "a1", "r", "a2nr", "a2r", "sizes", "x_cluster",
+                "individual_ids", "x_individual", "pathways", "pathway_index",
+            )
+        }
         return TrialDataset._from_columns(
             self.design, TimeGrid((t_end,), knot=t_end),
-            self.cluster_covariates, self.individual_covariates, report=self._report, **columns,
+            self.cluster_covariates, self.individual_covariates, report=self._report,
+            y=self.y[:, -1:], **columns,
         )
 
 
@@ -327,20 +314,12 @@ def _code(value: Optional[int]) -> int:
     return int(value) if value in (-1, 0, 1) else _BAD_CODE
 
 
-def _distinct_pathways(*codes: np.ndarray) -> Tuple[Tuple[Pathway, ...], np.ndarray]:
-    """Distinct (a1, r, a2nr, a2r) code rows in order of first appearance, and
-    each cluster's index into them."""
-    stacked = np.stack(codes, axis=1)
-    if not len(stacked):
-        return (), np.zeros(0, dtype=np.intp)
-    unique, first, inverse = np.unique(stacked, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    pathways = tuple(
-        Pathway(a1, r, a2nr or None, a2r or None) for a1, r, a2nr, a2r in unique[order].tolist()
-    )
-    return pathways, rank[inverse.reshape(-1)]
+def _pathway_table(pathways: Iterable[Pathway]) -> Tuple[Tuple[Pathway, ...], np.ndarray]:
+    """The distinct pathways in order of first appearance, and each cluster's
+    index into them."""
+    table: Dict[Pathway, int] = {}
+    index = [table.setdefault(p, len(table)) for p in pathways]
+    return tuple(table), np.array(index, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -476,15 +455,35 @@ def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     return bigger
 
 
+def _slots(slot_of: Dict, keys: Sequence, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each key's slot in ``slot_of``, which holds ``n`` slots; a key met for
+    the first time gets the next one.  Also where a key is new, and how many
+    slots there are before each key (and, last, after every key)."""
+    m = len(keys)
+    # a key new to this call first takes n + its position, then its dense slot
+    raw = np.fromiter(map(slot_of.setdefault, keys, itertools.count(n)), np.intp, m)
+    new = raw == np.arange(n, n + m)
+    before = np.empty(m + 1, dtype=np.intp)
+    before[0] = n
+    np.cumsum(new, out=before[1:])
+    before[1:] += n
+    # the key introduced at position i takes slot before[i]
+    slot_of.update(zip(itertools.compress(keys, new), before[:-1][new].tolist()))
+    fresh = raw >= n
+    raw[fresh] = before[raw[fresh] - n]
+    return raw, new, before
+
+
 class _ColumnBuilder:
     """Checks and accumulates a long table's rows, one chunk at a time.
 
-    Rows are numbered in the order they are added.  A dict keyed by id maps
-    each cluster, and each (cluster id, individual id), to the number of the
-    row that introduced it; arrays indexed by that number hold a cluster's
+    Clusters and individuals get dense slots in the order rows introduce
+    them: a dict keyed by id maps each cluster, and each (cluster id,
+    individual id), to its slot, and arrays indexed by slot hold a cluster's
     first-row codes and covariates, and an individual's cluster, first-row
-    covariates and outcomes.  :meth:`add` raises on the earliest failing row
-    with :meth:`_row_error`'s error, the only source of row messages.
+    covariates and outcomes, so their sizes follow the clusters and
+    individuals, not the rows.  :meth:`add` raises on the earliest failing
+    row with :meth:`_row_error`'s error, the only source of row messages.
     """
 
     def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int]) -> None:
@@ -492,7 +491,7 @@ class _ColumnBuilder:
         self.n_fields = n_fields
         self.col = col_index
         self.n_times = schema.grid.n_times
-        self.n_rows = 0
+        self.n_clusters = self.n_people = 0
         self.cluster_of: Dict[str, int] = {}
         self.person_of: Dict[Tuple[str, str], int] = {}
         n_xc, n_xi = len(schema.cluster_covariates), len(schema.individual_covariates)
@@ -513,10 +512,9 @@ class _ColumnBuilder:
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
         wrong_length = np.flatnonzero(lengths != self.n_fields)
         m = int(wrong_length[0]) if wrong_length.size else len(rows)
-        start = self.n_rows
-        fault = self._add_columns(rows[:m]) if m else m
+        fault, known = self._add_columns(rows[:m]) if m else (0, (self.n_clusters, self.n_people))
         if fault < len(rows):
-            error = self._row_error(lines[fault], rows[fault], start + fault)
+            error = self._row_error(lines[fault], rows[fault], *known)
             if error is None:
                 raise RuntimeError(f"line {lines[fault]} was flagged but passes every row check")
             raise error
@@ -525,8 +523,9 @@ class _ColumnBuilder:
         """Convert and check rows that have the right number of fields.
 
         Returns the position of the first row failing a check (``len(rows)``
-        if none).  Outcomes are stored up to that row, first-row references
-        for every cluster and individual the rows introduce.
+        if none) and the numbers of clusters and individuals introduced before
+        it.  Outcomes are stored up to that row, first-row references for
+        every cluster and individual the rows introduce.
         """
         schema, col, grid = self.schema, self.col, self.schema.grid
         m = len(rows)
@@ -555,20 +554,18 @@ class _ColumnBuilder:
         xc = _float_columns(columns, [col[name] for name in schema.cluster_covariates], m)
         xi = _float_columns(columns, [col[name] for name in schema.individual_covariates], m)
 
-        # each row's cluster and individual, as the number of the row that introduced it
-        here = np.arange(self.n_rows, self.n_rows + m)
-        c = np.fromiter(map(self.cluster_of.setdefault, cids, itertools.count(self.n_rows)), np.intp, m)
-        p = np.fromiter(
-            map(self.person_of.setdefault, zip(cids, iids), itertools.count(self.n_rows)), np.intp, m
-        )
-        self.n_rows += m
-        for name in ("codes", "xc", "owner", "xi", "y", "filled"):
-            setattr(self, name, _grown(getattr(self, name), self.n_rows))
-        new_c, new_p = c == here, p == here
-        self.codes[here[new_c]] = codes[new_c]
-        self.xc[here[new_c]] = xc[new_c]
-        self.owner[here[new_p]] = c[new_p]
-        self.xi[here[new_p]] = xi[new_p]
+        # each row's cluster and individual slot
+        c, new_c, clusters_before = _slots(self.cluster_of, cids, self.n_clusters)
+        p, new_p, people_before = _slots(self.person_of, list(zip(cids, iids)), self.n_people)
+        self.n_clusters, self.n_people = int(clusters_before[-1]), int(people_before[-1])
+        for name in ("codes", "xc"):
+            setattr(self, name, _grown(getattr(self, name), self.n_clusters))
+        for name in ("owner", "xi", "y", "filled"):
+            setattr(self, name, _grown(getattr(self, name), self.n_people))
+        self.codes[c[new_c]] = codes[new_c]
+        self.xc[c[new_c]] = xc[new_c]
+        self.owner[p[new_p]] = c[new_p]
+        self.xi[p[new_p]] = xi[new_p]
 
         # the key of an off-grid row is unique, so it never counts as a duplicate
         on_grid = k >= 0
@@ -590,7 +587,7 @@ class _ColumnBuilder:
         fault = int(np.argmax(failed)) if failed.any() else m
         self.y[p[:fault], k[:fault]] = y[:fault]
         self.filled[p[:fault], k[:fault]] = True
-        return fault
+        return fault, (int(clusters_before[fault]), int(people_before[fault]))
 
     def _decode(self, name: str, raw: str, where: str) -> Optional[int]:
         """The pathway entry ``name`` coded in ``raw``; raises BadTreatmentCode."""
@@ -601,8 +598,12 @@ class _ColumnBuilder:
             return _decode_treatment(raw, schema.r_codes, (0, 1), name, where)
         return _decode_optional_treatment(raw, schema.a2_codes, name, where)
 
-    def _row_error(self, line: int, row: Sequence[str], number: int) -> Optional[SmartlongError]:
-        """The error of the first check row ``number`` fails, given the rows before it."""
+    def _row_error(
+        self, line: int, row: Sequence[str], clusters_before: int, people_before: int
+    ) -> Optional[SmartlongError]:
+        """The error of the first check ``row`` fails, given the rows before it,
+        which introduced the clusters and individuals of the slots below
+        ``clusters_before`` and ``people_before``."""
         if len(row) != self.n_fields:
             return InconsistentCluster(f"line {line}: expected {self.n_fields} fields, got {len(row)}")
         schema, col = self.schema, self.col
@@ -629,14 +630,14 @@ class _ColumnBuilder:
         except SmartlongError as exc:
             return exc
 
-        c = self.cluster_of.get(cid, number)
-        if c < number:
+        c = self.cluster_of.get(cid, clusters_before)
+        if c < clusters_before:
             if self.codes[c].tolist() != list(map(_code, pathway)):
                 return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on treatment/response")
             if tuple(self.xc[c].tolist()) != xc:
                 return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on cluster covariates")
-        p = self.person_of.get((cid, iid), number)
-        if p < number:
+        p = self.person_of.get((cid, iid), people_before)
+        if p < people_before:
             if self.filled[p, k]:
                 return InconsistentCluster(
                     f"{where}: duplicate time {t} for individual {iid!r} in cluster {cid!r}"
@@ -661,11 +662,15 @@ class _ColumnBuilder:
             raise MissingCell(f"cluster {cid!r} individual {iid!r}: missing outcomes at times {missing}")
         cids = sorted(self.cluster_of)
         clusters = np.fromiter(map(self.cluster_of.__getitem__, cids), np.intp, len(cids))
-        position = np.zeros(self.n_rows, dtype=np.intp)
+        position = np.zeros(self.n_clusters, dtype=np.intp)
         position[clusters] = np.arange(len(cids))
         codes = self.codes[clusters]
+        pathways, pathway_index = _pathway_table(
+            Pathway(a1, r, a2nr or None, a2r or None) for a1, r, a2nr, a2r in codes.tolist()
+        )
         return TrialDataset._from_columns(
             schema.design, grid, schema.cluster_covariates, schema.individual_covariates,
+            pathways=pathways, pathway_index=pathway_index,
             cluster_ids=tuple(cids),
             a1=codes[:, 0], r=codes[:, 1], a2nr=codes[:, 2], a2r=codes[:, 3],
             sizes=np.bincount(position[self.owner[people]], minlength=len(cids)),
