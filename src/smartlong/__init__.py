@@ -40,14 +40,12 @@ from .workingcov import (
     BetweenCorr,
     CorrCai,
     ResidualGroup,
-    ResidualSet,
     VarianceCai,
     VarianceTime,
     WithinCorr,
     WorkingCovSpec,
     build_V,
     estimate_alpha,
-    pool_alpha,
 )
 from .gee import (
     AdjustmentOptions,

@@ -13,15 +13,16 @@ Every cluster's working covariance is block exchangeable,
 V = I_n (x) A' + J_n (x) B' with (T+1) x (T+1) blocks, so its inverse is
 I_n (x) A'^{-1} + J_n (x) C with C = (A_n'^{-1} - A'^{-1}) / n and
 A_n' = A' + n B'.  The engine never forms V: it factorizes the regime blocks
-once per regime and only A_n' per cluster size, and applies V^{-1} D as
-A'^{-1} D_j + C sum_k D_k over each cluster's individuals j; the bias-corrected
-meat uses the Woodbury form of the inverse leverage, one p x p solve per
-cluster.  Work is cubic in T+1 and p and linear in the number of observations.
-Clusters are grouped by (regime, cluster size), because C depends on n, and
-keep the dataset's canonical sorted-id order within a group, so results are
-reproducible and independent of input row order.  The groups are filled
-array-at-once from the dataset's columns, regime membership and design
-weights decided once per distinct observed pathway.
+once per regime and only A_n' per distinct cluster size, and applies V^{-1} D
+as A'^{-1} D_j + C sum_k D_k over each cluster's individuals j; the
+bias-corrected meat uses the Woodbury form of the inverse leverage, one p x p
+solve per cluster.  Work is cubic in T+1 and p and linear in the number of
+observations.  Only C depends on the cluster size, so each regime keeps one
+stack of its consistent clusters, one row per individual, in the dataset's
+canonical sorted-id order; results are reproducible and independent of input
+row order.  The stacks are filled array-at-once from the dataset's columns,
+regime membership and design weights decided once per distinct observed
+pathway.
 
 :func:`fit` is the only entry point: it solves, applies the finite-sample
 adjustments and the estimated-weight correction, and assembles the sandwich
@@ -31,12 +32,11 @@ once (the end-of-study comparator runs it on the final time alone).  A
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -57,7 +57,6 @@ from .workingcov import (
     BetweenCorr,
     CorrCai,
     ResidualGroup,
-    ResidualSet,
     VarianceCai,
     VarianceTime,
     WithinCorr,
@@ -147,14 +146,18 @@ class WeightModel:
 
 
 @dataclass(frozen=True)
-class _Group:
-    """Same-size clusters replicated under one regime, stacked for batching."""
+class _Regime:
+    """The clusters consistent with one regime, stacked in canonical order:
+    cluster ``i`` owns rows ``starts[i] : starts[i] + sizes[i]``, one per
+    individual."""
 
     cai: EmbeddedCai
-    n: int
     cluster_pos: np.ndarray  # (m,) indices into canonical cluster order
-    design: np.ndarray       # (m, rows, p)
-    y: np.ndarray            # (m, rows)
+    sizes: np.ndarray        # (m,)
+    starts: np.ndarray       # (m,)
+    design: np.ndarray       # (rows, T+1, p)
+    y: np.ndarray            # (rows, T+1)
+    design_sum: np.ndarray   # (m, T+1, p), each cluster's design summed over its rows
 
 
 class _Workspace:
@@ -169,15 +172,15 @@ class _Workspace:
             raise ValueError("weights must be finite and positive, one per cluster")
         self.p = mean_spec.n_params
         self.cais = enumerate_cais(ds.design)
-        self.groups = self._build_groups()
+        self.regimes = self._build_regimes()
 
     # -- assembly -----------------------------------------------------------
 
-    def _build_groups(self) -> List[_Group]:
+    def _build_regimes(self) -> List[_Regime]:
         spec, ds = self.mean_spec, self.ds
-        sizes, y = ds.sizes, ds.y
+        sizes = ds.sizes
         first = np.cumsum(sizes) - sizes
-        x = np.empty((len(y), len(spec.covariate_terms)))
+        x = np.empty((len(ds.y), len(spec.covariate_terms)))
         for c_idx, name in enumerate(spec.covariate_terms):
             if name in ds.cluster_covariates:
                 x[:, c_idx] = np.repeat(ds.x_cluster[:, ds.cluster_covariates.index(name)], sizes)
@@ -190,46 +193,49 @@ class _Workspace:
             [[consistency_indicator(p, d, ds.design) for p in ds.pathways] for d in self.cais], dtype=bool
         ).reshape(len(self.cais), len(ds.pathways))
         consistent = by_pathway[:, ds.pathway_index]
-        groups = []
+        regimes = []
         for k, d in enumerate(self.cais):
-            gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
-            in_regime = np.flatnonzero(consistent[k])
-            for n in np.unique(sizes[in_regime]):
-                pos = in_regime[sizes[in_regime] == n]
-                person = first[pos][:, None] + np.arange(n)  # (m, n)
-                design = np.empty((pos.size, n * len(gamma), self.p))
-                design[..., : spec.n_gamma] = np.tile(gamma, (n, 1))
-                design[..., spec.n_gamma :] = np.repeat(x[person], len(gamma), axis=1)
-                groups.append(_Group(d, int(n), pos, design, y[person].reshape(pos.size, -1)))
-        return groups
-
-    # -- linear algebra over groups ------------------------------------------
-
-    def _vinv_design(
-        self, factors: Optional[Mapping[Tuple[EmbeddedCai, int], Tuple[np.ndarray, np.ndarray]]]
-    ) -> List[np.ndarray]:
-        """Per group, V^{-1} D = A'^{-1} D_j + C sum_k D_k for each individual j."""
-        out = []
-        for g in self.groups:
-            if factors is None:
-                out.append(g.design)
+            pos = np.flatnonzero(consistent[k])
+            if pos.size == 0:
                 continue
-            a_inv, c = factors[(g.cai, g.n)]
-            m, rows, p = g.design.shape
-            blocks = g.design.reshape(m, g.n, -1, p)
-            solved = a_inv @ blocks + (c @ blocks.sum(axis=1))[:, None]
-            out.append(solved.reshape(m, rows, p))
+            gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
+            n = sizes[pos]
+            starts = np.cumsum(n) - n
+            person = np.repeat(first[pos] - starts, n) + np.arange(n.sum())
+            xs = x[person]
+            design = np.empty((person.size, len(gamma), self.p))
+            design[..., : spec.n_gamma] = gamma
+            design[..., spec.n_gamma :] = xs[:, None]
+            design_sum = np.empty((pos.size, len(gamma), self.p))
+            design_sum[..., : spec.n_gamma] = n[:, None, None] * gamma
+            design_sum[..., spec.n_gamma :] = np.add.reduceat(xs, starts)[:, None]
+            regimes.append(_Regime(d, pos, n, starts, design, ds.y[person], design_sum))
+        return regimes
+
+    # -- linear algebra over the regime stacks --------------------------------
+
+    def _vinv_design(self, factors: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]]) -> List[np.ndarray]:
+        """Per regime, V^{-1} D = A'^{-1} D_j + C_i sum_k D_k for each
+        individual j of cluster i: one product over every row, plus each
+        cluster's C times its fixed design sum, repeated over its rows."""
+        if factors is None:
+            return [r.design for r in self.regimes]
+        out = []
+        for r, (a_inv, c) in zip(self.regimes, factors):
+            vd = a_inv @ r.design
+            vd += np.repeat(c @ r.design_sum, r.sizes, axis=0)
+            out.append(vd)
         return out
 
     def normal_equations(self, vinv_design: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """A = sum w D'V^{-1} D and b = sum w D'V^{-1} y over every group."""
+        """A = sum w D'V^{-1} D and b = sum w D'V^{-1} y over every regime."""
         A = np.zeros((self.p, self.p))
         b = np.zeros(self.p)
-        for g, vd in zip(self.groups, vinv_design):
-            w = self.weights[g.cluster_pos]
+        for r, vd in zip(self.regimes, vinv_design):
+            w = np.repeat(self.weights[r.cluster_pos], r.sizes)
             vd_rows = vd.reshape(-1, self.p)
-            A += (w[:, None, None] * g.design).reshape(-1, self.p).T @ vd_rows
-            b += (w[:, None] * g.y).ravel() @ vd_rows
+            A += (w[:, None, None] * r.design).reshape(-1, self.p).T @ vd_rows
+            b += (w[:, None] * r.y).ravel() @ vd_rows
         return A, b
 
     def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
@@ -245,18 +251,14 @@ class _Workspace:
         theta = np.linalg.solve(A, b)
         return theta, A, b, vd
 
-    def residual_groups(self, theta: np.ndarray) -> ResidualSet:
-        groups = []
-        for g in self.groups:
-            eps = g.y - np.einsum("mrp,p->mr", g.design, theta)
-            groups.append(
-                ResidualGroup(
-                    cai=g.cai,
-                    weights=self.weights[g.cluster_pos],
-                    eps=eps.reshape(eps.shape[0], g.n, -1),
-                )
-            )
-        return ResidualSet(tuple(groups))
+    def _residuals(self, r: _Regime, theta: np.ndarray) -> np.ndarray:
+        return r.y - (r.design.reshape(-1, self.p) @ theta).reshape(r.y.shape)
+
+    def residual_groups(self, theta: np.ndarray) -> List[ResidualGroup]:
+        return [
+            ResidualGroup(r.cai, self.weights[r.cluster_pos], r.sizes, self._residuals(r, theta))
+            for r in self.regimes
+        ]
 
     def u_rows(
         self,
@@ -269,37 +271,38 @@ class _Workspace:
         With ``leverage_inverse_from`` set to the unnormalized bread matrix A,
         each residual block is premultiplied by (I - H_id)^{-1} where H_id
         is that cluster-regime's hat block w D A^{-1} D'V^{-1}.  By Woodbury
-        that makes r = D'V^{-1} eps into r + M (A/w - M)^{-1} r with
+        that makes u = D'V^{-1} eps into u + M (A/w - M)^{-1} u with
         M = D'V^{-1} D: one p x p solve per cluster.
         """
         U = np.zeros((self.N, self.p))
-        for g, vd in zip(self.groups, vinv_design):
-            w = self.weights[g.cluster_pos]
-            eps = g.y - np.einsum("mrp,p->mr", g.design, theta)
-            r = np.einsum("mrp,mr->mp", vd, eps)
+        for r, vd in zip(self.regimes, vinv_design):
+            w = self.weights[r.cluster_pos]
+            eps = self._residuals(r, theta)
+            u = np.add.reduceat(np.einsum("rtp,rt->rp", vd, eps), r.starts)
             if leverage_inverse_from is not None:
-                M = np.einsum("mrp,mrq->mpq", vd, g.design)
+                M = np.add.reduceat(np.einsum("rtp,rtq->rpq", vd, r.design), r.starts)
                 K = leverage_inverse_from[None] / w[:, None, None] - M
-                r = r + (M @ np.linalg.solve(K, r[..., None]))[..., 0]
-            np.add.at(U, g.cluster_pos, w[:, None] * r)
+                u = u + (M @ np.linalg.solve(K, u[..., None]))[..., 0]
+            U[r.cluster_pos] += w[:, None] * u
         return U
 
-    def factorize(self, cov_spec: WorkingCovSpec, alpha: AlphaEstimate):
-        """Per (regime, n): A'^{-1} and C = (A_n'^{-1} - A'^{-1}) / n, with
-        V^{-1} = I_n (x) A'^{-1} + J_n (x) C (see :func:`cluster_blocks`).
+    def factorize(self, cov_spec: WorkingCovSpec, alpha: AlphaEstimate) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per regime: A'^{-1} and each cluster's C = (A_n'^{-1} - A'^{-1}) / n,
+        with V^{-1} = I_n (x) A'^{-1} + J_n (x) C (see :func:`cluster_blocks`).
 
-        W', B' and A'^{-1} are built once per regime, in canonical order, and
-        A_n'^{-1} per size, ascending.  A singleton's V is A_1' itself, and its
-        A' may be singular, so its pair is (A_1'^{-1}, 0).
+        W', B' and A'^{-1} are built once per regime and A_n'^{-1} once per
+        distinct size, in one stacked inverse, then gathered to the clusters.
+        A regime of singletons only may have a singular A'; its A'^{-1} is
+        taken as 0, so that C = A_1'^{-1} is the whole inverse.
         """
-        factors = {}
-        for d, same_regime in itertools.groupby(self.groups, key=lambda g: g.cai):
-            sizes = [g.n for g in same_regime]
-            W, B = cluster_blocks(cov_spec, alpha, d, sizes, self.mean_spec.grid)
-            a_inv = np.linalg.inv(W - B) if sizes[-1] > 1 else None
-            for n in sizes:
-                an_inv = np.linalg.inv(W + (n - 1) * B)
-                factors[d, n] = (an_inv, np.zeros_like(an_inv)) if n == 1 else (a_inv, (an_inv - a_inv) / n)
+        factors = []
+        for r in self.regimes:
+            sizes = np.unique(r.sizes)
+            W, B = cluster_blocks(cov_spec, alpha, r.cai, sizes, self.mean_spec.grid)
+            an_inv = np.linalg.inv(W + (sizes - 1)[:, None, None] * B)
+            a_inv = np.linalg.inv(W - B) if sizes[-1] > 1 else np.zeros_like(W)
+            c = (an_inv - a_inv) / sizes[:, None, None]
+            factors.append((a_inv, c[np.searchsorted(sizes, r.sizes)]))
         return factors
 
 
@@ -404,6 +407,7 @@ def fit(
     else:
         iterations, converged, max_delta = 0, False, math.inf
         for k in range(1, options.max_iter + 1):
+            vd = None  # release the last V^{-1} D before the next is built
             theta_new, A, b, vd = ws.solve(ws.factorize(cov_spec, alpha))
             max_delta = float(np.abs(theta_new - theta).max())
             iterations = k
@@ -423,6 +427,7 @@ def fit(
     adjustments = options.adjustments
     if adjustments.enforce_nonneg_corr:
         alpha = _clamp_nonneg(alpha)
+        vd = None
         theta, A, b, vd = ws.solve(ws.factorize(cov_spec, alpha))
     applied = tuple(
         name for name in ("enforce_nonneg_corr", "bias_correct", "t_reference")

@@ -12,15 +12,16 @@ The estimator inverts V in closed form from those blocks; :func:`build_V`
 assembles the dense matrix as a reference.
 
 Parameters are estimated from weighted residuals by the moment formulas
-appropriate to each structure; correlation estimators always standardize by
-the fully disaggregated per-regime, per-time variances, regardless of how the
-variance model itself pools.
+appropriate to each structure, from one :class:`ResidualGroup` per regime
+that stacks every consistent cluster whatever its size; correlation
+estimators always standardize by the fully disaggregated per-regime, per-time
+variances, regardless of how the variance model itself pools.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,9 +39,7 @@ __all__ = [
     "POOLED",
     "AlphaEstimate",
     "ResidualGroup",
-    "ResidualSet",
     "estimate_alpha",
-    "pool_alpha",
     "build_V",
     "cluster_blocks",
 ]
@@ -169,228 +168,149 @@ class AlphaEstimate:
 
 @dataclass(frozen=True)
 class ResidualGroup:
-    """Residuals of same-size clusters replicated under one regime."""
+    """Residuals of the clusters consistent with one regime, one row per
+    individual: cluster ``i`` owns the next ``sizes[i]`` rows of ``eps``."""
 
     cai: EmbeddedCai
     weights: np.ndarray  # (m,)
-    eps: np.ndarray      # (m, n, T+1)
+    sizes: np.ndarray    # (m,)
+    eps: np.ndarray      # (rows, T+1)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
+        n = np.asarray(self.sizes, dtype=np.intp)
         e = np.asarray(self.eps, dtype=float)
-        if e.ndim != 3 or w.ndim != 1 or e.shape[0] != w.shape[0]:
-            raise ValueError("eps must be (m, n, T+1) aligned with weights (m,)")
+        if (
+            e.ndim != 2 or w.ndim != 1 or n.shape != w.shape or w.size == 0
+            or n.min() < 1 or n.sum() != e.shape[0]
+        ):
+            raise ValueError(
+                "eps must be (rows, T+1), with weights (m,) and positive sizes (m,) summing to rows"
+            )
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "sizes", n)
         object.__setattr__(self, "eps", e)
 
 
-@dataclass(frozen=True)
-class ResidualSet:
-    groups: Tuple[ResidualGroup, ...]
+def estimate_alpha(
+    groups: Sequence[ResidualGroup],
+    spec: WorkingCovSpec,
+    cais: Sequence[EmbeddedCai],
+) -> AlphaEstimate:
+    """Weighted moment estimates of all parameters the spec demands.
 
-    @classmethod
-    def from_entries(
-        cls, entries: Iterable[Tuple[EmbeddedCai, float, np.ndarray]]
-    ) -> "ResidualSet":
-        """Build from per-(cluster, regime) triples ``(cai, weight, eps[n, T+1])``."""
-        groups = [
-            ResidualGroup(cai, np.array([w]), np.asarray(e, dtype=float)[None])
-            for cai, w, e in entries
-        ]
-        return cls(tuple(groups))
-
-    @property
-    def n_times(self) -> int:
-        if not self.groups:
-            raise InsufficientData("residual set is empty")
-        return self.groups[0].eps.shape[2]
-
-    def cais(self) -> List[EmbeddedCai]:
-        seen: List[EmbeddedCai] = []
-        for g in self.groups:
-            if g.cai not in seen:
-                seen.append(g.cai)
-        return seen
-
-
-def _std_variances(
-    res: ResidualSet, cais: Sequence[EmbeddedCai]
-) -> Tuple[Dict[EmbeddedCai, np.ndarray], Dict[EmbeddedCai, np.ndarray], Dict[EmbeddedCai, float]]:
-    """Per-regime, per-time weighted mean squared residuals (never pooled)."""
-    n_times = res.n_times
-    num = {d: np.zeros(n_times) for d in cais}
-    den = {d: 0.0 for d in cais}
-    for g in res.groups:
-        if g.cai not in num:
-            raise InsufficientData(f"residuals present for unexpected regime {g.cai}")
-        num[g.cai] += np.einsum("m,mjt->t", g.weights, g.eps**2)
-        den[g.cai] += float(g.weights.sum()) * g.eps.shape[1]
-    out = {}
-    for d in cais:
-        if den[d] == 0.0:
-            raise InsufficientData(f"no residuals inform variance cells for regime {d}")
-        out[d] = num[d] / den[d]
-    return out, num, den
-
-
-def _standardized(groups: Iterable[ResidualGroup], s2: Dict[EmbeddedCai, np.ndarray]):
+    Every moment is a weighted sum of per-row statistics (weights repeated
+    over each cluster's rows) or of per-cluster sums of rows, accumulated per
+    regime, or over all of them when the spec pools.  Singletons contribute
+    to no between-person moment: their n (n - 1) weights are zero.
+    """
+    if not groups:
+        raise InsufficientData("no residuals to estimate from")
+    n_times = groups[0].eps.shape[1]
+    T = n_times - 1
+    index = {d: k for k, d in enumerate(cais)}
+    s2_num = np.zeros((len(cais), n_times))
+    s2_den = np.zeros(len(cais))
     for g in groups:
-        sig = np.sqrt(s2[g.cai])
-        if np.any(sig == 0.0):
+        if g.cai not in index:
+            raise InsufficientData(f"residuals present for unexpected regime {g.cai}")
+        s2_num[index[g.cai]] += np.repeat(g.weights, g.sizes) @ g.eps**2
+        s2_den[index[g.cai]] += g.weights @ g.sizes
+    for d, den in zip(cais, s2_den):
+        if den == 0.0:
+            raise InsufficientData(f"no residuals inform variance cells for regime {d}")
+    # correlation estimators standardize by these, whatever the variance pooling
+    s2_std = s2_num / s2_den[:, None]
+
+    # marginal variances at the requested pooling level
+    if spec.variance_cai is VarianceCai.HETEROGENEOUS:
+        var_keys, per_time = list(cais), s2_std
+    else:
+        var_keys, per_time = [POOLED], s2_num.sum(axis=0, keepdims=True) / s2_den.sum()
+    if spec.variance_time is VarianceTime.HETEROSCEDASTIC:
+        sigma2 = {(dk, k): float(v) for dk, row in zip(var_keys, per_time) for k, v in enumerate(row)}
+    else:
+        sigma2 = {(dk, POOLED): float(row.mean()) for dk, row in zip(var_keys, per_time)}
+
+    within = spec.within_corr if T >= 1 else WithinCorr.INDEPENDENT
+    between = spec.between_corr
+    if within is WithinCorr.INDEPENDENT and between is BetweenCorr.INDEPENDENT:
+        return AlphaEstimate(n_times=n_times, sigma2=sigma2)
+    for g in groups:
+        if np.any(s2_std[index[g.cai]] == 0.0):
             raise DegenerateVariance(
                 f"zero variance for regime {g.cai}; cannot standardize residuals"
             )
-        yield g, g.eps / sig
 
+    het_corr = spec.corr_cai is CorrCai.HETEROGENEOUS
+    corr_keys = list(cais) if het_corr else [POOLED]
+    upper_w, upper_b = np.triu_indices(n_times, 1), np.triu_indices(n_times)
+    cells_w = _cells(upper_w) if within is WithinCorr.UNSTRUCTURED else [()]
+    cells_b = _cells(upper_b) if between is BetweenCorr.UNSTRUCTURED else [()]
+    # per correlation key: the moment numerators, one per cell, and the sums
+    # of w n and of w n (n - 1) that scale their denominators
+    num_w = np.zeros((len(corr_keys), len(cells_w)))
+    num_b = np.zeros((len(corr_keys), len(cells_b)))
+    people = np.zeros(len(corr_keys))
+    pairs = np.zeros(len(corr_keys))
+    for g in groups:
+        k = index[g.cai] if het_corr else 0
+        w_rows = np.repeat(g.weights, g.sizes)
+        z = g.eps / np.sqrt(s2_std[index[g.cai]])
+        people[k] += g.weights @ g.sizes
+        pairs[k] += g.weights @ (g.sizes * (g.sizes - 1.0))
+        if within is WithinCorr.AR1:
+            num_w[k] += w_rows @ (z[:, :-1] * z[:, 1:]).sum(axis=1)
+        elif within is WithinCorr.EXCHANGEABLE:
+            num_w[k] += w_rows @ (z.sum(axis=1) ** 2 - (z**2).sum(axis=1))
+        elif within is WithinCorr.UNSTRUCTURED:
+            num_w[k] += ((w_rows[:, None] * z).T @ z)[upper_w]
+        if between is BetweenCorr.EXCHANGEABLE:
+            person = z.sum(axis=1)
+            total = np.add.reduceat(person, _starts(g.sizes))
+            num_b[k] += g.weights @ total**2 - w_rows @ person**2
+        elif between is BetweenCorr.UNSTRUCTURED:
+            col = np.add.reduceat(z, _starts(g.sizes))
+            num_b[k] += ((g.weights[:, None] * col).T @ col - (w_rows[:, None] * z).T @ z)[upper_b]
 
-def estimate_alpha(
-    res: ResidualSet,
-    spec: WorkingCovSpec,
-    cais: Optional[Sequence[EmbeddedCai]] = None,
-) -> AlphaEstimate:
-    """Weighted moment estimates of all parameters the spec demands."""
-    if cais is None:
-        cais = res.cais()
-    n_times = res.n_times
-    T = n_times - 1
-    s2_std, s2_num, s2_den = _std_variances(res, cais)
-
-    # marginal variances at the requested pooling level
-    sigma2: Dict[Tuple[DKey, TKey], float] = {}
-    het_cai = spec.variance_cai is VarianceCai.HETEROGENEOUS
-    het_time = spec.variance_time is VarianceTime.HETEROSCEDASTIC
-    if het_cai:
-        per_time = {d: s2_std[d] for d in cais}
-    else:
-        pooled = sum(s2_num[d] for d in cais) / sum(s2_den[d] for d in cais)
-        per_time = {POOLED: pooled}
-    for dk, values in per_time.items():
-        if het_time:
-            for k in range(n_times):
-                sigma2[(dk, k)] = float(values[k])
-        else:
-            sigma2[(dk, POOLED)] = float(values.mean())
-
-    corr_keys = cais if spec.corr_cai is CorrCai.HETEROGENEOUS else [POOLED]
-
-    def dkey(d: EmbeddedCai) -> DKey:
-        return d if spec.corr_cai is CorrCai.HETEROGENEOUS else POOLED
-
-    rho_w: Dict[tuple, float] = {}
-    rho_b: Dict[tuple, float] = {}
     clipped = False
 
-    def finalize(num: Dict, den: Dict, target: Dict, what: str) -> None:
+    def moments(num: np.ndarray, den: np.ndarray, cells, what: str) -> Dict[tuple, float]:
         # moment ratios can stray outside [-1, 1] in small samples; store the
         # admissible value and let matrix assembly apply the open-interval clip
         nonlocal clipped
-        for key, denom in den.items():
+        for key, denom in zip(corr_keys, den):
             if denom == 0.0:
-                raise InsufficientData(f"no residuals inform {what} cell {key}")
-            value = num[key] / denom
-            clipped = clipped or abs(value) > _CLIP
-            target[key] = min(max(float(value), -1.0), 1.0)
+                raise InsufficientData(f"no residuals inform {what} cell {(key, *cells[0])}")
+        value = num / den[:, None]
+        clipped = clipped or bool(np.any(np.abs(value) > _CLIP))
+        value = np.clip(value, -1.0, 1.0)
+        return {(key, *cell): float(v) for key, row in zip(corr_keys, value) for cell, v in zip(cells, row)}
 
-    if spec.within_corr is not WithinCorr.INDEPENDENT and T >= 1:
-        if spec.within_corr is WithinCorr.AR1:
-            num = {(k,): 0.0 for k in corr_keys}
-            den = {(k,): 0.0 for k in corr_keys}
-            for g, z in _standardized(res.groups, s2_std):
-                key = (dkey(g.cai),)
-                num[key] += float(np.einsum("m,mjl,mjl->", g.weights, z[:, :, :-1], z[:, :, 1:]))
-                den[key] += float(g.weights.sum()) * g.eps.shape[1] * T
-            finalize(num, den, rho_w, "AR(1) within-person")
-        elif spec.within_corr is WithinCorr.EXCHANGEABLE:
-            num = {(k,): 0.0 for k in corr_keys}
-            den = {(k,): 0.0 for k in corr_keys}
-            for g, z in _standardized(res.groups, s2_std):
-                key = (dkey(g.cai),)
-                s = z.sum(axis=2)
-                q = (z**2).sum(axis=2)
-                num[key] += float(g.weights @ (s**2 - q).sum(axis=1))
-                den[key] += float(g.weights.sum()) * g.eps.shape[1] * n_times * T
-            finalize(num, den, rho_w, "exchangeable within-person")
-        else:  # unstructured, one cell per ordered-below time pair
-            pairs = [(l, m) for l in range(n_times) for m in range(l + 1, n_times)]
-            num = {(k, l, m): 0.0 for k in corr_keys for l, m in pairs}
-            den = {(k, l, m): 0.0 for k in corr_keys for l, m in pairs}
-            for g, z in _standardized(res.groups, s2_std):
-                dk = dkey(g.cai)
-                cross = np.einsum("m,mjl,mjk->lk", g.weights, z, z)
-                d_tot = float(g.weights.sum()) * g.eps.shape[1]
-                for l, m in pairs:
-                    num[(dk, l, m)] += float(cross[l, m])
-                    den[(dk, l, m)] += d_tot
-            finalize(num, den, rho_w, "unstructured within-person")
-
-    if spec.between_corr is not BetweenCorr.INDEPENDENT:
-        if spec.between_corr is BetweenCorr.EXCHANGEABLE:
-            num = {(k,): 0.0 for k in corr_keys}
-            den = {(k,): 0.0 for k in corr_keys}
-            for g, z in _standardized(res.groups, s2_std):
-                n = g.eps.shape[1]
-                if n < 2:
-                    continue  # singletons carry no between-person pairs
-                key = (dkey(g.cai),)
-                total = z.sum(axis=(1, 2))
-                person = z.sum(axis=2)
-                num[key] += float(g.weights @ (total**2 - (person**2).sum(axis=1)))
-                den[key] += float(g.weights.sum()) * n * (n - 1) * n_times**2
-            finalize(num, den, rho_b, "exchangeable between-person")
-        else:  # unstructured: full time-pair table including same-time cells
-            pairs = [(l, m) for l in range(n_times) for m in range(l, n_times)]
-            num = {(k, l, m): 0.0 for k in corr_keys for l, m in pairs}
-            den = {(k, l, m): 0.0 for k in corr_keys for l, m in pairs}
-            for g, z in _standardized(res.groups, s2_std):
-                n = g.eps.shape[1]
-                if n < 2:
-                    continue
-                dk = dkey(g.cai)
-                col = z.sum(axis=1)
-                cross = np.einsum("m,ml,mk->lk", g.weights, col, col) - np.einsum(
-                    "m,mjl,mjk->lk", g.weights, z, z
-                )
-                d_tot = float(g.weights.sum()) * n * (n - 1)
-                for l, m in pairs:
-                    num[(dk, l, m)] += float(cross[l, m])
-                    den[(dk, l, m)] += d_tot
-            finalize(num, den, rho_b, "unstructured between-person")
+    rho_w: Dict[tuple, float] = {}
+    rho_b: Dict[tuple, float] = {}
+    if within is WithinCorr.AR1:
+        rho_w = moments(num_w, people * T, cells_w, "AR(1) within-person")
+    elif within is WithinCorr.EXCHANGEABLE:
+        rho_w = moments(num_w, people * n_times * T, cells_w, "exchangeable within-person")
+    elif within is WithinCorr.UNSTRUCTURED:
+        rho_w = moments(num_w, people, cells_w, "unstructured within-person")
+    if between is BetweenCorr.EXCHANGEABLE:
+        rho_b = moments(num_b, pairs * n_times**2, cells_b, "exchangeable between-person")
+    elif between is BetweenCorr.UNSTRUCTURED:
+        rho_b = moments(num_b, pairs, cells_b, "unstructured between-person")
 
     return AlphaEstimate(
         n_times=n_times, sigma2=sigma2, rho_w=rho_w, rho_b=rho_b, clipped=clipped
     )
 
 
-def pool_alpha(alpha: AlphaEstimate, spec: WorkingCovSpec) -> AlphaEstimate:
-    """Average an existing estimate down to the spec's pooling level.
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    return np.cumsum(sizes) - sizes
 
-    Pooling over time takes the arithmetic mean of per-time variances;
-    pooling over regimes averages the per-regime estimates.  Idempotent.
-    """
-    het_cai = spec.variance_cai is VarianceCai.HETEROGENEOUS
-    het_time = spec.variance_time is VarianceTime.HETEROSCEDASTIC
 
-    grouped: Dict[Tuple[DKey, TKey], List[float]] = {}
-    for (dk, tk), v in alpha.sigma2.items():
-        target = (dk if het_cai else POOLED, tk if het_time else POOLED)
-        grouped.setdefault(target, []).append(v)
-    sigma2 = {k: float(np.mean(vs)) for k, vs in grouped.items()}
-
-    def pool_corr(table: Dict[tuple, float]) -> Dict[tuple, float]:
-        if spec.corr_cai is CorrCai.HETEROGENEOUS:
-            return dict(table)
-        out: Dict[tuple, List[float]] = {}
-        for key, v in table.items():
-            out.setdefault((POOLED, *key[1:]), []).append(v)
-        return {k: float(np.mean(vs)) for k, vs in out.items()}
-
-    return AlphaEstimate(
-        n_times=alpha.n_times,
-        sigma2=sigma2,
-        rho_w=pool_corr(alpha.rho_w),
-        rho_b=pool_corr(alpha.rho_b),
-        clipped=alpha.clipped,
-    )
+def _cells(upper: Tuple[np.ndarray, np.ndarray]) -> List[Tuple[int, int]]:
+    return list(zip(upper[0].tolist(), upper[1].tolist()))
 
 
 def _clip_open(rho: float) -> float:
@@ -441,30 +361,34 @@ def cluster_blocks(
     of each size in ``sizes`` under ``d``.
 
     V = I_n (x) (W' - B') + J_n (x) B', so its spectrum is spec(W' - B')
-    repeated n - 1 times together with spec(W' + (n - 1) B').  This is the one
+    repeated n - 1 times together with spec(W' + (n - 1) B'); the latter are
+    computed for every distinct size in one stacked call.  This is the one
     positive-definiteness rule: :class:`NotPositiveDefinite`, naming the
     smallest failing n, when the smallest eigenvalue over those spectra is at
     most 1e-10 of the largest.  ``grid`` may be a :class:`TimeGrid` or a bare
     count of measurement times (single-time analyses have no grid object).
     """
-    if not sizes or min(sizes) < 1:
+    n = np.unique(np.asarray(sizes, dtype=int))
+    if n.size == 0 or n[0] < 1:
         raise ValueError("cluster sizes must be positive")
     n_times = grid if isinstance(grid, int) else grid.n_times
     s = np.sqrt([alpha.sigma2_at(spec, d, k) for k in range(n_times)])
     scale = np.outer(s, s)
     W = scale * _within_block(spec, alpha, d, n_times)
     B = scale * _between_block(spec, alpha, d, n_times)
-    shared = np.linalg.eigvalsh(W - B) if max(sizes) > 1 else None
-    for n in sorted(sizes):
-        eig = np.linalg.eigvalsh(W + (n - 1) * B)
-        lo, hi = eig[0], eig[-1]
-        if n > 1:
-            lo, hi = min(lo, shared[0]), max(hi, shared[-1])
-        if lo <= 1e-10 * max(hi, 0.0):
-            raise NotPositiveDefinite(
-                f"working covariance for regime {d}, cluster size {n} is not positive "
-                f"definite (eigenvalue range [{lo:.3e}, {hi:.3e}])"
-            )
+    eig = np.linalg.eigvalsh(W + (n - 1)[:, None, None] * B)
+    lo, hi = eig[:, 0], eig[:, -1]
+    if n[-1] > 1:
+        shared = np.linalg.eigvalsh(W - B)
+        lo = np.where(n > 1, np.minimum(lo, shared[0]), lo)
+        hi = np.where(n > 1, np.maximum(hi, shared[-1]), hi)
+    failing = np.flatnonzero(lo <= 1e-10 * np.maximum(hi, 0.0))
+    if failing.size:
+        i = failing[0]
+        raise NotPositiveDefinite(
+            f"working covariance for regime {d}, cluster size {n[i]} is not positive "
+            f"definite (eigenvalue range [{lo[i]:.3e}, {hi[i]:.3e}])"
+        )
     return W, B
 
 

@@ -557,8 +557,9 @@ class TestRecordRoute:
         spec = MeanModelSpec.piecewise_linear(design, grid012, covariate_terms=xc + xi)
         ws_parsed, ws_records = _make_workspace(parsed, spec), _make_workspace(records, spec)
         np.testing.assert_array_equal(ws_parsed.weights, ws_records.weights)
-        for g, h in zip(ws_parsed.groups, ws_records.groups, strict=True):
-            assert (g.cai, g.n) == (h.cai, h.n)
+        for g, h in zip(ws_parsed.regimes, ws_records.regimes, strict=True):
+            assert g.cai == h.cai
+            np.testing.assert_array_equal(g.sizes, h.sizes)
             np.testing.assert_array_equal(g.cluster_pos, h.cluster_pos)
             np.testing.assert_array_equal(g.design, h.design)
             np.testing.assert_array_equal(g.y, h.y)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -262,21 +264,29 @@ class TestFit:
         ws = _make_workspace(ds, spec)
         cais = enumerate_cais(design)
         # every consistent (cluster, regime) pair once, in canonical regime,
-        # ascending size, ascending position order
+        # then ascending position order
         expected = [
             (cais.index(d), cl.n, pos, d)
             for pos, cl in enumerate(ds.clusters)
             for d in cais
             if consistency_indicator(cl, d, design)
         ]
-        got = [(cais.index(g.cai), g.n, pos, g.cai) for g in ws.groups for pos in g.cluster_pos]
-        assert got == sorted(expected, key=lambda e: e[:3])
-        for g in ws.groups:
-            for row_idx, pos in enumerate(g.cluster_pos):
+        got = [
+            (cais.index(r.cai), n, pos, r.cai)
+            for r in ws.regimes
+            for n, pos in zip(r.sizes.tolist(), r.cluster_pos.tolist())
+        ]
+        assert got == sorted(expected, key=lambda e: (e[0], e[2]))
+        for r in ws.regimes:
+            for i, (pos, start, n) in enumerate(zip(r.cluster_pos, r.starts, r.sizes)):
                 cl = ds.clusters[pos]
-                assert cl.n == g.n
-                np.testing.assert_array_equal(g.design[row_idx], stack_design_matrix(spec, g.cai, cl, ds))
-                np.testing.assert_array_equal(g.y[row_idx], [v for ind in cl.individuals for v in ind.y])
+                assert cl.n == n
+                rows = slice(start, start + n)
+                design_rows = r.design[rows].reshape(-1, spec.n_params)
+                np.testing.assert_array_equal(design_rows, stack_design_matrix(spec, r.cai, cl, ds))
+                np.testing.assert_array_equal(r.y[rows].ravel(), [v for ind in cl.individuals for v in ind.y])
+                scale = np.abs(r.design[rows]).sum(axis=0)
+                assert np.all(np.abs(r.design_sum[i] - r.design[rows].sum(axis=0)) <= 1e-14 * scale)
 
 
 class TestSandwich:
@@ -527,6 +537,31 @@ class TestAdjustments:
         solves = 1 + res.iterations + adjustments.enforce_nonneg_corr
         assert calls == {"solve": solves, "normal_equations": solves, "_vinv_design": solves}
 
+    @pytest.mark.parametrize(
+        "adjustments", [AdjustmentOptions(), AdjustmentOptions.all()], ids=["none", "all"]
+    )
+    def test_previous_vinv_design_released_before_next(self, design2, grid012, monkeypatch, adjustments):
+        # fit holds one V^{-1} D at a time, never the last one beside the next
+        rng = np.random.default_rng(13)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        original = gee._Workspace._vinv_design
+        live, alive_at_call = [], []
+
+        def wrapper(self, factors):
+            gc.collect()
+            alive_at_call.append(sum(ref() is not None for ref in live))
+            live.clear()
+            out = original(self, factors)
+            if factors is not None:  # the identity returns the workspace's own design
+                live.extend(weakref.ref(a) for a in out)
+            return out
+
+        monkeypatch.setattr(gee._Workspace, "_vinv_design", wrapper)
+        res = fit(ds, spec, EXCH, FitOptions(adjustments=adjustments))
+        assert res.iterations >= 2
+        assert alive_at_call == [0] * (1 + res.iterations + adjustments.enforce_nonneg_corr)
+
 
 class TestEndOfStudyComparator:
     def test_singleton_clusters_match_weighted_mean(self, design2, grid012):
@@ -694,12 +729,19 @@ class TestClosedFormInverse:
         spec = WorkingCovSpec(VarianceTime.HETEROSCEDASTIC, VarianceCai.HETEROGENEOUS, within, between, corr_cai)
         rng = np.random.default_rng(30)
         grids = {1: TimeGrid((2.0,), knot=2.0), 3: TimeGrid((0.0, 1.0, 2.0), knot=1.0)}
-        raised = 0
-        # rho_b = -0.9 breaks A_n' and rho_b = 0.6 can break A' = W - B
-        for n_times, n, rho_b in itertools.product((1, 3), (1, 2, 5, 6), (None, -0.9, 0.6)):
+        raised = singletons_beside_larger = 0
+        # rho_b = -0.9 breaks A_n' and rho_b = 0.6 can break A' = W - B; the
+        # last datasets mix sizes, so that one regime holds several C's and
+        # singletons sit beside larger clusters
+        rhos = (None, -0.9, 0.6)
+        inputs = [
+            *itertools.product((1, 3), [(1,), (2,), (5,), (6,)], rhos),
+            *itertools.product((1, 3), [(1, 2, 5, 6)], rhos),
+        ]
+        for n_times, sizes, rho_b in inputs:
             grid = grids[n_times]
             ds = random_design2_dataset(
-                rng, 16, grid, design2, sizes=(n,),
+                rng, 16, grid, design2, sizes=sizes,
                 cluster_covariates=("u",), individual_covariates=("v",),
             )
             basis = make_saturated_basis(design2, grid)
@@ -707,7 +749,7 @@ class TestClosedFormInverse:
             ws = _make_workspace(ds, mean_spec)
             alpha = full_alpha(rng, ws.cais, n_times, rho_b)
             dense = {}
-            for key in {(g.cai, g.n) for g in ws.groups}:
+            for key in {(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}:
                 eig = np.linalg.eigvalsh(unchecked_V(spec, alpha, *key, n_times))
                 if eig[0] <= 1e-10 * max(eig[-1], 0.0):
                     with pytest.raises(NotPositiveDefinite):
@@ -720,12 +762,16 @@ class TestClosedFormInverse:
                 with pytest.raises(NotPositiveDefinite):
                     ws.factorize(spec, alpha)
                 continue
-            for g, vd in zip(ws.groups, ws._vinv_design(ws.factorize(spec, alpha))):
-                for D, got in zip(g.design, vd):
-                    want = cho_solve(dense[(g.cai, g.n)], D)
+            for r, vd in zip(ws.regimes, ws._vinv_design(ws.factorize(spec, alpha))):
+                singletons_beside_larger += 1 in r.sizes and r.sizes.max() > 1
+                for start, n in zip(r.starts, r.sizes):
+                    D = r.design[start : start + n].reshape(-1, mean_spec.n_params)
+                    got = vd[start : start + n].reshape(D.shape)
+                    want = cho_solve(dense[(r.cai, n)], D)
                     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         # rho_b = -0.9 makes every V of five or more people indefinite
         assert raised >= (0 if between is BetweenCorr.INDEPENDENT else 4)
+        assert singletons_beside_larger > 0
 
     def test_same_rejection_as_dense(self, design2, grid012):
         spec = WorkingCovSpec(
@@ -789,8 +835,8 @@ class TestClosedFormInverse:
         for name in calls:
             monkeypatch.setattr(workingcov, name, counted(name, getattr(workingcov, name)))
         ws.factorize(UNSTR, alpha)
-        regimes = {g.cai for g in ws.groups}
-        assert len({(g.cai, g.n) for g in ws.groups}) > len(regimes) == 4
+        regimes = {r.cai for r in ws.regimes}
+        assert len({(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}) > len(regimes) == 4
         assert calls == {"_within_block": 4, "_between_block": 4}
 
     @pytest.mark.parametrize("cov_spec", [EXCH, UNSTR], ids=["exchangeable", "unstructured"])

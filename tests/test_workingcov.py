@@ -11,14 +11,12 @@ from smartlong import (
     CorrCai,
     EmbeddedCai,
     ResidualGroup,
-    ResidualSet,
     VarianceCai,
     VarianceTime,
     WithinCorr,
     WorkingCovSpec,
     build_V,
     estimate_alpha,
-    pool_alpha,
     workingcov,
 )
 from smartlong.errors import DegenerateVariance, InsufficientData, NotPositiveDefinite
@@ -29,16 +27,33 @@ D1M = EmbeddedCai(1, None, -1)
 HET = dict(variance_time=VarianceTime.HETEROSCEDASTIC, variance_cai=VarianceCai.HETEROGENEOUS)
 
 
-def residual_set(entries):
-    return ResidualSet.from_entries(entries)
+def residual_groups(entries):
+    """One :class:`ResidualGroup` per regime from per-(cluster, regime)
+    triples ``(cai, weight, eps[n, T+1])``, clusters in entry order."""
+    by_regime = {}
+    for cai, w, eps in entries:
+        by_regime.setdefault(cai, []).append((w, np.asarray(eps, dtype=float)))
+    return [
+        ResidualGroup(
+            cai,
+            [w for w, _ in members],
+            [len(e) for _, e in members],
+            np.concatenate([e for _, e in members]),
+        )
+        for cai, members in by_regime.items()
+    ]
 
 
 def naive_alpha(entries, spec, cais):
-    """Loop-level transcription of the weighted moment estimators (oracle)."""
+    """Loop-level transcription of the weighted moment estimators (oracle).
+
+    Returns the variances at the spec's pooling level (regimes pooled as
+    sum of numerators over sum of denominators, times as the arithmetic
+    mean), and the correlations."""
     n_times = entries[0][2].shape[1]
     T = n_times - 1
     # fully disaggregated variances, used for standardization
-    s2 = {}
+    s2, s2_num, s2_den = {}, {}, {}
     for d in cais:
         num = np.zeros(n_times)
         den = 0.0
@@ -50,7 +65,16 @@ def naive_alpha(entries, spec, cais):
                     num[k] += w * eps[j, k] ** 2
             den += w * eps.shape[0]
         s2[d] = num / den
+        s2_num[d], s2_den[d] = num, den
     sigma = {d: np.sqrt(v) for d, v in s2.items()}
+    if spec.variance_cai is VarianceCai.HETEROGENEOUS:
+        levels = s2
+    else:
+        levels = {POOLED: sum(s2_num.values()) / sum(s2_den.values())}
+    if spec.variance_time is VarianceTime.HETEROSCEDASTIC:
+        sigma2 = {(dk, k): v[k] for dk, v in levels.items() for k in range(n_times)}
+    else:
+        sigma2 = {(dk, POOLED): sum(v) / n_times for dk, v in levels.items()}
 
     def dkeys():
         return cais if spec.corr_cai is CorrCai.HETEROGENEOUS else [POOLED]
@@ -132,7 +156,7 @@ def naive_alpha(entries, spec, cais):
                 for k in num:
                     if den[k] > 0:
                         rho_b[(k, l, m)] = num[k] / den[k]
-    return s2, rho_w, rho_b
+    return sigma2, rho_w, rho_b
 
 
 def random_entries(rng, cais, n_entries=40, n_times=3, sizes=(1, 2, 3)):
@@ -153,7 +177,7 @@ class TestEstimateAlpha:
         spec = WorkingCovSpec(
             within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
-        alpha = estimate_alpha(residual_set(entries), spec, [D11])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
         assert alpha.rho_w == {} and alpha.rho_b == {}
         # Table A2 weighted mean of squared residuals
         expected = sum(e[2][:, 0] @ e[2][:, 0] for e in entries) / (5 * 2)
@@ -164,7 +188,7 @@ class TestEstimateAlpha:
             within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
         entries = [(D11, 4.0, np.array([[1.0, 1.0]]))]
-        alpha = estimate_alpha(residual_set(entries), spec, [D11])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
         assert alpha.sigma2[(D11, 0)] == pytest.approx(1.0)
         assert alpha.sigma2[(D11, 1)] == pytest.approx(1.0)
         assert alpha.rho_w[(D11, 0, 1)] == pytest.approx(1.0)  # weights cancel
@@ -177,7 +201,7 @@ class TestEstimateAlpha:
             (D11, 1.0, np.array([[1.0], [1.0]])),
             (D11, 1.0, np.array([[1.0], [-1.0]])),
         ]
-        alpha = estimate_alpha(residual_set(entries), spec, [D11])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
         assert alpha.sigma2[(D11, 0)] == pytest.approx(1.0)
         assert alpha.rho_b[(D11,)] == pytest.approx(0.0)
 
@@ -187,22 +211,24 @@ class TestEstimateAlpha:
         )
         # residual series (1, 2, 4): lag-1 standardized products are all 1
         entries = [(D11, 1.0, np.array([[1.0, 2.0, 4.0]]))]
-        alpha = estimate_alpha(residual_set(entries), spec, [D11])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
         assert alpha.rho_w[(D11,)] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("within", [WithinCorr.AR1, WithinCorr.EXCHANGEABLE, WithinCorr.UNSTRUCTURED])
     @pytest.mark.parametrize("between", [BetweenCorr.EXCHANGEABLE, BetweenCorr.UNSTRUCTURED])
     @pytest.mark.parametrize("corr_cai", [CorrCai.HETEROGENEOUS, CorrCai.HOMOGENEOUS])
-    def test_matches_naive_transcription(self, within, between, corr_cai):
+    @pytest.mark.parametrize("variance_time", list(VarianceTime))
+    @pytest.mark.parametrize("variance_cai", list(VarianceCai))
+    def test_matches_naive_transcription(self, within, between, corr_cai, variance_time, variance_cai):
         rng = np.random.default_rng(hash((within, between, corr_cai)) % 2**31)
         cais = [D11, D1M]
         entries = random_entries(rng, cais)
-        spec = WorkingCovSpec(within_corr=within, between_corr=between, corr_cai=corr_cai, **HET)
-        alpha = estimate_alpha(residual_set(entries), spec, cais)
+        spec = WorkingCovSpec(variance_time, variance_cai, within, between, corr_cai)
+        alpha = estimate_alpha(residual_groups(entries), spec, cais)
         s2, rho_w, rho_b = naive_alpha(entries, spec, cais)
-        for d in cais:
-            for k in range(3):
-                assert alpha.sigma2[(d, k)] == pytest.approx(s2[d][k])
+        assert alpha.sigma2.keys() == s2.keys()
+        for key, v in s2.items():
+            assert alpha.sigma2[key] == pytest.approx(v)
         for key, v in rho_w.items():
             assert alpha.rho_w[key] == pytest.approx(np.clip(v, -1, 1))
         for key, v in rho_b.items():
@@ -213,9 +239,9 @@ class TestEstimateAlpha:
         cais = [D11, D1M]
         entries = random_entries(rng, cais)
         spec = WorkingCovSpec(within_corr=WithinCorr.EXCHANGEABLE, between_corr=BetweenCorr.EXCHANGEABLE, **HET)
-        a1 = estimate_alpha(residual_set(entries), spec, cais)
+        a1 = estimate_alpha(residual_groups(entries), spec, cais)
         scaled = [(c, 7.5 * w, e) for c, w, e in entries]
-        a2 = estimate_alpha(residual_set(scaled), spec, cais)
+        a2 = estimate_alpha(residual_groups(scaled), spec, cais)
         for key in a1.sigma2:
             assert a1.sigma2[key] == pytest.approx(a2.sigma2[key])
         for key in a1.rho_w:
@@ -232,7 +258,7 @@ class TestEstimateAlpha:
             (D11, 1.0, rng.normal(size=(1, 2))),  # singleton: no pairs
             (D11, 1.0, rng.normal(size=(3, 2))),
         ]
-        alpha = estimate_alpha(residual_set(entries), spec, [D11])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
         assert (D11,) in alpha.rho_b
 
     def test_insufficient_data_when_no_cluster_informs_cell(self):
@@ -241,19 +267,19 @@ class TestEstimateAlpha:
         )
         entries = [(D11, 1.0, np.ones((1, 2)))]  # singletons only
         with pytest.raises(InsufficientData):
-            estimate_alpha(residual_set(entries), spec, [D11])
+            estimate_alpha(residual_groups(entries), spec, [D11])
 
     def test_insufficient_data_for_missing_regime(self):
         spec = WorkingCovSpec(within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET)
         entries = [(D11, 1.0, np.ones((2, 2)))]
         with pytest.raises(InsufficientData):
-            estimate_alpha(residual_set(entries), spec, [D11, D1M])
+            estimate_alpha(residual_groups(entries), spec, [D11, D1M])
 
     def test_degenerate_variance(self):
         spec = WorkingCovSpec(within_corr=WithinCorr.EXCHANGEABLE, between_corr=BetweenCorr.INDEPENDENT, **HET)
         entries = [(D11, 1.0, np.zeros((2, 3)))]
         with pytest.raises(DegenerateVariance):
-            estimate_alpha(residual_set(entries), spec, [D11])
+            estimate_alpha(residual_groups(entries), spec, [D11])
 
     def test_pooled_variance_over_cai(self):
         spec = WorkingCovSpec(
@@ -266,50 +292,10 @@ class TestEstimateAlpha:
             (D11, 2.0, np.array([[1.0, 2.0]])),
             (D1M, 1.0, np.array([[2.0, 0.0], [2.0, 0.0]])),
         ]
-        alpha = estimate_alpha(residual_set(entries), spec, [D11, D1M])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11, D1M])
         # Table A2 pooled: sum_d sums in numerator and denominator
         assert alpha.sigma2[(POOLED, 0)] == pytest.approx((2 * 1 + 1 * 8) / (2 + 2))
         assert alpha.sigma2[(POOLED, 1)] == pytest.approx((2 * 4 + 0) / 4)
-
-
-class TestPoolAlpha:
-    def test_time_pooling_is_arithmetic_mean(self):
-        alpha = AlphaEstimate(n_times=2, sigma2={(D11, 0): 1.0, (D11, 1): 3.0})
-        spec = WorkingCovSpec(
-            variance_time=VarianceTime.HOMOSCEDASTIC,
-            variance_cai=VarianceCai.HETEROGENEOUS,
-            within_corr=WithinCorr.INDEPENDENT,
-            between_corr=BetweenCorr.INDEPENDENT,
-        )
-        pooled = pool_alpha(alpha, spec)
-        assert pooled.sigma2 == {(D11, POOLED): 2.0}
-
-    def test_idempotent(self):
-        alpha = AlphaEstimate(n_times=2, sigma2={(D11, POOLED): 2.0})
-        spec = WorkingCovSpec(
-            variance_time=VarianceTime.HOMOSCEDASTIC,
-            variance_cai=VarianceCai.HETEROGENEOUS,
-            within_corr=WithinCorr.INDEPENDENT,
-            between_corr=BetweenCorr.INDEPENDENT,
-        )
-        assert pool_alpha(pool_alpha(alpha, spec), spec) == pool_alpha(alpha, spec)
-
-    def test_cai_pooling_averages_regimes(self):
-        alpha = AlphaEstimate(
-            n_times=2,
-            sigma2={(D11, 0): 1.0, (D1M, 0): 3.0, (D11, 1): 2.0, (D1M, 1): 2.0},
-            rho_w={(D11,): 0.2, (D1M,): 0.4},
-        )
-        spec = WorkingCovSpec(
-            variance_time=VarianceTime.HETEROSCEDASTIC,
-            variance_cai=VarianceCai.HOMOGENEOUS,
-            within_corr=WithinCorr.EXCHANGEABLE,
-            between_corr=BetweenCorr.INDEPENDENT,
-            corr_cai=CorrCai.HOMOGENEOUS,
-        )
-        pooled = pool_alpha(alpha, spec)
-        assert pooled.sigma2[(POOLED, 0)] == pytest.approx(2.0)
-        assert pooled.rho_w[(POOLED,)] == pytest.approx(0.3)
 
 
 class TestBuildV:
@@ -376,7 +362,7 @@ class TestBuildV:
         spec = WorkingCovSpec(
             within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
-        alpha = estimate_alpha(residual_set(entries), spec, [D11])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
         V = build_V(spec, alpha, D11, 2, grid012)
         np.testing.assert_allclose(V, np.diag(np.diag(V)))
 
@@ -405,7 +391,7 @@ class TestBuildV:
             within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
         entries = [(D11, 4.0, np.array([[1.0, 1.0]]))]
-        alpha = estimate_alpha(residual_set(entries), spec, [D11])
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
         assert alpha.rho_w[(D11, 0, 1)] == 1.0
         assert alpha.clipped
         V = build_V(spec, alpha, D11, 1, 2)
