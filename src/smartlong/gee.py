@@ -12,17 +12,22 @@ working covariance misspecification.
 Every cluster's working covariance is block exchangeable,
 V = I_n (x) A' + J_n (x) B' with (T+1) x (T+1) blocks, so its inverse is
 I_n (x) A'^{-1} + J_n (x) C with C = (A_n'^{-1} - A'^{-1}) / n and
-A_n' = A' + n B'.  The engine never forms V: it factorizes the regime blocks
-once per regime and only A_n' per distinct cluster size, and applies V^{-1} D
-as A'^{-1} D_j + C sum_k D_k over each cluster's individuals j; the
-bias-corrected meat uses the Woodbury form of the inverse leverage, one p x p
-solve per cluster.  Work is cubic in T+1 and p and linear in the number of
-observations.  Only C depends on the cluster size, so each regime keeps one
-stack of its consistent clusters, one row per individual, in the dataset's
-canonical sorted-id order; results are reproducible and independent of input
-row order.  The stacks are filled array-at-once from the dataset's columns,
-regime membership and design weights decided once per distinct observed
-pathway.
+A_n' = A' + n B'.  The engine forms neither V nor the design D nor V^{-1} D.
+It factorizes the regime blocks once per regime and only A_n' per distinct
+cluster size.  Individual j's design is D_j = [Gamma_d | 1 x_j'], so with
+G = [Gamma_d | 1], D'V^{-1} D and D'V^{-1} y are sums of G'SG and G'S for
+S = A'^{-1} and each C, weighted by moments of the covariates and outcomes
+built once per regime, over its rows and over its clusters of each distinct
+size.  Each solve so costs O(regimes x distinct sizes x (T+1)^2 x p^2),
+whatever the number of clusters.  Residuals and scores are read from the
+same structure, and the bias-corrected meat uses the Woodbury form of the
+inverse leverage, one p x p solve per cluster; they are linear in the number
+of observations.  Only C depends on the cluster size, so each regime keeps
+one stack of its consistent clusters, one row per individual, in the
+dataset's canonical sorted-id order; results are reproducible and
+independent of input row order.  The stacks are filled array-at-once from
+the dataset's columns, regime membership and design weights decided once per
+distinct observed pathway.
 
 :func:`fit` is the only entry point: it solves, applies the finite-sample
 adjustments and the estimated-weight correction, and assembles the sandwich
@@ -149,19 +154,41 @@ class WeightModel:
 class _Regime:
     """The clusters consistent with one regime, stacked in canonical order:
     cluster ``i`` owns rows ``starts[i] : starts[i] + sizes[i]``, one per
-    individual."""
+    individual.
+
+    Individual j's design is D_j = [Gamma | 1 x_j'] = G E(z_j), with
+    G = [Gamma | 1], z_j = (1, x_j) and E(z) = diag(z_0 I, z_1..q'); a
+    cluster's design sum is G E(z_i) with z_i = (n_i, X_i).  So the regime
+    keeps G and the covariate rows, never D, and the normal equations need
+    only the weighted moments sum w z z' and sum w z Y' (Y the outcome sum
+    of the same rows): over every row for the A'^{-1} term (k = 0), and over
+    the clusters of each distinct size for its C_n term (k = 1..).  ``wzz``
+    and ``wzy`` hold them spread to the parameter layout, entry (i, j)
+    pairing with (G' S G)[g_i, g_j] where g maps each parameter to its
+    column of G; the weights are fixed, so they are built once.
+    """
 
     cai: EmbeddedCai
     cluster_pos: np.ndarray  # (m,) indices into canonical cluster order
     sizes: np.ndarray        # (m,)
     starts: np.ndarray       # (m,)
-    design: np.ndarray       # (rows, T+1, p)
+    basis: np.ndarray        # (T+1, n_gamma + 1), G = [Gamma | 1]
+    x: np.ndarray            # (rows, q) covariate rows
     y: np.ndarray            # (rows, T+1)
-    design_sum: np.ndarray   # (m, T+1, p), each cluster's design summed over its rows
+    x_sum: np.ndarray        # (m, q), each cluster's covariates summed over its rows
+    distinct: np.ndarray     # (k,) distinct cluster sizes, ascending
+    size_idx: np.ndarray     # (m,) each cluster's index into ``distinct``
+    wzz: np.ndarray          # (1+k, p, p)
+    wzy: np.ndarray          # (1+k, p, T+1)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.basis[:, :-1]
 
 
 class _Workspace:
-    """Preassembled design/outcome stacks for one dataset and mean model."""
+    """Per-regime covariate and outcome stacks for one dataset and mean model,
+    with the weighted moments the normal equations are solved from."""
 
     def __init__(self, ds: TrialDataset, mean_spec: MeanModelSpec, weights: np.ndarray) -> None:
         self.ds = ds
@@ -171,6 +198,10 @@ class _Workspace:
         if self.weights.shape != (self.N,) or not np.all(np.isfinite(self.weights) & (self.weights > 0)):
             raise ValueError("weights must be finite and positive, one per cluster")
         self.p = mean_spec.n_params
+        n_gamma, q = mean_spec.n_gamma, self.p - mean_spec.n_gamma
+        # each parameter's column of G and entry of z
+        self._g = np.r_[np.arange(n_gamma), np.full(q, n_gamma)]
+        self._z = np.r_[np.zeros(n_gamma, dtype=int), np.arange(1, q + 1)]
         self.cais = enumerate_cais(ds.design)
         self.regimes = self._build_regimes()
 
@@ -180,7 +211,8 @@ class _Workspace:
         spec, ds = self.mean_spec, self.ds
         sizes = ds.sizes
         first = np.cumsum(sizes) - sizes
-        x = np.empty((len(ds.y), len(spec.covariate_terms)))
+        q = len(spec.covariate_terms)
+        x = np.empty((len(ds.y), q))
         for c_idx, name in enumerate(spec.covariate_terms):
             if name in ds.cluster_covariates:
                 x[:, c_idx] = np.repeat(ds.x_cluster[:, ds.cluster_covariates.index(name)], sizes)
@@ -193,6 +225,7 @@ class _Workspace:
             [[consistency_indicator(p, d, ds.design) for p in ds.pathways] for d in self.cais], dtype=bool
         ).reshape(len(self.cais), len(ds.pathways))
         consistent = by_pathway[:, ds.pathway_index]
+        spread = (slice(None), self._z[:, None], self._z)
         regimes = []
         for k, d in enumerate(self.cais):
             pos = np.flatnonzero(consistent[k])
@@ -202,57 +235,59 @@ class _Workspace:
             n = sizes[pos]
             starts = np.cumsum(n) - n
             person = np.repeat(first[pos] - starts, n) + np.arange(n.sum())
-            xs = x[person]
-            design = np.empty((person.size, len(gamma), self.p))
-            design[..., : spec.n_gamma] = gamma
-            design[..., spec.n_gamma :] = xs[:, None]
-            design_sum = np.empty((pos.size, len(gamma), self.p))
-            design_sum[..., : spec.n_gamma] = n[:, None, None] * gamma
-            design_sum[..., spec.n_gamma :] = np.add.reduceat(xs, starts)[:, None]
-            regimes.append(_Regime(d, pos, n, starts, design, ds.y[person], design_sum))
+            xs, ys = x[person], ds.y[person]
+            x_sum = np.add.reduceat(xs, starts) if q else np.zeros((pos.size, 0))
+            distinct, size_idx = np.unique(n, return_inverse=True)
+            w = self.weights[pos]
+            # moments of z against (z, Y): over rows, then per distinct size
+            z_rows = np.column_stack((np.ones(len(xs)), xs))
+            z_clusters = np.column_stack((n, x_sum))
+            moments = np.zeros((1 + distinct.size, 1 + q, 1 + q + len(gamma)))
+            moments[0] = (np.repeat(w, n)[:, None] * z_rows).T @ np.hstack((z_rows, ys))
+            per_cluster = (w[:, None] * z_clusters)[:, :, None] * np.hstack(
+                (z_clusters, np.add.reduceat(ys, starts))
+            )[:, None, :]
+            np.add.at(moments[1:], size_idx, per_cluster)
+            regimes.append(_Regime(
+                d, pos, n, starts, np.column_stack((gamma, np.ones(len(gamma)))), xs, ys, x_sum,
+                distinct, size_idx, moments[spread], moments[:, self._z, 1 + q :],
+            ))
         return regimes
 
     # -- linear algebra over the regime stacks --------------------------------
 
-    def _vinv_design(self, factors: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]]) -> List[np.ndarray]:
-        """Per regime, V^{-1} D = A'^{-1} D_j + C_i sum_k D_k for each
-        individual j of cluster i: one product over every row, plus each
-        cluster's C times its fixed design sum, repeated over its rows."""
-        if factors is None:
-            return [r.design for r in self.regimes]
-        out = []
-        for r, (a_inv, c) in zip(self.regimes, factors):
-            vd = a_inv @ r.design
-            vd += np.repeat(c @ r.design_sum, r.sizes, axis=0)
-            out.append(vd)
-        return out
+    def _identity(self) -> List[np.ndarray]:
+        """The identity working covariance as factors: A'^{-1} = I, every C_n = 0."""
+        eye = np.eye(self.mean_spec.grid.n_times)
+        return [np.concatenate((eye[None], np.zeros((r.distinct.size,) + eye.shape))) for r in self.regimes]
 
-    def normal_equations(self, vinv_design: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """A = sum w D'V^{-1} D and b = sum w D'V^{-1} y over every regime."""
+    def normal_equations(self, factors: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """A = sum w D'V^{-1} D and b = sum w D'V^{-1} y over every regime,
+        from G'S and G'SG for each S of the regime's factors and its moments."""
         A = np.zeros((self.p, self.p))
         b = np.zeros(self.p)
-        for r, vd in zip(self.regimes, vinv_design):
-            w = np.repeat(self.weights[r.cluster_pos], r.sizes)
-            vd_rows = vd.reshape(-1, self.p)
-            A += (w[:, None, None] * r.design).reshape(-1, self.p).T @ vd_rows
-            b += (w[:, None] * r.y).ravel() @ vd_rows
+        g = self._g
+        for r, s in zip(self.regimes, factors):
+            gs = r.basis.T @ s
+            A += np.einsum("kij,kij->ij", (gs @ r.basis)[:, g[:, None], g], r.wzz)
+            b += np.einsum("kit,kit->i", gs[:, g], r.wzy)
         return A, b
 
-    def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
-        """theta under ``factors`` (the identity when None), with the A, b and
-        V^{-1} D it was solved from."""
-        vd = self._vinv_design(factors)
-        A, b = self.normal_equations(vd)
+    def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """theta under ``factors`` (the identity when None), with the A and b
+        it was solved from."""
+        A, b = self.normal_equations(self._identity() if factors is None else factors)
         if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _MAX_COND:
             raise RankDeficient(
                 "weighted normal system is singular; the mean model is not "
                 "identified on this dataset"
             )
         theta = np.linalg.solve(A, b)
-        return theta, A, b, vd
+        return theta, A, b
 
     def _residuals(self, r: _Regime, theta: np.ndarray) -> np.ndarray:
-        return r.y - (r.design.reshape(-1, self.p) @ theta).reshape(r.y.shape)
+        n_gamma = self.mean_spec.n_gamma
+        return r.y - r.gamma @ theta[:n_gamma] - (r.x @ theta[n_gamma:])[:, None]
 
     def residual_groups(self, theta: np.ndarray) -> List[ResidualGroup]:
         return [
@@ -263,46 +298,63 @@ class _Workspace:
     def u_rows(
         self,
         theta: np.ndarray,
-        vinv_design: Sequence[np.ndarray],
+        factors: Optional[Sequence[np.ndarray]] = None,
         leverage_inverse_from: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-cluster estimating-function contributions U_i, shape (N, p).
+        """Per-cluster estimating-function contributions U_i, shape (N, p),
+        under ``factors`` (the identity when None): in the notation of
+        :class:`_Regime`, with E_i the sum of cluster i's residual rows and C
+        its size's C, U_i = w_i (sum_j E(z_j)'G'A'^{-1} eps_j + E(z_i)'G'C E_i).
 
         With ``leverage_inverse_from`` set to the unnormalized bread matrix A,
         each residual block is premultiplied by (I - H_id)^{-1} where H_id
         is that cluster-regime's hat block w D A^{-1} D'V^{-1}.  By Woodbury
         that makes u = D'V^{-1} eps into u + M (A/w - M)^{-1} u with
-        M = D'V^{-1} D: one p x p solve per cluster.
+        M = D'V^{-1} D = sum_j E(z_j)'G'A'^{-1}G E(z_j) + E(z_i)'G'CG E(z_i):
+        one p x p solve per cluster.  Only this correction forms sum_j z_j z_j'.
         """
+        g, z = self._g, self._z
         U = np.zeros((self.N, self.p))
-        for r, vd in zip(self.regimes, vinv_design):
+        for r, s in zip(self.regimes, self._identity() if factors is None else factors):
             w = self.weights[r.cluster_pos]
             eps = self._residuals(r, theta)
-            u = np.add.reduceat(np.einsum("rtp,rt->rp", vd, eps), r.starts)
+            ce = (np.add.reduceat(eps, r.starts) @ s[1:])[r.size_idx, np.arange(len(w))]  # row i: (C E_i)'
+            z_rows = np.column_stack((np.ones(len(eps)), r.x))
+            z_cluster = np.column_stack((r.sizes, r.x_sum))[:, z]
+            u = (
+                np.add.reduceat((eps @ s[0] @ r.basis)[:, g] * z_rows[:, z], r.starts)
+                + (ce @ r.basis)[:, g] * z_cluster
+            )
             if leverage_inverse_from is not None:
-                M = np.add.reduceat(np.einsum("rtp,rtq->rpq", vd, r.design), r.starts)
+                gsg = (r.basis.T @ s @ r.basis)[:, g[:, None], g]
+                zz_rows = np.add.reduceat(z_rows[:, :, None] * z_rows[:, None, :], r.starts)
+                M = (
+                    gsg[0] * zz_rows[:, z[:, None], z]
+                    + gsg[1 + r.size_idx] * z_cluster[:, :, None] * z_cluster[:, None, :]
+                )
                 K = leverage_inverse_from[None] / w[:, None, None] - M
                 u = u + (M @ np.linalg.solve(K, u[..., None]))[..., 0]
             U[r.cluster_pos] += w[:, None] * u
         return U
 
-    def factorize(self, cov_spec: WorkingCovSpec, alpha: AlphaEstimate) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per regime: A'^{-1} and each cluster's C = (A_n'^{-1} - A'^{-1}) / n,
-        with V^{-1} = I_n (x) A'^{-1} + J_n (x) C (see :func:`cluster_blocks`).
+    def factorize(self, cov_spec: WorkingCovSpec, alpha: AlphaEstimate) -> List[np.ndarray]:
+        """Per regime, the stack [A'^{-1}, C_n for each distinct size n] with
+        C_n = (A_n'^{-1} - A'^{-1}) / n, so that a cluster of n people has
+        V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n (see :func:`cluster_blocks`).
 
         W', B' and A'^{-1} are built once per regime and A_n'^{-1} once per
-        distinct size, in one stacked inverse, then gathered to the clusters.
-        A regime of singletons only may have a singular A'; its A'^{-1} is
-        taken as 0, so that C = A_1'^{-1} is the whole inverse.
+        distinct size, in one stacked inverse.  A regime of singletons only
+        may have a singular A'; its A'^{-1} is taken as 0, so that
+        C_1 = A_1'^{-1} is the whole inverse.
         """
         factors = []
         for r in self.regimes:
-            sizes = np.unique(r.sizes)
+            sizes = r.distinct
             W, B = cluster_blocks(cov_spec, alpha, r.cai, sizes, self.mean_spec.grid)
-            an_inv = np.linalg.inv(W + (sizes - 1)[:, None, None] * B)
-            a_inv = np.linalg.inv(W - B) if sizes[-1] > 1 else np.zeros_like(W)
-            c = (an_inv - a_inv) / sizes[:, None, None]
-            factors.append((a_inv, c[np.searchsorted(sizes, r.sizes)]))
+            s = np.empty((1 + sizes.size,) + W.shape)
+            s[0] = np.linalg.inv(W - B) if sizes[-1] > 1 else 0.0
+            s[1:] = (np.linalg.inv(W + (sizes - 1)[:, None, None] * B) - s[0]) / sizes[:, None, None]
+            factors.append(s)
         return factors
 
 
@@ -399,16 +451,18 @@ def fit(
 
     ws = _make_workspace(ds, mean_spec, weights)
     # invariant: theta is always the exact root of the normal system (A, b)
-    # under V(alpha), or under the identity before the first factorization
-    theta, A, b, vd = ws.solve(None)
+    # under V(alpha) as factorized in ``factors``, or under the identity
+    # (``factors`` None) before the first factorization
+    factors = None
+    theta, A, b = ws.solve(factors)
     alpha = estimate_alpha(ws.residual_groups(theta), cov_spec, ws.cais)
     if options.tolerance == math.inf:
         iterations, converged, max_delta = 0, True, 0.0
     else:
         iterations, converged, max_delta = 0, False, math.inf
         for k in range(1, options.max_iter + 1):
-            vd = None  # release the last V^{-1} D before the next is built
-            theta_new, A, b, vd = ws.solve(ws.factorize(cov_spec, alpha))
+            factors = ws.factorize(cov_spec, alpha)
+            theta_new, A, b = ws.solve(factors)
             max_delta = float(np.abs(theta_new - theta).max())
             iterations = k
             theta = theta_new
@@ -427,14 +481,14 @@ def fit(
     adjustments = options.adjustments
     if adjustments.enforce_nonneg_corr:
         alpha = _clamp_nonneg(alpha)
-        vd = None
-        theta, A, b, vd = ws.solve(ws.factorize(cov_spec, alpha))
+        factors = ws.factorize(cov_spec, alpha)
+        theta, A, b = ws.solve(factors)
     applied = tuple(
         name for name in ("enforce_nonneg_corr", "bias_correct", "t_reference")
         if getattr(adjustments, name)
     )
     j_hat, q_hat, sigma, ee_residual = _assemble(
-        ws, theta, A, b, vd, adjustments.bias_correct, weight_model
+        ws, theta, A, b, factors, adjustments.bias_correct, weight_model
     )
     return FitResult(
         theta=_split_theta(mean_spec, theta),
@@ -462,15 +516,16 @@ def _assemble(
     theta: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    vd: Sequence[np.ndarray],
+    factors: Optional[Sequence[np.ndarray]],
     bias_correct: bool,
     weight_model: Optional[WeightModel],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The sandwich stage: J, Q, Sigma and the estimating-equation residual,
-    from the normal system (A, b) and V^{-1} D that ``theta`` was solved from."""
+    from the normal system (A, b) and the factors (None: the identity) that
+    ``theta`` was solved from."""
     ee_residual = float(np.abs(b - A @ theta).max())
     j_hat = A / ws.N
-    U = ws.u_rows(theta, vd, leverage_inverse_from=A if bias_correct else None)
+    U = ws.u_rows(theta, factors, leverage_inverse_from=A if bias_correct else None)
     q_hat = U.T @ U / ws.N
     if weight_model is not None:
         q_hat = _score_corrected_q(q_hat, U, weight_model.scores)

@@ -21,6 +21,7 @@ from smartlong import (
     fit_end_of_study,
     parse_long_table,
     serialize_long_table,
+    stack_design_matrix,
     validate,
 )
 from smartlong.errors import (
@@ -32,7 +33,9 @@ from smartlong.errors import (
 )
 from smartlong.gee import _make_workspace
 
-from conftest import make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset
+from conftest import (
+    make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
+)
 
 
 def schema_for(design, grid, **kw):
@@ -561,8 +564,14 @@ class TestRecordRoute:
             assert g.cai == h.cai
             np.testing.assert_array_equal(g.sizes, h.sizes)
             np.testing.assert_array_equal(g.cluster_pos, h.cluster_pos)
-            np.testing.assert_array_equal(g.design, h.design)
+            np.testing.assert_array_equal(g.gamma, h.gamma)
+            np.testing.assert_array_equal(g.x, h.x)
             np.testing.assert_array_equal(g.y, h.y)
+            for pos, start, n in zip(g.cluster_pos, g.starts, g.sizes):
+                rows = slice(start, start + n)
+                np.testing.assert_array_equal(
+                    regime_design(g, rows), stack_design_matrix(spec, g.cai, records.clusters[pos], records)
+                )
 
     @pytest.mark.parametrize("kind", list(DesignKind))
     def test_shuffled_records_give_equal_datasets(self, grid012, kind):

@@ -1,7 +1,6 @@
-import gc
 import itertools
 import math
-import weakref
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +46,9 @@ from smartlong import gee, workingcov
 from smartlong.errors import InconsistentCluster, InsufficientData, NotPositiveDefinite, ZeroVariance
 from smartlong.gee import _assemble, _make_workspace, _Workspace
 
-from conftest import make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset
+from conftest import (
+    make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
+)
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
@@ -84,7 +85,7 @@ def model_mean(theta, a1, a2nr, t, knot=1.0):
 
 def identity_solve(ds, spec, weights=None):
     """theta from one weighted solve under an identity working covariance."""
-    theta, _, _, _ = _make_workspace(ds, spec, weights).solve(None)
+    theta, _, _ = _make_workspace(ds, spec, weights).solve(None)
     return ThetaEstimate(theta[: spec.n_gamma], theta[spec.n_gamma :], spec.param_names)
 
 
@@ -278,15 +279,15 @@ class TestFit:
         ]
         assert got == sorted(expected, key=lambda e: (e[0], e[2]))
         for r in ws.regimes:
+            np.testing.assert_array_equal(r.distinct[r.size_idx], r.sizes)
             for i, (pos, start, n) in enumerate(zip(r.cluster_pos, r.starts, r.sizes)):
                 cl = ds.clusters[pos]
                 assert cl.n == n
                 rows = slice(start, start + n)
-                design_rows = r.design[rows].reshape(-1, spec.n_params)
-                np.testing.assert_array_equal(design_rows, stack_design_matrix(spec, r.cai, cl, ds))
+                np.testing.assert_array_equal(regime_design(r, rows), stack_design_matrix(spec, r.cai, cl, ds))
                 np.testing.assert_array_equal(r.y[rows].ravel(), [v for ind in cl.individuals for v in ind.y])
-                scale = np.abs(r.design[rows]).sum(axis=0)
-                assert np.all(np.abs(r.design_sum[i] - r.design[rows].sum(axis=0)) <= 1e-14 * scale)
+                scale = np.abs(r.x[rows]).sum(axis=0)
+                assert np.all(np.abs(r.x_sum[i] - r.x[rows].sum(axis=0)) <= 1e-14 * scale)
 
 
 class TestSandwich:
@@ -351,8 +352,8 @@ class TestSandwich:
 
         def run(scale):
             w = _Workspace(ds, spec, ws.weights * scale)
-            theta, A, b, vd = w.solve(None)
-            _, _, sigma, _ = _assemble(w, theta, A, b, vd, False, None)
+            theta, A, b = w.solve(None)
+            _, _, sigma, _ = _assemble(w, theta, A, b, None, False, None)
             return theta, sigma
 
         (theta1, sigma1), (theta_s, sigma_s) = run(1.0), run(scale)
@@ -520,11 +521,11 @@ class TestAdjustments:
         "adjustments", [AdjustmentOptions(), AdjustmentOptions.all()], ids=["none", "all"]
     )
     def test_normal_equations_once_per_solve(self, design2, grid012, monkeypatch, tolerance, adjustments):
-        # the sandwich reuses the last solve's normal system and V^{-1} D
+        # the sandwich reuses the last solve's normal system
         rng = np.random.default_rng(13)
         ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        calls = {"solve": 0, "normal_equations": 0, "_vinv_design": 0}
+        calls = {"solve": 0, "normal_equations": 0}
         for name in calls:
             original = getattr(gee._Workspace, name)
 
@@ -535,32 +536,33 @@ class TestAdjustments:
             monkeypatch.setattr(gee._Workspace, name, wrapper)
         res = fit(ds, spec, EXCH, FitOptions(tolerance=tolerance, adjustments=adjustments))
         solves = 1 + res.iterations + adjustments.enforce_nonneg_corr
-        assert calls == {"solve": solves, "normal_equations": solves, "_vinv_design": solves}
+        assert calls == {"solve": solves, "normal_equations": solves}
 
+
+class TestFitMemory:
     @pytest.mark.parametrize(
-        "adjustments", [AdjustmentOptions(), AdjustmentOptions.all()], ids=["none", "all"]
+        "adjustments,multiple", [(AdjustmentOptions(), 10), (AdjustmentOptions.all(), 25)], ids=["none", "all"]
     )
-    def test_previous_vinv_design_released_before_next(self, design2, grid012, monkeypatch, adjustments):
-        # fit holds one V^{-1} D at a time, never the last one beside the next
-        rng = np.random.default_rng(13)
-        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
-        spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        original = gee._Workspace._vinv_design
-        live, alive_at_call = [], []
-
-        def wrapper(self, factors):
-            gc.collect()
-            alive_at_call.append(sum(ref() is not None for ref in live))
-            live.clear()
-            out = original(self, factors)
-            if factors is not None:  # the identity returns the workspace's own design
-                live.extend(weakref.ref(a) for a in out)
-            return out
-
-        monkeypatch.setattr(gee._Workspace, "_vinv_design", wrapper)
-        res = fit(ds, spec, EXCH, FitOptions(adjustments=adjustments))
-        assert res.iterations >= 2
-        assert alive_at_call == [0] * (1 + res.iterations + adjustments.enforce_nonneg_corr)
+    def test_peak_is_a_small_multiple_of_the_data(self, adjustments, multiple):
+        # fit keeps each regime's covariate and outcome rows and moments whose
+        # size does not grow with N, never a design of rows x (T+1) x p: on
+        # 5007 rows it peaks near 6.6x the outcome and covariate bytes, 18x
+        # with the p x p Woodbury solve per cluster of the bias correction,
+        # where a stored design and V^{-1} D made these 34x and 45x
+        design = SmartDesign.balanced(DesignKind.I)
+        terms = ("u", "v", "w")
+        ds = random_dataset(np.random.default_rng(0), 2000, GRID012, design, (1, 2, 3, 4), (), terms)
+        spec = MeanModelSpec.piecewise_linear(design, GRID012, terms)
+        options = FitOptions(adjustments=adjustments)
+        fit(ds, spec, WorkingCovSpec(), options)
+        tracemalloc.start()
+        try:
+            fit(ds, spec, WorkingCovSpec(), options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds.y) > 4000
+        assert peak < multiple * (ds.y.nbytes + ds.x_individual.nbytes)
 
 
 class TestEndOfStudyComparator:
@@ -656,31 +658,49 @@ def with_cluster_effects(ds, rng, sd=0.7):
     return replace(ds, clusters=tuple(clusters))
 
 
-def dense_reference(ds, spec, res, bias_correct):
-    """theta root, Sigma and pairwise end-of-study z from dense per-cluster V."""
-    cais = enumerate_cais(ds.design)
+def dense_normal_system(ds, mean_spec, chol, theta):
+    """The dense oracle: A, b and every U_i, plain and bias-corrected (None
+    where a cluster has leverage one), summed over clusters in canonical
+    order from D_i'V_i^{-1}(.), with D_i from the public stacker, design
+    weights, and V_i^{-1} applied by ``chol``, the Cholesky factor of each
+    (regime, size)'s dense V."""
     clusters = sorted(ds.clusters, key=lambda cl: cl.cluster_id)
-    p = spec.n_params
-    theta = res.theta.full
+    p = mean_spec.n_params
     A, b = np.zeros((p, p)), np.zeros(p)
     entries = []
     for pos, cl in enumerate(clusters):
         y = np.array([v for ind in cl.individuals for v in ind.y])
-        for d in cais:
+        for d in enumerate_cais(ds.design):
             if consistency_indicator(cl, d, ds.design):
-                D = stack_design_matrix(spec, d, cl, ds)
-                vd = np.linalg.solve(build_V(res.cov_spec, res.alpha, d, cl.n, ds.grid), D)
+                D = stack_design_matrix(mean_spec, d, cl, ds)
+                vd = cho_solve(chol[(d, cl.n)], D)
                 w = design_weight(cl, ds.design)
                 A += w * D.T @ vd
                 b += w * vd.T @ y
                 entries.append((pos, w, D, vd, y))
-    U = np.zeros((len(clusters), p))
+    U, U_bc = np.zeros((len(clusters), p)), np.zeros((len(clusters), p))
     A_inv = np.linalg.inv(A)
     for pos, w, D, vd, y in entries:
         eps = y - D @ theta
-        if bias_correct:
-            eps = np.linalg.solve(np.eye(len(y)) - w * D @ A_inv @ vd.T, eps)
         U[pos] += w * vd.T @ eps
+        residual_maker = np.eye(len(y)) - w * D @ A_inv @ vd.T
+        if np.linalg.cond(residual_maker) > 1e8:
+            U_bc = None  # a leverage of one: the bias correction is undefined
+        elif U_bc is not None:
+            U_bc[pos] += w * vd.T @ np.linalg.solve(residual_maker, eps)
+    return A, b, U, U_bc
+
+
+def dense_reference(ds, spec, res, bias_correct):
+    """theta root, Sigma and pairwise end-of-study z from dense per-cluster V."""
+    cais = enumerate_cais(ds.design)
+    keys = {(d, cl.n) for cl in ds.clusters for d in cais if consistency_indicator(cl, d, ds.design)}
+    chol = {key: cho_factor(build_V(res.cov_spec, res.alpha, *key, ds.grid)) for key in keys}
+    theta = res.theta.full
+    A, b, U, U_bc = dense_normal_system(ds, spec, chol, theta)
+    if bias_correct:
+        U = U_bc
+    A_inv = np.linalg.inv(A)
     sigma = A_inv @ U.T @ U @ A_inv
     z = {}
     for d, d2 in itertools.combinations(cais, 2):
@@ -723,29 +743,38 @@ def unchecked_V(spec, alpha, d, n, n_times):
 STRUCTURES = list(itertools.product(WithinCorr, BetweenCorr, CorrCai))
 
 
+def assert_close_rows(got, want):
+    """Each row of ``got`` within 1e-10 of ``want`` relative to that row."""
+    want = np.atleast_2d(want)
+    scale = np.abs(want).max(axis=1)
+    assert np.all(scale > 0)
+    assert np.all(np.abs(np.atleast_2d(got) - want).max(axis=1) <= 1e-10 * scale)
+
+
 class TestClosedFormInverse:
     @pytest.mark.parametrize("within,between,corr_cai", STRUCTURES)
     def test_matches_dense_cholesky_on_every_structure(self, design2, within, between, corr_cai):
         spec = WorkingCovSpec(VarianceTime.HETEROSCEDASTIC, VarianceCai.HETEROGENEOUS, within, between, corr_cai)
         rng = np.random.default_rng(30)
         grids = {1: TimeGrid((2.0,), knot=2.0), 3: TimeGrid((0.0, 1.0, 2.0), knot=1.0)}
-        raised = singletons_beside_larger = 0
+        raised = singletons_beside_larger = bias_corrected = 0
         # rho_b = -0.9 breaks A_n' and rho_b = 0.6 can break A' = W - B; the
-        # last datasets mix sizes, so that one regime holds several C's and
-        # singletons sit beside larger clusters
+        # mixed datasets put several C's in one regime and singletons beside
+        # larger clusters; each runs with and without covariates
         rhos = (None, -0.9, 0.6)
+        terms = ((), ("u", "v"))
         inputs = [
-            *itertools.product((1, 3), [(1,), (2,), (5,), (6,)], rhos),
-            *itertools.product((1, 3), [(1, 2, 5, 6)], rhos),
+            *itertools.product((1, 3), [(1,), (2,), (5,), (6,)], rhos, terms),
+            *itertools.product((1, 3), [(1, 2, 5, 6)], rhos, terms),
         ]
-        for n_times, sizes, rho_b in inputs:
+        for n_times, sizes, rho_b, covariates in inputs:
             grid = grids[n_times]
             ds = random_design2_dataset(
                 rng, 16, grid, design2, sizes=sizes,
                 cluster_covariates=("u",), individual_covariates=("v",),
             )
             basis = make_saturated_basis(design2, grid)
-            mean_spec = MeanModelSpec.custom(design2, grid, basis, ("u", "v"))
+            mean_spec = MeanModelSpec.custom(design2, grid, basis, covariates)
             ws = _make_workspace(ds, mean_spec)
             alpha = full_alpha(rng, ws.cais, n_times, rho_b)
             dense = {}
@@ -762,16 +791,42 @@ class TestClosedFormInverse:
                 with pytest.raises(NotPositiveDefinite):
                     ws.factorize(spec, alpha)
                 continue
-            for r, vd in zip(ws.regimes, ws._vinv_design(ws.factorize(spec, alpha))):
-                singletons_beside_larger += 1 in r.sizes and r.sizes.max() > 1
-                for start, n in zip(r.starts, r.sizes):
-                    D = r.design[start : start + n].reshape(-1, mean_spec.n_params)
-                    got = vd[start : start + n].reshape(D.shape)
-                    want = cho_solve(dense[(r.cai, n)], D)
-                    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            singletons_beside_larger += sum(1 in r.sizes and r.sizes.max() > 1 for r in ws.regimes)
+            theta = rng.normal(size=mean_spec.n_params)
+            factors = ws.factorize(spec, alpha)
+            A, b, U, U_bc = dense_normal_system(ds, mean_spec, dense, theta)
+            got_A, got_b = ws.normal_equations(factors)
+            assert_close_rows(got_A, A)
+            assert_close_rows(got_b, b)
+            assert_close_rows(ws.u_rows(theta, factors), U)
+            if U_bc is not None:
+                bias_corrected += 1
+                assert_close_rows(ws.u_rows(theta, factors, leverage_inverse_from=got_A), U_bc)
         # rho_b = -0.9 makes every V of five or more people indefinite
-        assert raised >= (0 if between is BetweenCorr.INDEPENDENT else 4)
+        assert raised >= (0 if between is BetweenCorr.INDEPENDENT else 4 * len(terms))
         assert singletons_beside_larger > 0
+        assert bias_corrected >= 0.9 * (len(inputs) - raised)
+
+    @pytest.mark.parametrize("covariates", [(), ("u", "v")], ids=["plain", "covariates"])
+    def test_identity_matches_dense(self, design2, grid012, covariates):
+        # the identity working covariance as factors: A'^{-1} = I, every C = 0
+        rng = np.random.default_rng(33)
+        ds = random_design2_dataset(
+            rng, 40, grid012, design2, sizes=(1, 2, 5, 6),
+            cluster_covariates=("u",), individual_covariates=("v",),
+        )
+        mean_spec = MeanModelSpec.piecewise_linear(design2, grid012, covariates)
+        ws = _make_workspace(ds, mean_spec)
+        eye = {(r.cai, n): cho_factor(np.eye(n * grid012.n_times)) for r in ws.regimes for n in r.sizes.tolist()}
+        theta = rng.normal(size=mean_spec.n_params)
+        A, b, U, U_bc = dense_normal_system(ds, mean_spec, eye, theta)
+        got_theta, got_A, got_b = ws.solve(None)
+        assert_close_rows(got_A, A)
+        assert_close_rows(got_b, b)
+        np.testing.assert_allclose(got_theta, np.linalg.solve(A, b), rtol=1e-10)
+        assert_close_rows(ws.u_rows(theta), U)
+        assert U_bc is not None
+        assert_close_rows(ws.u_rows(theta, None, leverage_inverse_from=got_A), U_bc)
 
     def test_same_rejection_as_dense(self, design2, grid012):
         spec = WorkingCovSpec(

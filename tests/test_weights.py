@@ -98,7 +98,7 @@ class TestCorrectedSandwich:
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, IID)
         ws = _make_workspace(ds, spec)
-        U = ws.u_rows(res.theta.full, ws._vinv_design(ws.factorize(res.cov_spec, res.alpha)))
+        U = ws.u_rows(res.theta.full, ws.factorize(res.cov_spec, res.alpha))
         q = _score_corrected_q(res.q_hat, U, np.zeros((res.n_clusters, 3)))
         assert q is res.q_hat
         corrected = sandwich_covariance(res.j_hat, q, res.n_clusters)
@@ -120,7 +120,7 @@ class TestCorrectedSandwich:
             # rebuild the uncorrected meat for comparison
             ws = _make_workspace(ds, spec, wm.fitted_weights)
             factors = ws.factorize(res.cov_spec, res.alpha) if res.iterations else None
-            U = ws.u_rows(res.theta.full, ws._vinv_design(factors))
+            U = ws.u_rows(res.theta.full, factors)
             q_plain = U.T @ U / res.n_clusters
             np.testing.assert_array_compare(
                 lambda a, b: a <= b + 1e-12, np.diag(res.q_hat), np.diag(q_plain)
