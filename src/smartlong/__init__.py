@@ -35,7 +35,6 @@ from .meanmodel import (
     stack_design_matrix,
 )
 from .workingcov import (
-    POOLED,
     AlphaEstimate,
     BetweenCorr,
     CorrCai,

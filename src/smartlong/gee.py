@@ -312,6 +312,9 @@ class _Workspace:
         that makes u = D'V^{-1} eps into u + M (A/w - M)^{-1} u with
         M = D'V^{-1} D = sum_j E(z_j)'G'A'^{-1}G E(z_j) + E(z_i)'G'CG E(z_i):
         one p x p solve per cluster.  Only this correction forms sum_j z_j z_j'.
+        Where some cluster's A/w - M is singular (a leverage of one, so the
+        correction is undefined) it raises :class:`RankDeficient` naming the
+        first such cluster and its regime.
         """
         g, z = self._g, self._z
         U = np.zeros((self.N, self.p))
@@ -333,11 +336,23 @@ class _Workspace:
                     + gsg[1 + r.size_idx] * z_cluster[:, :, None] * z_cluster[:, None, :]
                 )
                 K = leverage_inverse_from[None] / w[:, None, None] - M
-                u = u + (M @ np.linalg.solve(K, u[..., None]))[..., 0]
+                try:
+                    u = u + (M @ np.linalg.solve(K, u[..., None]))[..., 0]
+                except np.linalg.LinAlgError:
+                    # some I - H_id is singular: a hat block with eigenvalue one
+                    for i, k in enumerate(K):
+                        try:
+                            np.linalg.solve(k, u[i])
+                        except np.linalg.LinAlgError:
+                            raise RankDeficient(
+                                f"cluster {self.ds.cluster_ids[r.cluster_pos[i]]!r} has leverage "
+                                f"one under regime {r.cai}; the bias correction is undefined"
+                            ) from None
+                    raise
             U[r.cluster_pos] += w[:, None] * u
         return U
 
-    def factorize(self, cov_spec: WorkingCovSpec, alpha: AlphaEstimate) -> List[np.ndarray]:
+    def factorize(self, alpha: AlphaEstimate) -> List[np.ndarray]:
         """Per regime, the stack [A'^{-1}, C_n for each distinct size n] with
         C_n = (A_n'^{-1} - A'^{-1}) / n, so that a cluster of n people has
         V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n (see :func:`cluster_blocks`).
@@ -350,7 +365,7 @@ class _Workspace:
         factors = []
         for r in self.regimes:
             sizes = r.distinct
-            W, B = cluster_blocks(cov_spec, alpha, r.cai, sizes, self.mean_spec.grid)
+            W, B = cluster_blocks(alpha, r.cai, sizes)
             s = np.empty((1 + sizes.size,) + W.shape)
             s[0] = np.linalg.inv(W - B) if sizes[-1] > 1 else 0.0
             s[1:] = (np.linalg.inv(W + (sizes - 1)[:, None, None] * B) - s[0]) / sizes[:, None, None]
@@ -433,13 +448,15 @@ def fit(
     identity-covariance initializer with no iterations.
 
     Then ``options.adjustments`` apply: ``enforce_nonneg_corr`` clamps
-    negative correlation estimates to zero and solves theta once more under
-    the clamped working covariance; ``bias_correct`` inflates each cluster's
-    residuals by its inverse leverage inside the meat matrix (Mancl &
-    DeRouen, Biometrics 2001); ``t_reference`` sets ``df = N - p`` so that
-    :func:`wald_test` refers to ``t`` instead of the normal.  Under estimated
-    weights the meat matrix is projected off the weight-model scores.  The
-    sandwich is assembled once, from the final theta.
+    negative correlation parameters to zero (under AR(1) the parameter is
+    rho, so a negative rho leaves an independent within-person block) and
+    solves theta once more under the clamped working covariance;
+    ``bias_correct`` inflates each cluster's residuals by its inverse
+    leverage inside the meat matrix (Mancl & DeRouen, Biometrics 2001);
+    ``t_reference`` sets ``df = N - p`` so that :func:`wald_test` refers to
+    ``t`` instead of the normal.  Under estimated weights the meat matrix is
+    projected off the weight-model scores.  The sandwich is assembled once,
+    from the final theta.
     """
     _require_valid(ds)
     weight_model = weights = None
@@ -461,7 +478,7 @@ def fit(
     else:
         iterations, converged, max_delta = 0, False, math.inf
         for k in range(1, options.max_iter + 1):
-            factors = ws.factorize(cov_spec, alpha)
+            factors = ws.factorize(alpha)
             theta_new, A, b = ws.solve(factors)
             max_delta = float(np.abs(theta_new - theta).max())
             iterations = k
@@ -480,8 +497,8 @@ def fit(
 
     adjustments = options.adjustments
     if adjustments.enforce_nonneg_corr:
-        alpha = _clamp_nonneg(alpha)
-        factors = ws.factorize(cov_spec, alpha)
+        alpha = _clamp_nonneg(alpha, cov_spec)
+        factors = ws.factorize(alpha)
         theta, A, b = ws.solve(factors)
     applied = tuple(
         name for name in ("enforce_nonneg_corr", "bias_correct", "t_reference")
@@ -652,10 +669,13 @@ def estimate_weight_model(
 # -- finite-sample adjustments and Wald inference ------------------------------
 
 
-def _clamp_nonneg(alpha: AlphaEstimate) -> AlphaEstimate:
-    rho_w = {k: max(v, 0.0) for k, v in alpha.rho_w.items()}
-    rho_b = {k: max(v, 0.0) for k, v in alpha.rho_b.items()}
-    return replace(alpha, rho_w=rho_w, rho_b=rho_b)
+def _clamp_nonneg(alpha: AlphaEstimate, cov_spec: WorkingCovSpec) -> AlphaEstimate:
+    # clamping each parameter is clamping each entry, except under AR(1): a
+    # negative rho clamps to W = I, though its even powers are positive
+    within = np.maximum(alpha.within, 0.0)
+    if cov_spec.within_corr is WithinCorr.AR1 and alpha.n_times > 1:
+        within[alpha.within[:, 0, 1] < 0.0] = np.eye(alpha.n_times)
+    return replace(alpha, within=within, between=np.maximum(alpha.between, 0.0))
 
 
 def wald_test(fit_result: FitResult, contrast: ContrastVector, level: float = 0.95) -> WaldResult:

@@ -11,6 +11,12 @@ rule, judged on spec(A') and spec(A' + n B'), which together are V's spectrum.
 The estimator inverts V in closed form from those blocks; :func:`build_V`
 assembles the dense matrix as a reference.
 
+An :class:`AlphaEstimate` holds the parameters as arrays with one row per
+regime, in :func:`~smartlong.design.enumerate_cais` order: the variances
+``sigma2`` (R, T+1) and the correlation matrices ``within`` and ``between``
+(R, T+1, T+1), exactly as V uses them.  Whatever a spec pools is repeated
+over the rows (or times) it pools, so V is read from a regime's row alone.
+
 Parameters are estimated from weighted residuals by the moment formulas
 appropriate to each structure, from one :class:`ResidualGroup` per regime
 that stacks every consistent cluster whatever its size; correlation
@@ -19,9 +25,9 @@ variances, regardless of how the variance model itself pools.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,15 +42,12 @@ __all__ = [
     "BetweenCorr",
     "CorrCai",
     "WorkingCovSpec",
-    "POOLED",
     "AlphaEstimate",
     "ResidualGroup",
     "estimate_alpha",
     "build_V",
     "cluster_blocks",
 ]
-
-POOLED = "pooled"
 
 _CLIP = 1.0 - 1e-8
 
@@ -96,74 +99,46 @@ class WorkingCovSpec:
         )
 
 
-DKey = Union[EmbeddedCai, str]
-TKey = Union[int, str]
-
-
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Variance/correlation parameters at the granularity a spec demands.
+    """Working covariance parameters, one row per regime of ``cais``.
 
-    ``sigma2`` is keyed ``(regime-or-pooled, time-index-or-pooled)``.
-    Scalar correlation structures key by regime; unstructured ones add the
-    time-pair indices (within-person pairs are stored with ``l < m``).
+    ``sigma2`` (R, T+1) holds each regime's variance at each time;
+    ``within`` and ``between`` (R, T+1, T+1) its within-person correlation
+    matrix W (unit diagonal) and between-person matrix B.  A level the spec
+    pools repeats its value over the regimes or times it pools.  The
+    correlations are the values V is built from: moment ratios clipped into
+    the open interval (-1, 1) at 1 - 1e-8, with ``clipped`` set when any was.
+    The arrays are read-only.
     """
 
-    n_times: int
-    sigma2: Dict[Tuple[DKey, TKey], float]
-    rho_w: Dict[tuple, float] = field(default_factory=dict)
-    rho_b: Dict[tuple, float] = field(default_factory=dict)
+    cais: Tuple[EmbeddedCai, ...]
+    sigma2: np.ndarray
+    within: np.ndarray
+    between: np.ndarray
     clipped: bool = False
 
     def __post_init__(self) -> None:
-        for key, v in self.sigma2.items():
-            if v < 0:
-                raise ValueError(f"sigma2[{key}] must be nonnegative, got {v}")
-        for name in ("rho_w", "rho_b"):
-            for key, v in getattr(self, name).items():
-                if not -1.0 <= v <= 1.0:
-                    raise ValueError(f"{name}[{key}] must lie in [-1, 1], got {v}")
+        object.__setattr__(self, "cais", tuple(self.cais))
+        for name in ("sigma2", "within", "between"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if self.sigma2.ndim != 2 or self.sigma2.shape[0] != len(self.cais) or self.n_times == 0:
+            raise ValueError("sigma2 must be (regimes, T+1), one row per regime")
+        if not np.all(self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2.min()}")
+        for name in ("within", "between"):
+            value = getattr(self, name)
+            if value.shape != self.sigma2.shape + (self.n_times,):
+                raise ValueError(f"{name} must be (regimes, T+1, T+1), one matrix per regime")
+            inside = np.abs(value) <= 1.0  # NaN fails it too
+            if not np.all(inside):
+                raise ValueError(f"{name} entries must lie in [-1, 1], got {value[~inside][0]}")
 
-    def sigma2_at(self, spec: WorkingCovSpec, d: EmbeddedCai, k: int) -> float:
-        dk = d if spec.variance_cai is VarianceCai.HETEROGENEOUS else POOLED
-        tk = k if spec.variance_time is VarianceTime.HETEROSCEDASTIC else POOLED
-        try:
-            return self.sigma2[(dk, tk)]
-        except KeyError:
-            raise InsufficientData(f"no variance estimate for cell ({dk}, {tk})") from None
-
-    def _dkey(self, spec: WorkingCovSpec, d: EmbeddedCai) -> DKey:
-        return d if spec.corr_cai is CorrCai.HETEROGENEOUS else POOLED
-
-    def rho_w_scalar(self, spec: WorkingCovSpec, d: EmbeddedCai) -> float:
-        key = (self._dkey(spec, d),)
-        try:
-            return self.rho_w[key]
-        except KeyError:
-            raise InsufficientData(f"no within-person correlation for {key}") from None
-
-    def rho_w_pair(self, spec: WorkingCovSpec, d: EmbeddedCai, l: int, m: int) -> float:
-        lo, hi = min(l, m), max(l, m)
-        key = (self._dkey(spec, d), lo, hi)
-        try:
-            return self.rho_w[key]
-        except KeyError:
-            raise InsufficientData(f"no within-person correlation for {key}") from None
-
-    def rho_b_scalar(self, spec: WorkingCovSpec, d: EmbeddedCai) -> float:
-        key = (self._dkey(spec, d),)
-        try:
-            return self.rho_b[key]
-        except KeyError:
-            raise InsufficientData(f"no between-person correlation for {key}") from None
-
-    def rho_b_pair(self, spec: WorkingCovSpec, d: EmbeddedCai, l: int, m: int) -> float:
-        lo, hi = min(l, m), max(l, m)
-        key = (self._dkey(spec, d), lo, hi)
-        try:
-            return self.rho_b[key]
-        except KeyError:
-            raise InsufficientData(f"no between-person correlation for {key}") from None
+    @property
+    def n_times(self) -> int:
+        return self.sigma2.shape[1]
 
 
 @dataclass(frozen=True)
@@ -208,9 +183,10 @@ def estimate_alpha(
         raise InsufficientData("no residuals to estimate from")
     n_times = groups[0].eps.shape[1]
     T = n_times - 1
+    R = len(cais)
     index = {d: k for k, d in enumerate(cais)}
-    s2_num = np.zeros((len(cais), n_times))
-    s2_den = np.zeros(len(cais))
+    s2_num = np.zeros((R, n_times))
+    s2_den = np.zeros(R)
     for g in groups:
         if g.cai not in index:
             raise InsufficientData(f"residuals present for unexpected regime {g.cai}")
@@ -224,18 +200,18 @@ def estimate_alpha(
 
     # marginal variances at the requested pooling level
     if spec.variance_cai is VarianceCai.HETEROGENEOUS:
-        var_keys, per_time = list(cais), s2_std
+        sigma2 = s2_std
     else:
-        var_keys, per_time = [POOLED], s2_num.sum(axis=0, keepdims=True) / s2_den.sum()
-    if spec.variance_time is VarianceTime.HETEROSCEDASTIC:
-        sigma2 = {(dk, k): float(v) for dk, row in zip(var_keys, per_time) for k, v in enumerate(row)}
-    else:
-        sigma2 = {(dk, POOLED): float(row.mean()) for dk, row in zip(var_keys, per_time)}
+        sigma2 = np.repeat(s2_num.sum(axis=0, keepdims=True) / s2_den.sum(), R, axis=0)
+    if spec.variance_time is VarianceTime.HOMOSCEDASTIC:
+        sigma2 = np.repeat(sigma2.mean(axis=1, keepdims=True), n_times, axis=1)
 
     within = spec.within_corr if T >= 1 else WithinCorr.INDEPENDENT
     between = spec.between_corr
+    W = np.tile(np.eye(n_times), (R, 1, 1))
+    B = np.zeros((R, n_times, n_times))
     if within is WithinCorr.INDEPENDENT and between is BetweenCorr.INDEPENDENT:
-        return AlphaEstimate(n_times=n_times, sigma2=sigma2)
+        return AlphaEstimate(tuple(cais), sigma2, W, B)
     for g in groups:
         if np.any(s2_std[index[g.cai]] == 0.0):
             raise DegenerateVariance(
@@ -243,16 +219,15 @@ def estimate_alpha(
             )
 
     het_corr = spec.corr_cai is CorrCai.HETEROGENEOUS
-    corr_keys = list(cais) if het_corr else [POOLED]
+    n_keys = R if het_corr else 1
     upper_w, upper_b = np.triu_indices(n_times, 1), np.triu_indices(n_times)
-    cells_w = _cells(upper_w) if within is WithinCorr.UNSTRUCTURED else [()]
-    cells_b = _cells(upper_b) if between is BetweenCorr.UNSTRUCTURED else [()]
-    # per correlation key: the moment numerators, one per cell, and the sums
-    # of w n and of w n (n - 1) that scale their denominators
-    num_w = np.zeros((len(corr_keys), len(cells_w)))
-    num_b = np.zeros((len(corr_keys), len(cells_b)))
-    people = np.zeros(len(corr_keys))
-    pairs = np.zeros(len(corr_keys))
+    # per correlation key (each regime, or one pooled over regimes): the
+    # moment numerators, one per estimated entry, and the sums of w n and of
+    # w n (n - 1) that scale their denominators
+    num_w = np.zeros((n_keys, upper_w[0].size if within is WithinCorr.UNSTRUCTURED else 1))
+    num_b = np.zeros((n_keys, upper_b[0].size if between is BetweenCorr.UNSTRUCTURED else 1))
+    people = np.zeros(n_keys)
+    pairs = np.zeros(n_keys)
     for g in groups:
         k = index[g.cai] if het_corr else 0
         w_rows = np.repeat(g.weights, g.sizes)
@@ -273,89 +248,41 @@ def estimate_alpha(
             col = np.add.reduceat(z, _starts(g.sizes))
             num_b[k] += ((g.weights[:, None] * col).T @ col - (w_rows[:, None] * z).T @ z)[upper_b]
 
+    # every regime has residuals, so only the between-person moments can lack a denominator
+    if between is not BetweenCorr.INDEPENDENT and np.any(pairs == 0.0):
+        where = f" of regime {cais[int(np.argmax(pairs == 0.0))]}" if het_corr else ""
+        raise InsufficientData(f"no cluster of two or more informs the between-person correlation{where}")
+    dens = {
+        WithinCorr.AR1: people * T,
+        WithinCorr.EXCHANGEABLE: people * n_times * T,
+        WithinCorr.UNSTRUCTURED: people,
+        BetweenCorr.EXCHANGEABLE: pairs * n_times**2,
+        BetweenCorr.UNSTRUCTURED: pairs,
+    }
+    # the parameters fill the upper triangle of each regime's W (strictly)
+    # and B (with the diagonal); moment ratios can stray outside [-1, 1] in
+    # small samples, and V is built from them clipped into the open interval
+    rows = np.arange(R) if het_corr else np.zeros(R, dtype=int)
     clipped = False
-
-    def moments(num: np.ndarray, den: np.ndarray, cells, what: str) -> Dict[tuple, float]:
-        # moment ratios can stray outside [-1, 1] in small samples; store the
-        # admissible value and let matrix assembly apply the open-interval clip
-        nonlocal clipped
-        for key, denom in zip(corr_keys, den):
-            if denom == 0.0:
-                raise InsufficientData(f"no residuals inform {what} cell {(key, *cells[0])}")
-        value = num / den[:, None]
-        clipped = clipped or bool(np.any(np.abs(value) > _CLIP))
-        value = np.clip(value, -1.0, 1.0)
-        return {(key, *cell): float(v) for key, row in zip(corr_keys, value) for cell, v in zip(cells, row)}
-
-    rho_w: Dict[tuple, float] = {}
-    rho_b: Dict[tuple, float] = {}
-    if within is WithinCorr.AR1:
-        rho_w = moments(num_w, people * T, cells_w, "AR(1) within-person")
-    elif within is WithinCorr.EXCHANGEABLE:
-        rho_w = moments(num_w, people * n_times * T, cells_w, "exchangeable within-person")
-    elif within is WithinCorr.UNSTRUCTURED:
-        rho_w = moments(num_w, people, cells_w, "unstructured within-person")
-    if between is BetweenCorr.EXCHANGEABLE:
-        rho_b = moments(num_b, pairs * n_times**2, cells_b, "exchangeable between-person")
-    elif between is BetweenCorr.UNSTRUCTURED:
-        rho_b = moments(num_b, pairs, cells_b, "unstructured between-person")
-
-    return AlphaEstimate(
-        n_times=n_times, sigma2=sigma2, rho_w=rho_w, rho_b=rho_b, clipped=clipped
-    )
+    for structure, num, (l, m), block in ((within, num_w, upper_w, W), (between, num_b, upper_b, B)):
+        if structure in dens:
+            rho = (num / dens[structure][:, None])[rows]
+            clipped = clipped or bool(np.any(np.abs(rho) > _CLIP))
+            rho = np.clip(rho, -_CLIP, _CLIP)
+            if structure is WithinCorr.AR1:
+                rho = rho ** (m - l)  # integer exponents: a negative rho is fine
+            block[:, l, m] = block[:, m, l] = rho
+    return AlphaEstimate(tuple(cais), sigma2, W, B, clipped)
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
-def _cells(upper: Tuple[np.ndarray, np.ndarray]) -> List[Tuple[int, int]]:
-    return list(zip(upper[0].tolist(), upper[1].tolist()))
-
-
-def _clip_open(rho: float) -> float:
-    return min(max(float(rho), -_CLIP), _CLIP)
-
-
-def _within_block(spec: WorkingCovSpec, alpha: AlphaEstimate, d: EmbeddedCai, n_times: int) -> np.ndarray:
-    W = np.eye(n_times)
-    if spec.within_corr is WithinCorr.INDEPENDENT or n_times == 1:
-        return W
-    if spec.within_corr is WithinCorr.AR1:
-        rho = _clip_open(alpha.rho_w_scalar(spec, d))
-        lags = np.abs(np.subtract.outer(np.arange(n_times), np.arange(n_times)))
-        W = rho ** lags  # integer exponents, so negative rho is fine
-        np.fill_diagonal(W, 1.0)
-        return W.astype(float)
-    if spec.within_corr is WithinCorr.EXCHANGEABLE:
-        rho = _clip_open(alpha.rho_w_scalar(spec, d))
-        W = np.full((n_times, n_times), rho)
-        np.fill_diagonal(W, 1.0)
-        return W
-    for l in range(n_times):
-        for m in range(l + 1, n_times):
-            W[l, m] = W[m, l] = _clip_open(alpha.rho_w_pair(spec, d, l, m))
-    return W
-
-
-def _between_block(spec: WorkingCovSpec, alpha: AlphaEstimate, d: EmbeddedCai, n_times: int) -> np.ndarray:
-    if spec.between_corr is BetweenCorr.INDEPENDENT:
-        return np.zeros((n_times, n_times))
-    if spec.between_corr is BetweenCorr.EXCHANGEABLE:
-        return np.full((n_times, n_times), _clip_open(alpha.rho_b_scalar(spec, d)))
-    B = np.empty((n_times, n_times))
-    for l in range(n_times):
-        for m in range(l, n_times):
-            B[l, m] = B[m, l] = _clip_open(alpha.rho_b_pair(spec, d, l, m))
-    return B
-
-
 def cluster_blocks(
-    spec: WorkingCovSpec,
     alpha: AlphaEstimate,
     d: EmbeddedCai,
     sizes: Sequence[int],
-    grid: Union[TimeGrid, int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 of the V of a cluster
     of each size in ``sizes`` under ``d``.
@@ -365,17 +292,16 @@ def cluster_blocks(
     computed for every distinct size in one stacked call.  This is the one
     positive-definiteness rule: :class:`NotPositiveDefinite`, naming the
     smallest failing n, when the smallest eigenvalue over those spectra is at
-    most 1e-10 of the largest.  ``grid`` may be a :class:`TimeGrid` or a bare
-    count of measurement times (single-time analyses have no grid object).
+    most 1e-10 of the largest.
     """
     n = np.unique(np.asarray(sizes, dtype=int))
     if n.size == 0 or n[0] < 1:
         raise ValueError("cluster sizes must be positive")
-    n_times = grid if isinstance(grid, int) else grid.n_times
-    s = np.sqrt([alpha.sigma2_at(spec, d, k) for k in range(n_times)])
+    k = alpha.cais.index(d)
+    s = np.sqrt(alpha.sigma2[k])
     scale = np.outer(s, s)
-    W = scale * _within_block(spec, alpha, d, n_times)
-    B = scale * _between_block(spec, alpha, d, n_times)
+    W = scale * alpha.within[k]
+    B = scale * alpha.between[k]
     eig = np.linalg.eigvalsh(W + (n - 1)[:, None, None] * B)
     lo, hi = eig[:, 0], eig[:, -1]
     if n[-1] > 1:
@@ -402,8 +328,13 @@ def build_V(
     """Dense working covariance for one cluster of ``n`` individuals under ``d``.
 
     The estimator never forms it (see :func:`cluster_blocks`); it is the
-    reference the closed-form inverse is tested against.
+    reference the closed-form inverse is tested against.  ``alpha`` already
+    holds the structure ``spec`` asked for; ``grid`` (a :class:`TimeGrid`, or
+    a bare count of measurement times) must match its number of times.
     """
-    W, B = cluster_blocks(spec, alpha, d, (n,), grid)
+    n_times = grid if isinstance(grid, int) else grid.n_times
+    if n_times != alpha.n_times:
+        raise ValueError(f"grid has {n_times} times, the estimate {alpha.n_times}")
+    W, B = cluster_blocks(alpha, d, (n,))
     eye = np.eye(n)
     return np.kron(eye, W) + np.kron(np.ones((n, n)) - eye, B)

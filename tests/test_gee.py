@@ -12,7 +12,6 @@ from scipy.linalg import cho_factor, cho_solve
 from smartlong import (
     AdjustmentOptions,
     AlphaEstimate,
-    POOLED,
     BetweenCorr,
     CorrCai,
     DesignKind,
@@ -42,8 +41,10 @@ from smartlong import (
     stack_design_matrix,
     wald_test,
 )
-from smartlong import gee, workingcov
-from smartlong.errors import InconsistentCluster, InsufficientData, NotPositiveDefinite, ZeroVariance
+from smartlong import gee
+from smartlong.errors import (
+    InconsistentCluster, InsufficientData, NotPositiveDefinite, RankDeficient, ZeroVariance,
+)
 from smartlong.gee import _assemble, _make_workspace, _Workspace
 
 from conftest import (
@@ -70,6 +71,7 @@ UNSTR = WorkingCovSpec(
     between_corr=BetweenCorr.UNSTRUCTURED,
     corr_cai=CorrCai.HETEROGENEOUS,
 )
+AR1 = replace(EXCH, within_corr=WithinCorr.AR1)
 
 
 def model_mean(theta, a1, a2nr, t, knot=1.0):
@@ -424,32 +426,54 @@ class TestWald:
             wald_test(res, contrast_end_of_study(spec, D11, DMM))
 
 
+def nonneg(alpha):
+    return bool(np.all(alpha.within >= 0) and np.all(alpha.between >= 0))
+
+
+CLAMP = FitOptions(adjustments=AdjustmentOptions(enforce_nonneg_corr=True))
+
+
 class TestAdjustments:
-    def test_nonneg_clamp_noop_when_already_nonneg(self, design2, grid012):
+    @pytest.mark.parametrize("cov_spec", [EXCH, AR1], ids=["exchangeable", "ar1"])
+    def test_nonneg_clamp_noop_when_already_nonneg(self, design2, grid012, cov_spec):
         rng = np.random.default_rng(12)
         ds = random_design2_dataset(
             rng, 60, grid012, design2, sizes=(2, 3),
             mean_fn=lambda a1, r, a2nr, t: 1.0,
         )
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        res = fit(ds, spec, EXCH)
-        adj = fit(ds, spec, EXCH, FitOptions(adjustments=AdjustmentOptions(enforce_nonneg_corr=True)))
-        if all(v >= 0 for v in {**res.alpha.rho_w, **res.alpha.rho_b}.values()):
-            assert adj.alpha.rho_w == res.alpha.rho_w
-            assert adj.alpha.rho_b == res.alpha.rho_b
+        res = fit(ds, spec, cov_spec)
+        adj = fit(ds, spec, cov_spec, CLAMP)
+        if nonneg(res.alpha):
+            np.testing.assert_array_equal(adj.alpha.within, res.alpha.within)
+            np.testing.assert_array_equal(adj.alpha.between, res.alpha.between)
             np.testing.assert_allclose(adj.theta.full, res.theta.full, rtol=1e-12)
         assert "enforce_nonneg_corr" in adj.adjustments_applied
 
-    def test_nonneg_clamp_refits_once_when_negative(self, design2, grid012):
+    @pytest.mark.parametrize("cov_spec", [EXCH, AR1], ids=["exchangeable", "ar1"])
+    def test_nonneg_clamp_refits_once_when_negative(self, design2, grid012, cov_spec):
         rng = np.random.default_rng(13)
         ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        res = fit(ds, spec, EXCH)
-        negatives = [v for v in {**res.alpha.rho_w, **res.alpha.rho_b}.values() if v < 0]
-        adj = fit(ds, spec, EXCH, FitOptions(adjustments=AdjustmentOptions(enforce_nonneg_corr=True)))
-        assert all(v >= 0 for v in {**adj.alpha.rho_w, **adj.alpha.rho_b}.values())
-        if negatives:
+        res = fit(ds, spec, cov_spec)
+        adj = fit(ds, spec, cov_spec, CLAMP)
+        assert nonneg(adj.alpha)
+        if not nonneg(res.alpha):
             assert not np.array_equal(adj.theta.full, res.theta.full)
+
+    def test_nonneg_clamp_of_negative_ar1_rho_is_independence(self, design2, grid012):
+        # the clamped parameter is rho: its even powers are positive, yet a
+        # clamped rho of zero leaves no within-person correlation at all
+        rng = np.random.default_rng(13)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        res = fit(ds, spec, AR1)
+        adj = fit(ds, spec, AR1, CLAMP)
+        negative = res.alpha.within[:, 0, 1] < 0
+        assert negative.any() and np.all(res.alpha.within[negative, 0, 2] > 0)
+        assert np.all(adj.alpha.within[negative] == np.eye(3))
+        np.testing.assert_array_equal(adj.alpha.within[~negative], res.alpha.within[~negative])
+        assert not np.array_equal(adj.theta.full, res.theta.full)
 
     def test_t_matches_z_for_large_n(self, design2, grid012):
         rng = np.random.default_rng(14)
@@ -474,6 +498,23 @@ class TestAdjustments:
         assert "bias_correct" in adj.adjustments_applied
         # leverage inflation cannot shrink every diagonal entry
         assert np.trace(adj.sigma_theta) > np.trace(res.sigma_theta)
+
+    def test_bias_correction_rejects_leverage_one_cluster(self, design2, grid012):
+        # the one cluster consistent with (+1,-1) alone determines that
+        # regime's saturated means: its hat block has an eigenvalue of one
+        rng = np.random.default_rng(17)
+        clusters = [make_cluster("lone", 1, 0, -1, rng.normal(size=(2, 3)))]
+        clusters += [make_cluster(f"p{i}", 1, 0, 1, rng.normal(size=(3, 3))) for i in range(6)]
+        clusters += [
+            make_cluster(f"m{i}", -1, i % 2, None if i % 2 else (1, -1)[i % 4 // 2], rng.normal(size=(2, 3)))
+            for i in range(8)
+        ]
+        ds = make_dataset(clusters, design2, grid012)
+        spec = MeanModelSpec.custom(design2, grid012, make_saturated_basis(design2, grid012))
+        assert fit(ds, spec, POOLED_EXCH).converged
+        bias = FitOptions(adjustments=AdjustmentOptions(bias_correct=True))
+        with pytest.raises(RankDeficient, match=r"cluster 'lone' has leverage one under regime \(\+1,-1\)"):
+            fit(ds, spec, POOLED_EXCH, bias)
 
     def test_adjustments_recorded(self, design2, grid012):
         rng = np.random.default_rng(16)
@@ -621,8 +662,9 @@ class TestEndOfStudyComparator:
             z = (y - D @ theta) / math.sqrt(ss[ci] / wn[ci])
             num += w * (z.sum() ** 2 - z @ z)
             den += w * len(y) * (len(y) - 1)
-        assert res.alpha.sigma2 == {(POOLED, POOLED): pytest.approx(ss.sum() / wn.sum(), rel=1e-10)}
-        assert res.alpha.rho_b == {(POOLED,): pytest.approx(num / den, abs=1e-10)}
+        assert res.alpha.sigma2 == pytest.approx(np.full((len(cais), 1), ss.sum() / wn.sum()), rel=1e-10)
+        assert res.alpha.between == pytest.approx(np.full((len(cais), 1, 1), num / den), abs=1e-10)
+        np.testing.assert_array_equal(res.alpha.within, np.ones((len(cais), 1, 1)))
 
         # theta-hat is the root of the estimating equation under V(alpha-hat)
         A, b = np.zeros((p, p)), np.zeros(p)
@@ -684,7 +726,9 @@ def dense_normal_system(ds, mean_spec, chol, theta):
         eps = y - D @ theta
         U[pos] += w * vd.T @ eps
         residual_maker = np.eye(len(y)) - w * D @ A_inv @ vd.T
-        if np.linalg.cond(residual_maker) > 1e8:
+        # I - H is of unit scale, and a 1 x 1 one is perfectly conditioned even
+        # at zero, so judge it by its smallest singular value
+        if np.linalg.svd(residual_maker, compute_uv=False)[-1] < 1e-8:
             U_bc = None  # a leverage of one: the bias correction is undefined
         elif U_bc is not None:
             U_bc[pos] += w * vd.T @ np.linalg.solve(residual_maker, eps)
@@ -709,33 +753,47 @@ def dense_reference(ds, spec, res, bias_correct):
     return np.linalg.solve(A, b), sigma, z
 
 
-def full_alpha(rng, cais, n_times, rho_b=None):
-    """An estimate holding every key any structure can ask for."""
-    dkeys = [*cais, POOLED]
-    tkeys = [*range(n_times), POOLED]
-    sigma2 = {(dk, tk): float(rng.uniform(0.5, 3.0)) for dk in dkeys for tk in tkeys}
-    rho_w, rho_b_table = {}, {}
-    for dk in dkeys:
-        rho_w[(dk,)] = float(rng.uniform(-0.3, 0.8))
-        rho_b_table[(dk,)] = float(rng.uniform(-0.15, 0.3)) if rho_b is None else rho_b
-        for l in range(n_times):
-            for m in range(l, n_times):
-                if l < m:
-                    rho_w[(dk, l, m)] = float(rng.uniform(0.0, 0.6))
-                rho_b_table[(dk, l, m)] = (
-                    float(rng.uniform(-0.05, 0.2)) if rho_b is None else rho_b
-                )
-    return AlphaEstimate(n_times=n_times, sigma2=sigma2, rho_w=rho_w, rho_b=rho_b_table)
+def random_alpha(rng, spec, cais, n_times, rho_b=None):
+    """An estimate with ``spec``'s correlation structure and random
+    parameters, variances per regime and time; ``rho_b``, when given, is
+    every between-person correlation."""
+    lags = np.abs(np.subtract.outer(np.arange(n_times), np.arange(n_times)))
+    pairs = np.triu_indices(n_times, 1)
+
+    def correlations():
+        W, B = np.eye(n_times), np.zeros((n_times, n_times))
+        rho = rng.uniform(-0.3, 0.8)
+        if spec.within_corr is WithinCorr.AR1:
+            W = rho**lags
+        elif spec.within_corr is WithinCorr.EXCHANGEABLE:
+            W = np.where(lags > 0, rho, 1.0)
+        elif spec.within_corr is WithinCorr.UNSTRUCTURED:
+            W[pairs] = W.T[pairs] = rng.uniform(0.0, 0.6, size=pairs[0].size)
+        if spec.between_corr is BetweenCorr.EXCHANGEABLE:
+            B[:] = rng.uniform(-0.15, 0.3)
+        elif spec.between_corr is BetweenCorr.UNSTRUCTURED:
+            B = rng.uniform(-0.05, 0.2, size=(n_times, n_times))
+            B = (B + B.T) / 2
+        if rho_b is not None and spec.between_corr is not BetweenCorr.INDEPENDENT:
+            B[:] = rho_b
+        return W, B
+
+    if spec.corr_cai is CorrCai.HOMOGENEOUS:
+        rows = [correlations()] * len(cais)
+    else:
+        rows = [correlations() for _ in cais]
+    sigma2 = rng.uniform(0.5, 3.0, size=(len(cais), n_times))
+    return AlphaEstimate(tuple(cais), sigma2, [W for W, _ in rows], [B for _, B in rows])
 
 
-def unchecked_V(spec, alpha, d, n, n_times):
+def unchecked_V(alpha, d, n):
     """A cluster's V assembled entry by entry, with no definiteness check."""
-    W = workingcov._within_block(spec, alpha, d, n_times)
-    B = workingcov._between_block(spec, alpha, d, n_times)
-    s = np.sqrt([alpha.sigma2_at(spec, d, k) for k in range(n_times)])
+    k = alpha.cais.index(d)
+    n_times = alpha.n_times
+    s = np.sqrt(alpha.sigma2[k])
     V = np.empty((n * n_times, n * n_times))
     for i, j, l, m in itertools.product(range(n), range(n), range(n_times), range(n_times)):
-        corr = W[l, m] if i == j else B[l, m]
+        corr = alpha.within[k, l, m] if i == j else alpha.between[k, l, m]
         V[i * n_times + l, j * n_times + m] = s[l] * s[m] * corr
     return V
 
@@ -776,10 +834,10 @@ class TestClosedFormInverse:
             basis = make_saturated_basis(design2, grid)
             mean_spec = MeanModelSpec.custom(design2, grid, basis, covariates)
             ws = _make_workspace(ds, mean_spec)
-            alpha = full_alpha(rng, ws.cais, n_times, rho_b)
+            alpha = random_alpha(rng, spec, ws.cais, n_times, rho_b)
             dense = {}
             for key in {(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}:
-                eig = np.linalg.eigvalsh(unchecked_V(spec, alpha, *key, n_times))
+                eig = np.linalg.eigvalsh(unchecked_V(alpha, *key))
                 if eig[0] <= 1e-10 * max(eig[-1], 0.0):
                     with pytest.raises(NotPositiveDefinite):
                         build_V(spec, alpha, key[0], key[1], grid)
@@ -789,17 +847,20 @@ class TestClosedFormInverse:
             if any(f is None for f in dense.values()):
                 raised += 1
                 with pytest.raises(NotPositiveDefinite):
-                    ws.factorize(spec, alpha)
+                    ws.factorize(alpha)
                 continue
             singletons_beside_larger += sum(1 in r.sizes and r.sizes.max() > 1 for r in ws.regimes)
             theta = rng.normal(size=mean_spec.n_params)
-            factors = ws.factorize(spec, alpha)
+            factors = ws.factorize(alpha)
             A, b, U, U_bc = dense_normal_system(ds, mean_spec, dense, theta)
             got_A, got_b = ws.normal_equations(factors)
             assert_close_rows(got_A, A)
             assert_close_rows(got_b, b)
             assert_close_rows(ws.u_rows(theta, factors), U)
-            if U_bc is not None:
+            if U_bc is None:
+                with pytest.raises(RankDeficient, match="has leverage one under regime"):
+                    ws.u_rows(theta, factors, leverage_inverse_from=got_A)
+            else:
                 bias_corrected += 1
                 assert_close_rows(ws.u_rows(theta, factors, leverage_inverse_from=got_A), U_bc)
         # rho_b = -0.9 makes every V of five or more people indefinite
@@ -835,7 +896,7 @@ class TestClosedFormInverse:
             within_corr=WithinCorr.INDEPENDENT,
             between_corr=BetweenCorr.EXCHANGEABLE,
         )
-        alpha = AlphaEstimate(n_times=3, sigma2={(D11, POOLED): 1.0}, rho_b={(D11,): -0.9})
+        alpha = AlphaEstimate((D11,), np.ones((1, 3)), [np.eye(3)], np.full((1, 3, 3), -0.9))
         clusters = [make_cluster(f"c{i}", 1, 0, 1, [(0.0, 1.0, 2.0)] * 5) for i in range(3)]
         ws = _make_workspace(
             make_dataset(clusters, design2, grid012), MeanModelSpec.piecewise_linear(design2, grid012)
@@ -843,7 +904,7 @@ class TestClosedFormInverse:
         with pytest.raises(NotPositiveDefinite):
             build_V(spec, alpha, D11, 5, grid012)
         with pytest.raises(NotPositiveDefinite):
-            ws.factorize(spec, alpha)
+            ws.factorize(alpha)
 
     def test_rejection_names_first_regime_and_smallest_size(self, design2, grid012):
         spec = WorkingCovSpec(
@@ -854,9 +915,8 @@ class TestClosedFormInverse:
         )
         # rho_b = -0.2 makes V indefinite from three people on, -0.9 from two
         alpha = AlphaEstimate(
-            n_times=3,
-            sigma2={(D11, POOLED): 1.0, (D1M, POOLED): 1.0},
-            rho_b={(D11,): -0.2, (D1M,): -0.9},
+            (D11, D1M), np.ones((2, 3)), [np.eye(3)] * 2,
+            np.array([-0.2, -0.9])[:, None, None] * np.ones((3, 3)),
         )
         clusters = [
             make_cluster(f"c{i}{a2nr}", 1, 0, a2nr, [(0.0, 1.0, 2.0)] * n)
@@ -871,28 +931,26 @@ class TestClosedFormInverse:
         )
         for _ in range(3):
             with pytest.raises(NotPositiveDefinite) as raised:
-                ws.factorize(spec, alpha)
+                ws.factorize(alpha)
             assert str(raised.value) == message
 
     def test_regime_blocks_built_once_per_regime(self, design2, grid012, monkeypatch):
         rng = np.random.default_rng(32)
         ds = random_design2_dataset(rng, 60, grid012, design2, sizes=(1, 2, 3, 4))
         ws = _make_workspace(ds, MeanModelSpec.piecewise_linear(design2, grid012))
-        alpha = full_alpha(rng, ws.cais, 3)
-        calls = {"_within_block": 0, "_between_block": 0}
+        alpha = random_alpha(rng, UNSTR, ws.cais, 3)
+        calls = []
 
-        def counted(name, f):
-            def wrapper(*args):
-                calls[name] += 1
-                return f(*args)
-            return wrapper
+        def counted(alpha, d, sizes):
+            calls.append(d)
+            return cluster_blocks(alpha, d, sizes)
 
-        for name in calls:
-            monkeypatch.setattr(workingcov, name, counted(name, getattr(workingcov, name)))
-        ws.factorize(UNSTR, alpha)
-        regimes = {r.cai for r in ws.regimes}
+        cluster_blocks = gee.cluster_blocks
+        monkeypatch.setattr(gee, "cluster_blocks", counted)
+        ws.factorize(alpha)
+        regimes = [r.cai for r in ws.regimes]
         assert len({(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}) > len(regimes) == 4
-        assert calls == {"_within_block": 4, "_between_block": 4}
+        assert calls == regimes
 
     @pytest.mark.parametrize("cov_spec", [EXCH, UNSTR], ids=["exchangeable", "unstructured"])
     @pytest.mark.parametrize("bias_correct", [False, True])

@@ -98,7 +98,7 @@ class TestCorrectedSandwich:
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, IID)
         ws = _make_workspace(ds, spec)
-        U = ws.u_rows(res.theta.full, ws.factorize(res.cov_spec, res.alpha))
+        U = ws.u_rows(res.theta.full, ws.factorize(res.alpha))
         q = _score_corrected_q(res.q_hat, U, np.zeros((res.n_clusters, 3)))
         assert q is res.q_hat
         corrected = sandwich_covariance(res.j_hat, q, res.n_clusters)
@@ -119,7 +119,7 @@ class TestCorrectedSandwich:
             wm = res.weight_model
             # rebuild the uncorrected meat for comparison
             ws = _make_workspace(ds, spec, wm.fitted_weights)
-            factors = ws.factorize(res.cov_spec, res.alpha) if res.iterations else None
+            factors = ws.factorize(res.alpha) if res.iterations else None
             U = ws.u_rows(res.theta.full, factors)
             q_plain = U.T @ U / res.n_clusters
             np.testing.assert_array_compare(

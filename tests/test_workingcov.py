@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from smartlong import (
-    POOLED,
     AlphaEstimate,
     BetweenCorr,
     CorrCai,
@@ -21,11 +20,15 @@ from smartlong import (
     workingcov,
 )
 from smartlong.errors import DegenerateVariance, InsufficientData, NotPositiveDefinite
+from smartlong.workingcov import cluster_blocks
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
 
 HET = dict(variance_time=VarianceTime.HETEROSCEDASTIC, variance_cai=VarianceCai.HETEROGENEOUS)
+CLIP = workingcov._CLIP
+# the transcription's key for a level pooled over regimes or times
+POOLED = "pooled"
 
 
 def residual_groups(entries):
@@ -75,7 +78,8 @@ def naive_alpha(entries, spec, cais):
     if spec.variance_time is VarianceTime.HETEROSCEDASTIC:
         sigma2 = {(dk, k): v[k] for dk, v in levels.items() for k in range(n_times)}
     else:
-        sigma2 = {(dk, POOLED): sum(v) / n_times for dk, v in levels.items()}
+        # numpy's summation order, so that exact inputs give equal bits
+        sigma2 = {(dk, POOLED): float(np.mean(v)) for dk, v in levels.items()}
 
     def dkeys():
         return cais if spec.corr_cai is CorrCai.HETEROGENEOUS else [POOLED]
@@ -83,8 +87,9 @@ def naive_alpha(entries, spec, cais):
     def dk(d):
         return d if spec.corr_cai is CorrCai.HETEROGENEOUS else POOLED
 
+    within = spec.within_corr if T >= 1 else WithinCorr.INDEPENDENT
     rho_w, rho_b = {}, {}
-    if spec.within_corr is WithinCorr.AR1:
+    if within is WithinCorr.AR1:
         num = {k: 0.0 for k in dkeys()}
         den = {k: 0.0 for k in dkeys()}
         for cai, w, eps in entries:
@@ -95,7 +100,7 @@ def naive_alpha(entries, spec, cais):
                     )
             den[dk(cai)] += w * eps.shape[0] * T
         rho_w = {(k,): num[k] / den[k] for k in num}
-    elif spec.within_corr is WithinCorr.EXCHANGEABLE:
+    elif within is WithinCorr.EXCHANGEABLE:
         num = {k: 0.0 for k in dkeys()}
         den = {k: 0.0 for k in dkeys()}
         for cai, w, eps in entries:
@@ -109,7 +114,7 @@ def naive_alpha(entries, spec, cais):
                         )
             den[dk(cai)] += w * eps.shape[0] * n_times * T
         rho_w = {(k,): num[k] / den[k] for k in num}
-    elif spec.within_corr is WithinCorr.UNSTRUCTURED:
+    elif within is WithinCorr.UNSTRUCTURED:
         for l in range(n_times):
             for m in range(l + 1, n_times):
                 num = {k: 0.0 for k in dkeys()}
@@ -160,6 +165,49 @@ def naive_alpha(entries, spec, cais):
     return sigma2, rho_w, rho_b
 
 
+def clip_open(rho):
+    return min(max(float(rho), -CLIP), CLIP)
+
+
+def oracle_blocks(spec, params, d, n_times):
+    """Regime ``d``'s variances and correlation blocks W and B,
+    entry by entry from the transcription's per-cell parameters: each
+    correlation clipped into the open interval, AR(1) entries as powers of
+    its one parameter."""
+    sigma2, rho_w, rho_b = params
+    vk = d if spec.variance_cai is VarianceCai.HETEROGENEOUS else POOLED
+    ck = d if spec.corr_cai is CorrCai.HETEROGENEOUS else POOLED
+    het_time = spec.variance_time is VarianceTime.HETEROSCEDASTIC
+    s2 = np.array([sigma2[(vk, k if het_time else POOLED)] for k in range(n_times)])
+    W = np.eye(n_times)
+    if n_times > 1 and spec.within_corr is WithinCorr.AR1:
+        lags = np.abs(np.subtract.outer(np.arange(n_times), np.arange(n_times)))
+        W = clip_open(rho_w[(ck,)]) ** lags
+        np.fill_diagonal(W, 1.0)
+    elif n_times > 1 and spec.within_corr is WithinCorr.EXCHANGEABLE:
+        W = np.full((n_times, n_times), clip_open(rho_w[(ck,)]))
+        np.fill_diagonal(W, 1.0)
+    elif n_times > 1 and spec.within_corr is WithinCorr.UNSTRUCTURED:
+        for l in range(n_times):
+            for m in range(l + 1, n_times):
+                W[l, m] = W[m, l] = clip_open(rho_w[(ck, l, m)])
+    B = np.zeros((n_times, n_times))
+    if spec.between_corr is BetweenCorr.EXCHANGEABLE:
+        B[:] = clip_open(rho_b[(ck,)])
+    elif spec.between_corr is BetweenCorr.UNSTRUCTURED:
+        for l in range(n_times):
+            for m in range(l, n_times):
+                B[l, m] = B[m, l] = clip_open(rho_b[(ck, l, m)])
+    return s2, W, B
+
+
+def expanded(params, spec, cais, n_times):
+    """The transcription's parameters in the estimate's layout: one row per
+    regime, pooled cells repeated."""
+    rows = [oracle_blocks(spec, params, d, n_times) for d in cais]
+    return tuple(np.array([row[i] for row in rows]) for i in range(3))
+
+
 def random_entries(rng, cais, n_entries=40, n_times=3, sizes=(1, 2, 3)):
     entries = []
     for _ in range(n_entries):
@@ -171,6 +219,32 @@ def random_entries(rng, cais, n_entries=40, n_times=3, sizes=(1, 2, 3)):
     return entries
 
 
+def exact_entries(rng, cais, n_times, kind):
+    """Residuals whose moments are exact in floating point: regime k's rows
+    are +-c at time t, c = (k + 1)(t + 1), so standardized residuals are +-1
+    and every sum is an integer.  ``random`` draws the signs; ``negative``
+    mostly alternates them over time (a negative AR(1) rho); ``extreme``
+    gives each regime one two-person cluster of +-2 standardized residuals
+    beside six zero singletons, so moment ratios reach +-1 and +-4."""
+    entries = []
+    for k, d in enumerate(cais):
+        c = (k + 1.0) * np.arange(1, n_times + 1)
+        alternating = (-1.0) ** np.arange(n_times)
+        if kind == "extreme":
+            person = c if k == 0 else c * alternating
+            entries.append((d, 1.0, np.array([person, person if k == 0 else -person])))
+            entries += [(d, 1.0, np.zeros((1, n_times)))] * 6
+            continue
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            signs = rng.choice([-1.0, 1.0], size=(n, n_times))
+            if kind == "negative":
+                flip = rng.random(n) < 0.75
+                signs[flip] = rng.choice([-1.0, 1.0], size=(flip.sum(), 1)) * alternating
+            entries.append((d, float(rng.integers(1, 4)), signs * c))
+    return entries
+
+
 class TestEstimateAlpha:
     def test_independent_structure_forces_zero_rho(self):
         rng = np.random.default_rng(2)
@@ -179,10 +253,11 @@ class TestEstimateAlpha:
             within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
         alpha = estimate_alpha(residual_groups(entries), spec, [D11])
-        assert alpha.rho_w == {} and alpha.rho_b == {}
+        np.testing.assert_array_equal(alpha.within, [np.eye(3)])
+        np.testing.assert_array_equal(alpha.between, np.zeros((1, 3, 3)))
         # Table A2 weighted mean of squared residuals
         expected = sum(e[2][:, 0] @ e[2][:, 0] for e in entries) / (5 * 2)
-        assert alpha.sigma2[(D11, 0)] == pytest.approx(expected)
+        assert alpha.sigma2[0, 0] == pytest.approx(expected)
 
     def test_single_cluster_unstructured_within(self):
         spec = WorkingCovSpec(
@@ -190,9 +265,8 @@ class TestEstimateAlpha:
         )
         entries = [(D11, 4.0, np.array([[1.0, 1.0]]))]
         alpha = estimate_alpha(residual_groups(entries), spec, [D11])
-        assert alpha.sigma2[(D11, 0)] == pytest.approx(1.0)
-        assert alpha.sigma2[(D11, 1)] == pytest.approx(1.0)
-        assert alpha.rho_w[(D11, 0, 1)] == pytest.approx(1.0)  # weights cancel
+        assert alpha.sigma2[0] == pytest.approx([1.0, 1.0])
+        assert alpha.within[0, 0, 1] == pytest.approx(1.0)  # weights cancel
 
     def test_two_cluster_between_exchangeable(self):
         spec = WorkingCovSpec(
@@ -203,8 +277,8 @@ class TestEstimateAlpha:
             (D11, 1.0, np.array([[1.0], [-1.0]])),
         ]
         alpha = estimate_alpha(residual_groups(entries), spec, [D11])
-        assert alpha.sigma2[(D11, 0)] == pytest.approx(1.0)
-        assert alpha.rho_b[(D11,)] == pytest.approx(0.0)
+        assert alpha.sigma2[0, 0] == pytest.approx(1.0)
+        assert alpha.between[0, 0, 0] == pytest.approx(0.0)
 
     def test_ar1_uses_adjacent_lags_only(self):
         spec = WorkingCovSpec(
@@ -213,7 +287,7 @@ class TestEstimateAlpha:
         # residual series (1, 2, 4): lag-1 standardized products are all 1
         entries = [(D11, 1.0, np.array([[1.0, 2.0, 4.0]]))]
         alpha = estimate_alpha(residual_groups(entries), spec, [D11])
-        assert alpha.rho_w[(D11,)] == pytest.approx(1.0)
+        assert alpha.within[0, 0, 1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("within", [WithinCorr.AR1, WithinCorr.EXCHANGEABLE, WithinCorr.UNSTRUCTURED])
     @pytest.mark.parametrize("between", [BetweenCorr.EXCHANGEABLE, BetweenCorr.UNSTRUCTURED])
@@ -227,14 +301,18 @@ class TestEstimateAlpha:
         entries = random_entries(rng, cais)
         spec = WorkingCovSpec(variance_time, variance_cai, within, between, corr_cai)
         alpha = estimate_alpha(residual_groups(entries), spec, cais)
-        s2, rho_w, rho_b = naive_alpha(entries, spec, cais)
-        assert alpha.sigma2.keys() == s2.keys()
-        for key, v in s2.items():
-            assert alpha.sigma2[key] == pytest.approx(v)
-        for key, v in rho_w.items():
-            assert alpha.rho_w[key] == pytest.approx(np.clip(v, -1, 1))
-        for key, v in rho_b.items():
-            assert alpha.rho_b[key] == pytest.approx(np.clip(v, -1, 1))
+        sigma2, W, B = expanded(naive_alpha(entries, spec, cais), spec, cais, 3)
+        assert alpha.sigma2 == pytest.approx(sigma2)
+        assert alpha.within == pytest.approx(W)
+        assert alpha.between == pytest.approx(B)
+        # pooled cells hold one value
+        if variance_cai is VarianceCai.HOMOGENEOUS:
+            np.testing.assert_array_equal(alpha.sigma2, alpha.sigma2[[0, 0]])
+        if variance_time is VarianceTime.HOMOSCEDASTIC:
+            np.testing.assert_array_equal(alpha.sigma2, alpha.sigma2[:, [0, 0, 0]])
+        if corr_cai is CorrCai.HOMOGENEOUS:
+            np.testing.assert_array_equal(alpha.within, alpha.within[[0, 0]])
+            np.testing.assert_array_equal(alpha.between, alpha.between[[0, 0]])
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -244,12 +322,8 @@ class TestEstimateAlpha:
         a1 = estimate_alpha(residual_groups(entries), spec, cais)
         scaled = [(c, 7.5 * w, e) for c, w, e in entries]
         a2 = estimate_alpha(residual_groups(scaled), spec, cais)
-        for key in a1.sigma2:
-            assert a1.sigma2[key] == pytest.approx(a2.sigma2[key])
-        for key in a1.rho_w:
-            assert a1.rho_w[key] == pytest.approx(a2.rho_w[key])
-        for key in a1.rho_b:
-            assert a1.rho_b[key] == pytest.approx(a2.rho_b[key])
+        for name in ("sigma2", "within", "between"):
+            assert getattr(a1, name) == pytest.approx(getattr(a2, name))
 
     def test_singletons_skipped_for_between_but_not_error(self):
         spec = WorkingCovSpec(
@@ -261,7 +335,8 @@ class TestEstimateAlpha:
             (D11, 1.0, rng.normal(size=(3, 2))),
         ]
         alpha = estimate_alpha(residual_groups(entries), spec, [D11])
-        assert (D11,) in alpha.rho_b
+        _, _, B = expanded(naive_alpha(entries, spec, [D11]), spec, [D11], 2)
+        assert alpha.between == pytest.approx(B)
 
     def test_insufficient_data_when_no_cluster_informs_cell(self):
         spec = WorkingCovSpec(
@@ -295,25 +370,94 @@ class TestEstimateAlpha:
             (D1M, 1.0, np.array([[2.0, 0.0], [2.0, 0.0]])),
         ]
         alpha = estimate_alpha(residual_groups(entries), spec, [D11, D1M])
-        # Table A2 pooled: sum_d sums in numerator and denominator
-        assert alpha.sigma2[(POOLED, 0)] == pytest.approx((2 * 1 + 1 * 8) / (2 + 2))
-        assert alpha.sigma2[(POOLED, 1)] == pytest.approx((2 * 4 + 0) / 4)
+        # Table A2 pooled: sum_d sums in numerator and denominator, one row per regime
+        pooled = [(2 * 1 + 1 * 8) / (2 + 2), (2 * 4 + 0) / 4]
+        assert alpha.sigma2 == pytest.approx(np.array([pooled, pooled]))
+
+
+class TestClusterBlocks:
+    @pytest.mark.parametrize("n_times", [1, 2, 4])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["variance-per-cell", "variance-pooled"])
+    @pytest.mark.parametrize("within,between,corr_cai", list(itertools.product(WithinCorr, BetweenCorr, CorrCai)))
+    def test_matches_per_entry_oracle(self, within, between, corr_cai, pooled, n_times):
+        variance = (VarianceTime.HOMOSCEDASTIC, VarianceCai.HOMOGENEOUS) if pooled else (
+            VarianceTime.HETEROSCEDASTIC, VarianceCai.HETEROGENEOUS)
+        spec = WorkingCovSpec(*variance, within, between, corr_cai)
+        rng = np.random.default_rng(n_times)
+        cais = [D11, D1M]
+        compared = 0
+        for kind in ("random", "negative", "extreme"):
+            entries = exact_entries(rng, cais, n_times, kind)
+            alpha = estimate_alpha(residual_groups(entries), spec, cais)
+            params = naive_alpha(entries, spec, cais)
+            for d in cais:
+                s2, W, B = oracle_blocks(spec, params, d, n_times)
+                s = np.sqrt(s2)
+                W, B = np.outer(s, s) * W, np.outer(s, s) * B
+                eig = np.linalg.eigvalsh(W)
+                if eig[0] <= 1e-10 * max(eig[-1], 0.0):
+                    with pytest.raises(NotPositiveDefinite):
+                        cluster_blocks(alpha, d, (1,))
+                    continue
+                got_W, got_B = cluster_blocks(alpha, d, (1,))
+                np.testing.assert_array_equal(got_W, W)
+                np.testing.assert_array_equal(got_B, B)
+                compared += 1
+            ratios = [*params[1].values(), *params[2].values()]
+            assert alpha.clipped == any(abs(v) > CLIP for v in ratios)
+            if kind == "extreme" and between is not BetweenCorr.INDEPENDENT and corr_cai is CorrCai.HETEROGENEOUS:
+                # moment ratios of +-4 are stored at the open-interval bound
+                assert alpha.clipped
+                assert np.abs(alpha.between).max() == CLIP
+        assert compared >= 4
+
+
+def one_regime(sigma2, within=None, between=None):
+    """An estimate for regime D11 alone."""
+    t = len(sigma2)
+    return AlphaEstimate(
+        (D11,), [sigma2], [np.eye(t) if within is None else within],
+        [np.zeros((t, t)) if between is None else between],
+    )
+
+
+class TestAlphaEstimate:
+    def test_arrays_are_read_only_copies(self):
+        s2 = np.array([[1.0, 2.0]])
+        alpha = AlphaEstimate((D11,), s2, [np.eye(2)], np.zeros((1, 2, 2)))
+        s2[0, 0] = 5.0
+        assert alpha.sigma2[0, 0] == 1.0
+        for name in ("sigma2", "within", "between"):
+            with pytest.raises(ValueError):
+                getattr(alpha, name)[0, 0] = 0.0
+        assert alpha.n_times == 2 and alpha.cais == (D11,) and not alpha.clipped
+
+    def test_rejects_bad_values_and_shapes(self):
+        eye, zero = [np.eye(2)], np.zeros((1, 2, 2))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            AlphaEstimate((D11,), [[1.0, -0.5]], eye, zero)
+        for bad in (math.nan, 1.5, -1.0 - 1e-12):
+            with pytest.raises(ValueError, match="must lie in"):
+                AlphaEstimate((D11,), [[1.0, 1.0]], eye, np.full((1, 2, 2), bad))
+            with pytest.raises(ValueError, match="must lie in"):
+                AlphaEstimate((D11,), [[1.0, 1.0]], [[[1.0, bad], [bad, 1.0]]], zero)
+        with pytest.raises(ValueError, match="one row per regime"):
+            AlphaEstimate((D11, D1M), [[1.0, 1.0]], eye, zero)
+        with pytest.raises(ValueError, match="one matrix per regime"):
+            AlphaEstimate((D11,), [[1.0, 1.0]], [np.eye(3)], zero)
 
 
 class TestBuildV:
     def test_homoscedastic_independent_is_scaled_identity(self, grid012):
         spec = WorkingCovSpec.independent_homoscedastic()
-        alpha = AlphaEstimate(n_times=3, sigma2={(POOLED, POOLED): 2.5})
-        V = build_V(spec, alpha, D11, 3, grid012)
+        V = build_V(spec, one_regime([2.5] * 3), D11, 3, grid012)
         np.testing.assert_allclose(V, 2.5 * np.eye(9))
 
     def test_single_person_exchangeable(self):
         spec = WorkingCovSpec(
             within_corr=WithinCorr.EXCHANGEABLE, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
-        alpha = AlphaEstimate(
-            n_times=2, sigma2={(D11, 0): 4.0, (D11, 1): 9.0}, rho_w={(D11,): 0.5}
-        )
+        alpha = one_regime([4.0, 9.0], within=[[1.0, 0.5], [0.5, 1.0]])
         V = build_V(spec, alpha, D11, 1, 2)
         np.testing.assert_allclose(V, [[4.0, 0.5 * 2 * 3], [0.5 * 2 * 3, 9.0]])
 
@@ -324,20 +468,15 @@ class TestBuildV:
             within_corr=WithinCorr.INDEPENDENT,
             between_corr=BetweenCorr.EXCHANGEABLE,
         )
-        alpha = AlphaEstimate(n_times=1, sigma2={(D11, 0): 1.0}, rho_b={(D11,): 0.3})
-        V = build_V(spec, alpha, D11, 2, 1)
+        V = build_V(spec, one_regime([1.0], between=[[0.3]]), D11, 2, 1)
         np.testing.assert_allclose(V, [[1.0, 0.3], [0.3, 1.0]])
 
     def test_symmetric_and_individual_exchangeable(self, grid012):
         spec = WorkingCovSpec(
             within_corr=WithinCorr.AR1, between_corr=BetweenCorr.EXCHANGEABLE, **HET
         )
-        alpha = AlphaEstimate(
-            n_times=3,
-            sigma2={(D11, 0): 1.0, (D11, 1): 2.0, (D11, 2): 3.0},
-            rho_w={(D11,): 0.4},
-            rho_b={(D11,): 0.1},
-        )
+        lags = np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
+        alpha = one_regime([1.0, 2.0, 3.0], within=0.4**lags, between=np.full((3, 3), 0.1))
         V = build_V(spec, alpha, D11, 3, grid012)
         np.testing.assert_array_equal(V, V.T)
         # swapping two individuals permutes blocks without changing V
@@ -351,12 +490,15 @@ class TestBuildV:
             within_corr=WithinCorr.AR1,
             between_corr=BetweenCorr.INDEPENDENT,
         )
-        rho = -0.6
-        alpha = AlphaEstimate(n_times=3, sigma2={(D11, POOLED): 1.0}, rho_w={(D11,): rho})
+        # four alternating series and one constant over unit variances
+        entries = [(D11, 1.0, np.array([[1.0, -1.0, 1.0]]))] * 4 + [(D11, 1.0, np.ones((1, 3)))]
+        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        rho = (4 * -2 + 2) / (5 * 2)
         V = build_V(spec, alpha, D11, 2, grid012)
         for l in range(3):
             for m in range(3):
-                assert abs(V[l, m]) == pytest.approx(abs(rho) ** abs(l - m))
+                assert V[l, m] == rho ** abs(l - m)
+                assert V[l, 3 + m] == 0.0
 
     def test_independent_independent_is_diagonal(self, grid012):
         rng = np.random.default_rng(4)
@@ -375,26 +517,25 @@ class TestBuildV:
             within_corr=WithinCorr.INDEPENDENT,
             between_corr=BetweenCorr.EXCHANGEABLE,
         )
-        alpha = AlphaEstimate(n_times=3, sigma2={(D11, POOLED): 1.0}, rho_b={(D11,): -0.9})
+        alpha = one_regime([1.0] * 3, between=np.full((3, 3), -0.9))
         with pytest.raises(NotPositiveDefinite):
             build_V(spec, alpha, D11, 5, grid012)
 
-    def test_open_clip_bounds_and_passes_nan(self):
-        clip = workingcov._CLIP
-        assert [workingcov._clip_open(v) for v in (2.0, -2.0, 0.25, -0.0)] == [clip, -clip, 0.25, 0.0]
-        assert all(type(workingcov._clip_open(v)) is float for v in (np.float64(0.5), 1, 2.0))
-        assert math.isnan(workingcov._clip_open(math.nan))
-        with pytest.raises(ValueError, match="must lie in"):
-            AlphaEstimate(n_times=1, sigma2={(D11, 0): 1.0}, rho_b={(D11,): math.nan})
+    def test_grid_must_match_estimate(self, grid012):
+        spec = WorkingCovSpec.independent_homoscedastic()
+        with pytest.raises(ValueError, match="grid has 3 times, the estimate 2"):
+            build_V(spec, one_regime([1.0, 1.0]), D11, 2, grid012)
+        with pytest.raises(ValueError, match="grid has 1 times"):
+            build_V(spec, one_regime([1.0, 1.0]), D11, 2, 1)
 
     def test_perfect_correlation_estimates_still_assemble(self):
-        # rho-hat of 1 is stored exactly; assembly clips into the open interval
+        # rho-hat of 1 is stored as the open-interval bound V is built from
         spec = WorkingCovSpec(
             within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
         entries = [(D11, 4.0, np.array([[1.0, 1.0]]))]
         alpha = estimate_alpha(residual_groups(entries), spec, [D11])
-        assert alpha.rho_w[(D11, 0, 1)] == 1.0
+        assert alpha.within[0, 0, 1] == alpha.within[0, 1, 0] == 1.0 - 1e-8
         assert alpha.clipped
         V = build_V(spec, alpha, D11, 1, 2)
         assert np.linalg.eigvalsh(V)[0] > 0
