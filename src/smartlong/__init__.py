@@ -39,6 +39,7 @@ from .workingcov import (
     BetweenCorr,
     CorrCai,
     ResidualGroup,
+    ResidualGrams,
     VarianceCai,
     VarianceTime,
     WithinCorr,

@@ -13,21 +13,26 @@ Every cluster's working covariance is block exchangeable,
 V = I_n (x) A' + J_n (x) B' with (T+1) x (T+1) blocks, so its inverse is
 I_n (x) A'^{-1} + J_n (x) C with C = (A_n'^{-1} - A'^{-1}) / n and
 A_n' = A' + n B'.  The engine forms neither V nor the design D nor V^{-1} D.
-It factorizes the regime blocks once per regime and only A_n' per distinct
-cluster size.  Individual j's design is D_j = [Gamma_d | 1 x_j'], so with
-G = [Gamma_d | 1], D'V^{-1} D and D'V^{-1} y are sums of G'SG and G'S for
-S = A'^{-1} and each C, weighted by moments of the covariates and outcomes
-built once per regime, over its rows and over its clusters of each distinct
-size.  Each solve so costs O(regimes x distinct sizes x (T+1)^2 x p^2),
-whatever the number of clusters.  Residuals and scores are read from the
-same structure, and the bias-corrected meat uses the Woodbury form of the
-inverse leverage, one p x p solve per cluster; they are linear in the number
-of observations.  Only C depends on the cluster size, so each regime keeps
-one stack of its consistent clusters, one row per individual, in the
-dataset's canonical sorted-id order; results are reproducible and
-independent of input row order.  The stacks are filled array-at-once from
-the dataset's columns, regime membership and design weights decided once per
-distinct observed pathway.
+It factorizes A' per regime and A_n' per distinct cluster size, every
+regime's blocks in one stacked eigenvalue call and one stacked inverse.
+Individual j's design is D_j = [Gamma_d | 1 x_j'], so with G = [Gamma_d | 1],
+D'V^{-1} D and D'V^{-1} y are sums of G'SG and G'S for S = A'^{-1} and each
+C, weighted by moments of the covariates and outcomes built once per
+regime, over its rows and over its clusters of each distinct size.  The
+working-covariance moments are read from weighted residual Grams, which
+are linear in theta's step from the first estimate: the rows are read once
+there and every later Gram is closed-form (see
+:meth:`_Workspace.residual_grams`).  So every iteration, the alpha estimate
+included, costs O(regimes x distinct sizes x (T+1)^2 x p^2), whatever the
+number of clusters.  Residuals and scores for the sandwich are read from
+the same structure, and the bias-corrected meat uses the Woodbury form of
+the inverse leverage, one p x p solve per cluster; they are linear in the
+number of observations and run once per fit.  Only C depends on the
+cluster size, so each regime keeps one stack of its consistent clusters,
+one row per individual, in the dataset's canonical sorted-id order; results
+are reproducible and independent of input row order.  The stacks are
+filled array-at-once from the dataset's columns, regime membership and
+design weights decided once per distinct observed pathway.
 
 :func:`fit` is the only entry point: it solves, applies the finite-sample
 adjustments and the estimated-weight correction, and assembles the sandwich
@@ -38,6 +43,7 @@ once (the end-of-study comparator runs it on the final time alone).  A
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -61,12 +67,12 @@ from .workingcov import (
     AlphaEstimate,
     BetweenCorr,
     CorrCai,
-    ResidualGroup,
+    ResidualGrams,
     VarianceCai,
     VarianceTime,
     WithinCorr,
     WorkingCovSpec,
-    cluster_blocks,
+    block_stack,
     estimate_alpha,
 )
 
@@ -88,6 +94,13 @@ _MAX_COND = 1e12
 # a contrast SE within this many units of float resolution of the estimate's
 # own rounding error cannot be told apart from zero
 _ZERO_SE_ULPS = 1e3
+
+
+def _symmetric_cond(A: np.ndarray) -> float:
+    """The 2-norm condition number of a symmetric matrix, whose singular
+    values are its eigenvalues' magnitudes: cheaper than an SVD."""
+    spectrum = np.abs(np.linalg.eigvalsh(A))
+    return spectrum.max() / spectrum.min() if spectrum.min() > 0.0 else math.inf
 
 
 class WeightMode(Enum):
@@ -119,6 +132,8 @@ class FitOptions:
         # NaN fails both comparisons; math.inf accepts the identity-covariance fit
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
@@ -159,13 +174,8 @@ class _Regime:
     Individual j's design is D_j = [Gamma | 1 x_j'] = G E(z_j), with
     G = [Gamma | 1], z_j = (1, x_j) and E(z) = diag(z_0 I, z_1..q'); a
     cluster's design sum is G E(z_i) with z_i = (n_i, X_i).  So the regime
-    keeps G and the covariate rows, never D, and the normal equations need
-    only the weighted moments sum w z z' and sum w z Y' (Y the outcome sum
-    of the same rows): over every row for the A'^{-1} term (k = 0), and over
-    the clusters of each distinct size for its C_n term (k = 1..).  ``wzz``
-    and ``wzy`` hold them spread to the parameter layout, entry (i, j)
-    pairing with (G' S G)[g_i, g_j] where g maps each parameter to its
-    column of G; the weights are fixed, so they are built once.
+    keeps G and the covariate rows, never D; the workspace keeps the weighted
+    moments of z the normal equations and the residual Grams need.
     """
 
     cai: EmbeddedCai
@@ -178,8 +188,6 @@ class _Regime:
     x_sum: np.ndarray        # (m, q), each cluster's covariates summed over its rows
     distinct: np.ndarray     # (k,) distinct cluster sizes, ascending
     size_idx: np.ndarray     # (m,) each cluster's index into ``distinct``
-    wzz: np.ndarray          # (1+k, p, p)
-    wzy: np.ndarray          # (1+k, p, T+1)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -188,7 +196,18 @@ class _Regime:
 
 class _Workspace:
     """Per-regime covariate and outcome stacks for one dataset and mean model,
-    with the weighted moments the normal equations are solved from."""
+    with the weighted moments that every iteration is computed from.
+
+    The moments are stacked over the regimes that have clusters (R' of them),
+    the size-dependent ones padded to the largest number k of distinct sizes:
+    ``wzz`` (R', 1 + k, p, p) and ``wzy`` (R', 1 + k, p, T+1) hold sum w z z'
+    and sum w z Y' (Y the outcome sum of the same rows) over every row for
+    the A'^{-1} term and over the clusters of each distinct size for its C_n
+    term, spread to the parameter layout: entry (i, j) pairs with
+    (G' S G)[g_i, g_j] where g maps each parameter to its column of G.
+    ``szz`` (2, R', 1 + q, 1 + q) holds sum w z z' over rows and over cluster
+    sums for the residual Grams.  The weights are fixed, so all are built once.
+    """
 
     def __init__(self, ds: TrialDataset, mean_spec: MeanModelSpec, weights: np.ndarray) -> None:
         self.ds = ds
@@ -203,15 +222,17 @@ class _Workspace:
         self._g = np.r_[np.arange(n_gamma), np.full(q, n_gamma)]
         self._z = np.r_[np.zeros(n_gamma, dtype=int), np.arange(1, q + 1)]
         self.cais = enumerate_cais(ds.design)
-        self.regimes = self._build_regimes()
+        self._build_regimes()
+        # residual moments at the first theta the Grams are asked for
+        self._anchor: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- assembly -----------------------------------------------------------
 
-    def _build_regimes(self) -> List[_Regime]:
+    def _build_regimes(self) -> None:
         spec, ds = self.mean_spec, self.ds
         sizes = ds.sizes
         first = np.cumsum(sizes) - sizes
-        q = len(spec.covariate_terms)
+        q, n_times = len(spec.covariate_terms), spec.grid.n_times
         x = np.empty((len(ds.y), q))
         for c_idx, name in enumerate(spec.covariate_terms):
             if name in ds.cluster_covariates:
@@ -225,8 +246,9 @@ class _Workspace:
             [[consistency_indicator(p, d, ds.design) for p in ds.pathways] for d in self.cais], dtype=bool
         ).reshape(len(self.cais), len(ds.pathways))
         consistent = by_pathway[:, ds.pathway_index]
-        spread = (slice(None), self._z[:, None], self._z)
-        regimes = []
+        self.regimes: List[_Regime] = []
+        self._rows: List[int] = []  # each regime's index into ``cais``
+        moments, people, pairs, y_square = [], [], [], []
         for k, d in enumerate(self.cais):
             pos = np.flatnonzero(consistent[k])
             if pos.size == 0:
@@ -239,45 +261,69 @@ class _Workspace:
             x_sum = np.add.reduceat(xs, starts) if q else np.zeros((pos.size, 0))
             distinct, size_idx = np.unique(n, return_inverse=True)
             w = self.weights[pos]
+            w_rows = np.repeat(w, n)
             # moments of z against (z, Y): over rows, then per distinct size
             z_rows = np.column_stack((np.ones(len(xs)), xs))
             z_clusters = np.column_stack((n, x_sum))
-            moments = np.zeros((1 + distinct.size, 1 + q, 1 + q + len(gamma)))
-            moments[0] = (np.repeat(w, n)[:, None] * z_rows).T @ np.hstack((z_rows, ys))
+            m = np.zeros((1 + distinct.size, 1 + q, 1 + q + n_times))
+            m[0] = (w_rows[:, None] * z_rows).T @ np.hstack((z_rows, ys))
             per_cluster = (w[:, None] * z_clusters)[:, :, None] * np.hstack(
                 (z_clusters, np.add.reduceat(ys, starts))
             )[:, None, :]
-            np.add.at(moments[1:], size_idx, per_cluster)
-            regimes.append(_Regime(
+            np.add.at(m[1:], size_idx, per_cluster)
+            moments.append(m)
+            people.append(w @ n)
+            pairs.append(w @ (n * (n - 1.0)))
+            y_square.append(w_rows @ ys**2 / people[-1])
+            self._rows.append(k)
+            self.regimes.append(_Regime(
                 d, pos, n, starts, np.column_stack((gamma, np.ones(len(gamma)))), xs, ys, x_sum,
-                distinct, size_idx, moments[spread], moments[:, self._z, 1 + q :],
+                distinct, size_idx,
             ))
-        return regimes
+        R = len(self.regimes)
+        k_max = max((r.distinct.size for r in self.regimes), default=0)
+        self._basis = np.array([r.basis for r in self.regimes]).reshape(R, n_times, spec.n_gamma + 1)
+        self._distinct = np.zeros((R, k_max), dtype=int)  # padded with zeros
+        stacked = np.zeros((R, 1 + k_max, 1 + q, 1 + q + n_times))
+        for i, (r, m) in enumerate(zip(self.regimes, moments)):
+            self._distinct[i, : r.distinct.size] = r.distinct
+            stacked[i, : len(m)] = m
+        self._wzz = stacked[:, :, self._z[:, None], self._z]
+        self._wzy = stacked[:, :, self._z, 1 + q :]
+        self._szz = np.stack((stacked[:, 0, :, : 1 + q], stacked[:, 1:, :, : 1 + q].sum(axis=1)))
+        # per regime of ``cais``, zero where a regime has no clusters: the
+        # sums of w n and w n (n - 1), and each time's mean square outcome
+        self._people = np.zeros(len(self.cais))
+        self._pairs = np.zeros(len(self.cais))
+        self._y_square = np.zeros((len(self.cais), n_times))
+        self._people[self._rows], self._pairs[self._rows] = people, pairs
+        self._y_square[self._rows] = np.reshape(y_square, (R, n_times))
 
     # -- linear algebra over the regime stacks --------------------------------
 
-    def _identity(self) -> List[np.ndarray]:
+    def _identity(self) -> np.ndarray:
         """The identity working covariance as factors: A'^{-1} = I, every C_n = 0."""
-        eye = np.eye(self.mean_spec.grid.n_times)
-        return [np.concatenate((eye[None], np.zeros((r.distinct.size,) + eye.shape))) for r in self.regimes]
+        R, k = self._distinct.shape
+        factors = np.zeros((R, 1 + k) + 2 * (self.mean_spec.grid.n_times,))
+        factors[:, 0] = np.eye(self.mean_spec.grid.n_times)
+        return factors
 
-    def normal_equations(self, factors: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    def normal_equations(self, factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """A = sum w D'V^{-1} D and b = sum w D'V^{-1} y over every regime,
-        from G'S and G'SG for each S of the regime's factors and its moments."""
-        A = np.zeros((self.p, self.p))
-        b = np.zeros(self.p)
+        from G'S and G'SG for each S of the regimes' factors and their
+        moments, in one contraction over the stacks."""
         g = self._g
-        for r, s in zip(self.regimes, factors):
-            gs = r.basis.T @ s
-            A += np.einsum("kij,kij->ij", (gs @ r.basis)[:, g[:, None], g], r.wzz)
-            b += np.einsum("kit,kit->i", gs[:, g], r.wzy)
+        gs = self._basis.swapaxes(1, 2)[:, None] @ factors
+        gsg = gs @ self._basis[:, None]
+        A = np.einsum("rkij,rkij->ij", gsg[:, :, g[:, None], g], self._wzz)
+        b = np.einsum("rkit,rkit->i", gs[:, :, g], self._wzy)
         return A, b
 
     def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """theta under ``factors`` (the identity when None), with the A and b
         it was solved from."""
         A, b = self.normal_equations(self._identity() if factors is None else factors)
-        if not np.all(np.isfinite(A)) or np.linalg.cond(A) > _MAX_COND:
+        if not np.all(np.isfinite(A)) or _symmetric_cond(A) > _MAX_COND:
             raise RankDeficient(
                 "weighted normal system is singular; the mean model is not "
                 "identified on this dataset"
@@ -289,16 +335,55 @@ class _Workspace:
         n_gamma = self.mean_spec.n_gamma
         return r.y - r.gamma @ theta[:n_gamma] - (r.x @ theta[n_gamma:])[:, None]
 
-    def residual_groups(self, theta: np.ndarray) -> List[ResidualGroup]:
-        return [
-            ResidualGroup(r.cai, self.weights[r.cluster_pos], r.sizes, self._residuals(r, theta))
-            for r in self.regimes
-        ]
+    def _anchor_at(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """theta with, stacked over (rows, cluster sums) x regimes, the weighted
+        Grams sum w eps eps' (2, R', T+1, T+1) of the residuals at theta and
+        their cross moments sum w z eps' (2, R', 1 + q, T+1) with z."""
+        n_times, q1 = self.mean_spec.grid.n_times, self._szz.shape[-1]
+        grams = np.empty((2, len(self.regimes), n_times, n_times))
+        cross = np.empty((2, len(self.regimes), q1, n_times))
+        for i, r in enumerate(self.regimes):
+            w = self.weights[r.cluster_pos]
+            w_rows = np.repeat(w, r.sizes)[:, None]
+            eps = self._residuals(r, theta)
+            col = np.add.reduceat(eps, r.starts)
+            grams[0, i] = (w_rows * eps).T @ eps
+            grams[1, i] = (w[:, None] * col).T @ col
+            cross[0, i] = (w_rows * np.column_stack((np.ones(len(eps)), r.x))).T @ eps
+            cross[1, i] = (w[:, None] * np.column_stack((r.sizes, r.x_sum))).T @ col
+        return theta.copy(), grams, cross
+
+    def residual_grams(self, theta: np.ndarray) -> ResidualGrams:
+        """The weighted residual Grams at ``theta``, for :func:`estimate_alpha`.
+
+        The first call reads every residual row at its theta_0; each later
+        call reads no row and costs O(regimes x (T+1)^2 x (1 + q)).  The
+        residuals are eps = eps_0 - dM z with dM = [Gamma d_gamma | 1 d_eta']
+        linear in d = theta - theta_0, so over rows and over cluster sums
+        Q = Q_0 - dM S_ze - (dM S_ze)' + dM S_zz dM' with S_ze = sum w z eps_0'
+        and S_zz = sum w z z'.  Anchoring at theta_0 rather than expanding
+        about theta = 0 keeps the Grams as accurate as the residuals
+        themselves: raw moments of y would lose a factor |y|^2/|eps|^2 in
+        relative precision.
+        """
+        if self._anchor is None:
+            self._anchor = self._anchor_at(theta)
+        theta_0, grams, cross = self._anchor
+        d = theta - theta_0
+        n_gamma = self.mean_spec.n_gamma
+        dm = np.empty(self._basis.shape[:2] + (self._szz.shape[-1],))
+        dm[:, :, 0] = self._basis[:, :, :n_gamma] @ d[:n_gamma]
+        dm[:, :, 1:] = d[n_gamma:]
+        shift = dm @ cross
+        q = grams - shift - shift.swapaxes(2, 3) + dm @ self._szz @ dm.swapaxes(1, 2)
+        spread = np.zeros((2, len(self.cais)) + q.shape[2:])
+        spread[:, self._rows] = q
+        return ResidualGrams(spread[0], spread[1], self._people, self._pairs, self._y_square)
 
     def u_rows(
         self,
         theta: np.ndarray,
-        factors: Optional[Sequence[np.ndarray]] = None,
+        factors: Optional[np.ndarray] = None,
         leverage_inverse_from: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-cluster estimating-function contributions U_i, shape (N, p),
@@ -352,24 +437,24 @@ class _Workspace:
             U[r.cluster_pos] += w[:, None] * u
         return U
 
-    def factorize(self, alpha: AlphaEstimate) -> List[np.ndarray]:
-        """Per regime, the stack [A'^{-1}, C_n for each distinct size n] with
-        C_n = (A_n'^{-1} - A'^{-1}) / n, so that a cluster of n people has
-        V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n (see :func:`cluster_blocks`).
+    def factorize(self, alpha: AlphaEstimate) -> np.ndarray:
+        """The stack (R', 1 + k, T+1, T+1) of each regime's A'^{-1} and C_n
+        for each of its distinct sizes n, C_n = (A_n'^{-1} - A'^{-1}) / n, so
+        that a cluster of n people has V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n;
+        padding slots are zero.
 
-        W', B' and A'^{-1} are built once per regime and A_n'^{-1} once per
-        distinct size, in one stacked inverse.  A regime of singletons only
-        may have a singular A'; its A'^{-1} is taken as 0, so that
-        C_1 = A_1'^{-1} is the whole inverse.
+        Every regime's blocks are judged by one stacked eigenvalue call (see
+        :func:`block_stack`) and inverted by one stacked inverse, whatever
+        the number of regimes.  A regime of singletons only may have a
+        singular A'; its A'^{-1} is taken as 0, so that C_1 = A_1'^{-1} is the
+        whole inverse.
         """
-        factors = []
-        for r in self.regimes:
-            sizes = r.distinct
-            W, B = cluster_blocks(alpha, r.cai, sizes)
-            s = np.empty((1 + sizes.size,) + W.shape)
-            s[0] = np.linalg.inv(W - B) if sizes[-1] > 1 else 0.0
-            s[1:] = (np.linalg.inv(W + (sizes - 1)[:, None, None] * B) - s[0]) / sizes[:, None, None]
-            factors.append(s)
+        n = self._distinct
+        factors = np.linalg.inv(block_stack(alpha, [alpha.cais.index(r.cai) for r in self.regimes], n)[2])
+        factors[n.max(axis=1, initial=0) <= 1, 0] = 0.0
+        factors[:, 1:] -= factors[:, :1]
+        factors[:, 1:] /= np.maximum(n, 1)[..., None, None]
+        factors[:, 1:][n == 0] = 0.0
         return factors
 
 
@@ -472,7 +557,7 @@ def fit(
     # (``factors`` None) before the first factorization
     factors = None
     theta, A, b = ws.solve(factors)
-    alpha = estimate_alpha(ws.residual_groups(theta), cov_spec, ws.cais)
+    alpha = estimate_alpha(ws.residual_grams(theta), cov_spec, ws.cais)
     if options.tolerance == math.inf:
         iterations, converged, max_delta = 0, True, 0.0
     else:
@@ -487,7 +572,7 @@ def fit(
                 converged = True
                 break
             if k < options.max_iter:
-                alpha = estimate_alpha(ws.residual_groups(theta), cov_spec, ws.cais)
+                alpha = estimate_alpha(ws.residual_grams(theta), cov_spec, ws.cais)
         if not converged:
             warnings.warn(
                 f"fit did not converge in {options.max_iter} iterations "
@@ -533,7 +618,7 @@ def _assemble(
     theta: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    factors: Optional[Sequence[np.ndarray]],
+    factors: Optional[np.ndarray],
     bias_correct: bool,
     weight_model: Optional[WeightModel],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -6,8 +6,9 @@ a correlation matrix with within-person blocks ``W`` on the diagonal and a
 common between-person block ``B`` elsewhere.  Every supported structure is
 therefore block exchangeable, V = I_n (x) A' + J_n (x) B' with
 A' = S^1/2 (W - B) S^1/2 and B' = S^1/2 B S^1/2: :func:`cluster_blocks`
-returns its (T+1) x (T+1) blocks and holds the single positive-definiteness
-rule, judged on spec(A') and spec(A' + n B'), which together are V's spectrum.
+returns its (T+1) x (T+1) blocks and :func:`block_stack` holds the single
+positive-definiteness rule, judged on spec(A') and spec(A' + n B'), which
+together are V's spectrum, for every regime and cluster size in one call.
 The estimator inverts V in closed form from those blocks; :func:`build_V`
 assembles the dense matrix as a reference.
 
@@ -17,15 +18,19 @@ regime, in :func:`~smartlong.design.enumerate_cais` order: the variances
 (R, T+1, T+1), exactly as V uses them.  Whatever a spec pools is repeated
 over the rows (or times) it pools, so V is read from a regime's row alone.
 
-Parameters are estimated from weighted residuals by the moment formulas
-appropriate to each structure, from one :class:`ResidualGroup` per regime
-that stacks every consistent cluster whatever its size; correlation
-estimators always standardize by the fully disaggregated per-regime, per-time
-variances, regardless of how the variance model itself pools.
+Parameters are estimated by the moment formulas appropriate to each
+structure, all read from a :class:`ResidualGrams`: per regime, the weighted
+(T+1) x (T+1) Grams of the residual rows and of their cluster sums, whatever
+the number or size of the clusters.  So an estimate costs O(regimes x
+(T+1)^2) and a factorization O(regimes x distinct sizes x (T+1)^3), both
+independent of N.  Correlation
+estimators always standardize by the fully disaggregated per-regime,
+per-time variances, regardless of how the variance model itself pools.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from enum import Enum
 from typing import Sequence, Tuple, Union
 
@@ -44,12 +49,17 @@ __all__ = [
     "WorkingCovSpec",
     "AlphaEstimate",
     "ResidualGroup",
+    "ResidualGrams",
     "estimate_alpha",
     "build_V",
+    "block_stack",
     "cluster_blocks",
 ]
 
 _CLIP = 1.0 - 1e-8
+# a residual standard deviation within this many units of float resolution of
+# its cell's root mean square outcome is rounding error, not variation
+_ROUNDING_ULPS = 1e3
 
 
 class VarianceTime(Enum):
@@ -126,14 +136,14 @@ class AlphaEstimate:
             object.__setattr__(self, name, value)
         if self.sigma2.ndim != 2 or self.sigma2.shape[0] != len(self.cais) or self.n_times == 0:
             raise ValueError("sigma2 must be (regimes, T+1), one row per regime")
-        if not np.all(self.sigma2 >= 0):
+        if not (self.sigma2 >= 0).all():
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2.min()}")
         for name in ("within", "between"):
             value = getattr(self, name)
             if value.shape != self.sigma2.shape + (self.n_times,):
                 raise ValueError(f"{name} must be (regimes, T+1, T+1), one matrix per regime")
             inside = np.abs(value) <= 1.0  # NaN fails it too
-            if not np.all(inside):
+            if not inside.all():
                 raise ValueError(f"{name} entries must lie in [-1, 1], got {value[~inside][0]}")
 
     @property
@@ -167,116 +177,207 @@ class ResidualGroup:
         object.__setattr__(self, "eps", e)
 
 
+@dataclass(frozen=True)
+class ResidualGrams:
+    """Weighted second moments of residuals, one row per regime of ``cais``.
+
+    ``rows`` (R, T+1, T+1) is sum w eps eps' over every individual's residual
+    row and ``clusters`` the same over each cluster's sum of rows, a cluster's
+    weight repeated over its rows; ``people`` and ``pairs`` (R,) are the sums
+    of w n and of w n (n - 1).  ``scale`` (R, T+1) is the mean square each
+    regime-by-time variance is judged against: a variance within rounding
+    error of it is numerically zero.  Every moment estimate reads these alone.
+    """
+
+    rows: np.ndarray
+    clusters: np.ndarray
+    people: np.ndarray
+    pairs: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def from_groups(cls, groups: Sequence[ResidualGroup], cais: Sequence[EmbeddedCai]) -> "ResidualGrams":
+        """The Grams of row-level residuals.  Residuals carry no outcome to
+        judge them against, so ``scale`` is zero: only an exact zero variance
+        is degenerate."""
+        if not groups:
+            raise InsufficientData("no residuals to estimate from")
+        n_times = groups[0].eps.shape[1]
+        index = {d: k for k, d in enumerate(cais)}
+        rows = np.zeros((len(cais), n_times, n_times))
+        clusters = np.zeros_like(rows)
+        people = np.zeros(len(cais))
+        pairs = np.zeros(len(cais))
+        for g in groups:
+            if g.cai not in index:
+                raise InsufficientData(f"residuals present for unexpected regime {g.cai}")
+            k = index[g.cai]
+            col = np.add.reduceat(g.eps, np.cumsum(g.sizes) - g.sizes)
+            rows[k] += (np.repeat(g.weights, g.sizes)[:, None] * g.eps).T @ g.eps
+            clusters[k] += (g.weights[:, None] * col).T @ col
+            people[k] += g.weights @ g.sizes
+            pairs[k] += g.weights @ (g.sizes * (g.sizes - 1.0))
+        return cls(rows, clusters, people, pairs, np.zeros((len(cais), n_times)))
+
+
 def estimate_alpha(
-    groups: Sequence[ResidualGroup],
+    residuals: Union[Sequence[ResidualGroup], ResidualGrams],
     spec: WorkingCovSpec,
     cais: Sequence[EmbeddedCai],
 ) -> AlphaEstimate:
     """Weighted moment estimates of all parameters the spec demands.
 
-    Every moment is a weighted sum of per-row statistics (weights repeated
-    over each cluster's rows) or of per-cluster sums of rows, accumulated per
-    regime, or over all of them when the spec pools.  Singletons contribute
-    to no between-person moment: their n (n - 1) weights are zero.
+    Every moment is read from the residuals' weighted Grams (see
+    :class:`ResidualGrams`; built here when given ``ResidualGroup`` rows),
+    per regime or summed over the regimes the spec pools, so the estimate
+    costs O(regimes x (T+1)^2) however many residuals there are.  sigma^2 is
+    the row Gram's diagonal over w n.  With Z_r and Z_c the row and
+    cluster-sum Grams standardized by the per-regime, per-time variances:
+    AR(1) reads the superdiagonal of Z_r, exchangeable within the sum of Z_r
+    less its trace, unstructured within the upper triangle of Z_r,
+    exchangeable between the sum of Z_c - Z_r and unstructured between the
+    upper triangle of Z_c - Z_r with its diagonal.  Singletons contribute to
+    no between-person moment: their n (n - 1) weights are zero.
+
+    A regime-by-time variance within rounding error of its ``scale`` is
+    raised to that floor; no correlation can be standardized by it, so a
+    spec that estimates one raises :class:`DegenerateVariance`.
     """
-    if not groups:
-        raise InsufficientData("no residuals to estimate from")
-    n_times = groups[0].eps.shape[1]
+    g = residuals if isinstance(residuals, ResidualGrams) else ResidualGrams.from_groups(residuals, cais)
+    R, n_times = len(cais), g.rows.shape[-1]
     T = n_times - 1
-    R = len(cais)
-    index = {d: k for k, d in enumerate(cais)}
-    s2_num = np.zeros((R, n_times))
-    s2_den = np.zeros(R)
-    for g in groups:
-        if g.cai not in index:
-            raise InsufficientData(f"residuals present for unexpected regime {g.cai}")
-        s2_num[index[g.cai]] += np.repeat(g.weights, g.sizes) @ g.eps**2
-        s2_den[index[g.cai]] += g.weights @ g.sizes
-    for d, den in zip(cais, s2_den):
+    if g.rows.shape[0] != R:
+        raise ValueError(f"residual moments of {g.rows.shape[0]} regimes for {R} regimes")
+    for d, den in zip(cais, g.people):
         if den == 0.0:
             raise InsufficientData(f"no residuals inform variance cells for regime {d}")
+    # a variance within rounding error of its cell's mean square is no
+    # variance: it cannot standardize a residual, and it is raised to that
+    # floor, which also discards the sign of a Gram difference that cancels
+    s2_num = np.diagonal(g.rows, axis1=1, axis2=2)
+    floor = (_ROUNDING_ULPS * np.finfo(float).eps) ** 2 * g.scale * g.people[:, None]
+    degenerate = s2_num <= floor
+    s2_num = np.maximum(s2_num, floor)
     # correlation estimators standardize by these, whatever the variance pooling
-    s2_std = s2_num / s2_den[:, None]
+    s2_std = s2_num / g.people[:, None]
 
     # marginal variances at the requested pooling level
     if spec.variance_cai is VarianceCai.HETEROGENEOUS:
         sigma2 = s2_std
     else:
-        sigma2 = np.repeat(s2_num.sum(axis=0, keepdims=True) / s2_den.sum(), R, axis=0)
+        sigma2 = np.repeat(s2_num.sum(axis=0, keepdims=True) / g.people.sum(), R, axis=0)
     if spec.variance_time is VarianceTime.HOMOSCEDASTIC:
         sigma2 = np.repeat(sigma2.mean(axis=1, keepdims=True), n_times, axis=1)
 
     within = spec.within_corr if T >= 1 else WithinCorr.INDEPENDENT
     between = spec.between_corr
-    W = np.tile(np.eye(n_times), (R, 1, 1))
+    W = np.eye(n_times) + np.zeros((R, 1, 1))
     B = np.zeros((R, n_times, n_times))
     if within is WithinCorr.INDEPENDENT and between is BetweenCorr.INDEPENDENT:
         return AlphaEstimate(tuple(cais), sigma2, W, B)
-    for g in groups:
-        if np.any(s2_std[index[g.cai]] == 0.0):
-            raise DegenerateVariance(
-                f"zero variance for regime {g.cai}; cannot standardize residuals"
-            )
+    if degenerate.any():
+        k, t = np.argwhere(degenerate)[0]
+        raise DegenerateVariance(
+            f"zero variance for regime {cais[k]} at time index {t}; cannot standardize residuals"
+        )
 
+    s = np.sqrt(s2_std)
+    scale = s[:, :, None] * s[:, None, :]
+    z_rows = g.rows / scale
+    z_pairs = g.clusters / scale - z_rows  # products of two different people only
+    people, pairs = g.people, g.pairs
     het_corr = spec.corr_cai is CorrCai.HETEROGENEOUS
-    n_keys = R if het_corr else 1
-    upper_w, upper_b = np.triu_indices(n_times, 1), np.triu_indices(n_times)
-    # per correlation key (each regime, or one pooled over regimes): the
-    # moment numerators, one per estimated entry, and the sums of w n and of
-    # w n (n - 1) that scale their denominators
-    num_w = np.zeros((n_keys, upper_w[0].size if within is WithinCorr.UNSTRUCTURED else 1))
-    num_b = np.zeros((n_keys, upper_b[0].size if between is BetweenCorr.UNSTRUCTURED else 1))
-    people = np.zeros(n_keys)
-    pairs = np.zeros(n_keys)
-    for g in groups:
-        k = index[g.cai] if het_corr else 0
-        w_rows = np.repeat(g.weights, g.sizes)
-        z = g.eps / np.sqrt(s2_std[index[g.cai]])
-        people[k] += g.weights @ g.sizes
-        pairs[k] += g.weights @ (g.sizes * (g.sizes - 1.0))
-        if within is WithinCorr.AR1:
-            num_w[k] += w_rows @ (z[:, :-1] * z[:, 1:]).sum(axis=1)
-        elif within is WithinCorr.EXCHANGEABLE:
-            num_w[k] += w_rows @ (z.sum(axis=1) ** 2 - (z**2).sum(axis=1))
-        elif within is WithinCorr.UNSTRUCTURED:
-            num_w[k] += ((w_rows[:, None] * z).T @ z)[upper_w]
-        if between is BetweenCorr.EXCHANGEABLE:
-            person = z.sum(axis=1)
-            total = np.add.reduceat(person, _starts(g.sizes))
-            num_b[k] += g.weights @ total**2 - w_rows @ person**2
-        elif between is BetweenCorr.UNSTRUCTURED:
-            col = np.add.reduceat(z, _starts(g.sizes))
-            num_b[k] += ((g.weights[:, None] * col).T @ col - (w_rows[:, None] * z).T @ z)[upper_b]
-
+    if not het_corr:
+        z_rows, z_pairs = z_rows.sum(axis=0, keepdims=True), z_pairs.sum(axis=0, keepdims=True)
+        people, pairs = people.sum(keepdims=True), pairs.sum(keepdims=True)
     # every regime has residuals, so only the between-person moments can lack a denominator
-    if between is not BetweenCorr.INDEPENDENT and np.any(pairs == 0.0):
+    if between is not BetweenCorr.INDEPENDENT and (pairs == 0.0).any():
         where = f" of regime {cais[int(np.argmax(pairs == 0.0))]}" if het_corr else ""
         raise InsufficientData(f"no cluster of two or more informs the between-person correlation{where}")
-    dens = {
-        WithinCorr.AR1: people * T,
-        WithinCorr.EXCHANGEABLE: people * n_times * T,
-        WithinCorr.UNSTRUCTURED: people,
-        BetweenCorr.EXCHANGEABLE: pairs * n_times**2,
-        BetweenCorr.UNSTRUCTURED: pairs,
-    }
+    upper_w, upper_b = _upper(n_times, 1), _upper(n_times, 0)
+
+    def ratios(structure) -> np.ndarray:
+        """Per correlation key (each regime, or one pooled over regimes), the
+        moment ratio of each estimated entry."""
+        if structure is WithinCorr.AR1:
+            return (np.trace(z_rows, 1, 1, 2) / (people * T))[:, None]
+        if structure is WithinCorr.EXCHANGEABLE:
+            return ((z_rows.sum(axis=(1, 2)) - np.trace(z_rows, 0, 1, 2)) / (people * n_times * T))[:, None]
+        if structure is WithinCorr.UNSTRUCTURED:
+            return z_rows[:, upper_w[0], upper_w[1]] / people[:, None]
+        if structure is BetweenCorr.EXCHANGEABLE:
+            return (z_pairs.sum(axis=(1, 2)) / (pairs * n_times**2))[:, None]
+        return z_pairs[:, upper_b[0], upper_b[1]] / pairs[:, None]
+
     # the parameters fill the upper triangle of each regime's W (strictly)
     # and B (with the diagonal); moment ratios can stray outside [-1, 1] in
     # small samples, and V is built from them clipped into the open interval
     rows = np.arange(R) if het_corr else np.zeros(R, dtype=int)
     clipped = False
-    for structure, num, (l, m), block in ((within, num_w, upper_w, W), (between, num_b, upper_b, B)):
-        if structure in dens:
-            rho = (num / dens[structure][:, None])[rows]
-            clipped = clipped or bool(np.any(np.abs(rho) > _CLIP))
-            rho = np.clip(rho, -_CLIP, _CLIP)
-            if structure is WithinCorr.AR1:
-                rho = rho ** (m - l)  # integer exponents: a negative rho is fine
-            block[:, l, m] = block[:, m, l] = rho
+    for structure, (l, m), block in ((within, upper_w, W), (between, upper_b, B)):
+        if structure in (WithinCorr.INDEPENDENT, BetweenCorr.INDEPENDENT):
+            continue
+        rho = ratios(structure)[rows]
+        clipped = clipped or bool((np.abs(rho) > _CLIP).any())
+        rho = np.clip(rho, -_CLIP, _CLIP)
+        if structure is WithinCorr.AR1:
+            rho = rho ** (m - l)  # integer exponents: a negative rho is fine
+        block[:, l, m] = block[:, m, l] = rho
     return AlphaEstimate(tuple(cais), sigma2, W, B, clipped)
 
 
-def _starts(sizes: np.ndarray) -> np.ndarray:
-    return np.cumsum(sizes) - sizes
+@lru_cache(maxsize=16)
+def _upper(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k), read-only: building it costs more than the
+    moments it indexes."""
+    upper = np.triu_indices(n, k)
+    for index in upper:
+        index.flags.writeable = False
+    return upper
+
+
+def block_stack(
+    alpha: AlphaEstimate,
+    rows: Sequence[int],
+    sizes: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 (R', T+1, T+1) of
+    the regimes ``alpha.cais[rows]``, and one stack (R', 1 + k, T+1, T+1) of
+    the blocks whose spectra make up their V's: W' - B' in slot 0 and
+    W' + (n - 1) B' for each regime's distinct cluster sizes ``sizes``
+    (R', k), ascending and padded with zeros.  A slot with nothing to judge
+    (padding, or W' - B' where no cluster has two people) holds the identity,
+    so the whole stack can be inverted in one call.
+
+    V = I_n (x) (W' - B') + J_n (x) B', so its spectrum is spec(W' - B')
+    repeated n - 1 times together with spec(W' + (n - 1) B').  One stacked
+    eigenvalue call covers every regime and size.  This is the one
+    positive-definiteness rule: :class:`NotPositiveDefinite` when the
+    smallest eigenvalue of some V is at most 1e-10 of its largest, naming the
+    first failing regime in ``rows`` order and its smallest failing n.
+    """
+    n = np.asarray(sizes, dtype=int)
+    s = np.sqrt(alpha.sigma2[rows])
+    scale = s[:, :, None] * s[:, None, :]
+    W = scale * alpha.within[rows]
+    B = scale * alpha.between[rows]
+    stack = np.empty((len(W), 1 + n.shape[1]) + W.shape[1:])
+    stack[:, 0] = W - B
+    stack[:, 1:] = W[:, None] + (n - 1)[..., None, None] * B[:, None]
+    stack[n.max(axis=1, initial=0) <= 1, 0] = stack[:, 1:][n == 0] = np.eye(alpha.n_times)
+    eig = np.linalg.eigvalsh(stack)
+    lo, hi = eig[:, 1:, 0], eig[:, 1:, -1]
+    shared = n > 1
+    lo = np.where(shared, np.minimum(lo, eig[:, :1, 0]), lo)
+    hi = np.where(shared, np.maximum(hi, eig[:, :1, -1]), hi)
+    failing = (n > 0) & (lo <= 1e-10 * np.maximum(hi, 0.0))
+    if failing.any():
+        r, i = np.argwhere(failing)[0]
+        raise NotPositiveDefinite(
+            f"working covariance for regime {alpha.cais[rows[r]]}, cluster size {n[r, i]} is not "
+            f"positive definite (eigenvalue range [{lo[r, i]:.3e}, {hi[r, i]:.3e}])"
+        )
+    return W, B, stack
 
 
 def cluster_blocks(
@@ -284,38 +385,14 @@ def cluster_blocks(
     d: EmbeddedCai,
     sizes: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 of the V of a cluster
-    of each size in ``sizes`` under ``d``.
-
-    V = I_n (x) (W' - B') + J_n (x) B', so its spectrum is spec(W' - B')
-    repeated n - 1 times together with spec(W' + (n - 1) B'); the latter are
-    computed for every distinct size in one stacked call.  This is the one
-    positive-definiteness rule: :class:`NotPositiveDefinite`, naming the
-    smallest failing n, when the smallest eigenvalue over those spectra is at
-    most 1e-10 of the largest.
-    """
+    """Blocks W' and B' of the V of a cluster of each size in ``sizes``
+    under ``d``, judged by :func:`block_stack`'s positive-definiteness rule
+    in one eigenvalue call, O(distinct sizes x (T+1)^3)."""
     n = np.unique(np.asarray(sizes, dtype=int))
     if n.size == 0 or n[0] < 1:
         raise ValueError("cluster sizes must be positive")
-    k = alpha.cais.index(d)
-    s = np.sqrt(alpha.sigma2[k])
-    scale = np.outer(s, s)
-    W = scale * alpha.within[k]
-    B = scale * alpha.between[k]
-    eig = np.linalg.eigvalsh(W + (n - 1)[:, None, None] * B)
-    lo, hi = eig[:, 0], eig[:, -1]
-    if n[-1] > 1:
-        shared = np.linalg.eigvalsh(W - B)
-        lo = np.where(n > 1, np.minimum(lo, shared[0]), lo)
-        hi = np.where(n > 1, np.maximum(hi, shared[-1]), hi)
-    failing = np.flatnonzero(lo <= 1e-10 * np.maximum(hi, 0.0))
-    if failing.size:
-        i = failing[0]
-        raise NotPositiveDefinite(
-            f"working covariance for regime {d}, cluster size {n[i]} is not positive "
-            f"definite (eigenvalue range [{lo[i]:.3e}, {hi[i]:.3e}])"
-        )
-    return W, B
+    W, B, _ = block_stack(alpha, [alpha.cais.index(d)], n[None])
+    return W[0], B[0]
 
 
 def build_V(

@@ -18,6 +18,7 @@ from smartlong import (
     EmbeddedCai,
     FitOptions,
     MeanModelSpec,
+    ResidualGroup,
     SmartDesign,
     ThetaEstimate,
     TimeGrid,
@@ -33,6 +34,7 @@ from smartlong import (
     custom_contrast,
     design_weight,
     enumerate_cais,
+    estimate_alpha,
     fit,
     fit_end_of_study,
     make_saturated_basis,
@@ -43,9 +45,11 @@ from smartlong import (
 )
 from smartlong import gee
 from smartlong.errors import (
-    InconsistentCluster, InsufficientData, NotPositiveDefinite, RankDeficient, ZeroVariance,
+    DegenerateVariance, InconsistentCluster, InsufficientData, NotPositiveDefinite, RankDeficient,
+    ZeroVariance,
 )
 from smartlong.gee import _assemble, _make_workspace, _Workspace
+from smartlong.workingcov import cluster_blocks
 
 from conftest import (
     make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
@@ -214,11 +218,17 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tolerance": math.nan}, {"tolerance": 0.0}, {"tolerance": -1.0}, {"max_iter": 0}],
-        ids=["nan-tolerance", "zero-tolerance", "negative-tolerance", "zero-max-iter"],
+        [
+            {"tolerance": math.nan}, {"tolerance": 0.0}, {"tolerance": -1.0}, {"max_iter": 0},
+            {"max_iter": 2.5}, {"max_iter": np.float64(3.0)}, {"max_iter": True}, {"max_iter": "3"},
+        ],
+        ids=[
+            "nan-tolerance", "zero-tolerance", "negative-tolerance", "zero-max-iter",
+            "fractional-max-iter", "float-max-iter", "bool-max-iter", "str-max-iter",
+        ],
     )
     def test_options_reject_bad_stopping_rule(self, kwargs):
-        with pytest.raises(ValueError, match="tolerance must be positive|max_iter must be at least 1"):
+        with pytest.raises(ValueError, match="tolerance must be positive|max_iter must be (at least 1|an integer)"):
             FitOptions(**kwargs)
 
     def test_missing_regime_is_hard_error(self, design2, grid012):
@@ -934,23 +944,33 @@ class TestClosedFormInverse:
                 ws.factorize(alpha)
             assert str(raised.value) == message
 
-    def test_regime_blocks_built_once_per_regime(self, design2, grid012, monkeypatch):
+    @pytest.mark.parametrize("kind,regimes", [(DesignKind.III, 3), (DesignKind.II, 4), (DesignKind.I, 8)])
+    def test_one_eigvalsh_and_one_inv_per_factorize(self, grid012, monkeypatch, kind, regimes):
         rng = np.random.default_rng(32)
-        ds = random_design2_dataset(rng, 60, grid012, design2, sizes=(1, 2, 3, 4))
-        ws = _make_workspace(ds, MeanModelSpec.piecewise_linear(design2, grid012))
+        design = SmartDesign.balanced(kind)
+        ds = random_dataset(rng, 120, grid012, design, (1, 2, 3, 4))
+        ws = _make_workspace(ds, MeanModelSpec.piecewise_linear(design, grid012))
         alpha = random_alpha(rng, UNSTR, ws.cais, 3)
-        calls = []
+        calls = {"eigvalsh": 0, "inv": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
 
-        def counted(alpha, d, sizes):
-            calls.append(d)
-            return cluster_blocks(alpha, d, sizes)
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        cluster_blocks = gee.cluster_blocks
-        monkeypatch.setattr(gee, "cluster_blocks", counted)
-        ws.factorize(alpha)
-        regimes = [r.cai for r in ws.regimes]
-        assert len({(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}) > len(regimes) == 4
-        assert calls == regimes
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        factors = ws.factorize(alpha)
+        assert len(ws.regimes) == regimes
+        assert len({(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}) > regimes
+        assert calls == {"eigvalsh": 1, "inv": 1}
+        # the same inverse as each regime's blocks judged and inverted alone
+        for r, s in zip(ws.regimes, factors):
+            W, B = cluster_blocks(alpha, r.cai, r.distinct)
+            np.testing.assert_array_equal(s[0], np.linalg.inv(W - B) if r.distinct[-1] > 1 else 0.0)
+            for n, c in zip(r.distinct, s[1:]):
+                np.testing.assert_array_equal(c, (np.linalg.inv(W + (n - 1) * B) - s[0]) / n)
+            assert not s[1 + r.distinct.size :].any()
 
     @pytest.mark.parametrize("cov_spec", [EXCH, UNSTR], ids=["exchangeable", "unstructured"])
     @pytest.mark.parametrize("bias_correct", [False, True])
@@ -971,6 +991,125 @@ class TestClosedFormInverse:
         for (d, d2), want in z.items():
             got = wald_test(res, contrast_end_of_study(spec, d, d2)).statistic
             assert got == pytest.approx(want, abs=1e-10)
+
+
+VARIANCE_POOLING = [
+    (VarianceTime.HETEROSCEDASTIC, VarianceCai.HETEROGENEOUS),
+    (VarianceTime.HOMOSCEDASTIC, VarianceCai.HOMOGENEOUS),
+]
+
+
+def row_residual_groups(ws, theta):
+    """One :class:`ResidualGroup` per regime of residual rows y - D theta,
+    each formed from the regime's outcome and covariate rows."""
+    n_gamma = ws.mean_spec.n_gamma
+    return [
+        ResidualGroup(
+            r.cai, ws.weights[r.cluster_pos], r.sizes,
+            r.y - r.gamma @ theta[:n_gamma] - (r.x @ theta[n_gamma:])[:, None],
+        )
+        for r in ws.regimes
+    ]
+
+
+def assert_same_alpha(got, want, rtol):
+    for name in ("sigma2", "within", "between"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=rtol, atol=0, err_msg=name)
+    assert got.clipped == want.clipped
+
+
+class TestResidualGrams:
+    @pytest.fixture(scope="class")
+    def workspaces(self):
+        """A design-II workspace with covariates and clusters of one to four,
+        and the same trial with every outcome shifted by 1e6."""
+        design = SmartDesign.balanced(DesignKind.II)
+        ds = random_design2_dataset(
+            np.random.default_rng(40), 80, GRID012, design, sizes=(1, 2, 3, 4),
+            individual_covariates=("v",), mean_fn=lambda a1, r, a2nr, t: 0.5 * a1 * t,
+        )
+        ds = with_cluster_effects(ds, np.random.default_rng(41))
+        shifted = replace(ds, clusters=tuple(
+            replace(cl, individuals=tuple(replace(ind, y=tuple(v + 1e6 for v in ind.y)) for ind in cl.individuals))
+            for cl in ds.clusters
+        ))
+        spec = MeanModelSpec.piecewise_linear(design, GRID012, covariate_terms=("v",))
+        return _make_workspace(ds, spec), _make_workspace(shifted, spec)
+
+    @pytest.mark.parametrize("variance", VARIANCE_POOLING, ids=["variance-per-cell", "variance-pooled"])
+    @pytest.mark.parametrize("within,between,corr_cai", STRUCTURES)
+    def test_anchored_grams_match_row_oracle(self, workspaces, within, between, corr_cai, variance):
+        # anchored at the identity root, read at a step away from it in every
+        # parameter: the closed form must give the oracle's estimate from rows
+        spec = WorkingCovSpec(*variance, within, between, corr_cai)
+        estimates = []
+        for ws in workspaces:
+            theta_0 = ws.solve(None)[0]
+            theta = theta_0 + np.random.default_rng(42).normal(scale=0.3, size=theta_0.size)
+            at_anchor = estimate_alpha(ws.residual_grams(theta_0), spec, ws.cais)
+            assert_same_alpha(at_anchor, estimate_alpha(row_residual_groups(ws, theta_0), spec, ws.cais), 1e-15)
+            estimates.append((
+                estimate_alpha(ws.residual_grams(theta), spec, ws.cais),
+                estimate_alpha(row_residual_groups(ws, theta), spec, ws.cais),
+            ))
+        plain, (got, want) = estimates
+        assert_same_alpha(*plain, 1e-12)
+        # y + 1e6: each residual, the oracle's and the anchor's alike, is y - D
+        # theta rounded to a few eps |y|, so both sets carry errors of relative
+        # size eps max|y| / sigma next to their unit-scale residuals; a moment
+        # over sigma^2 moves by at most twice that (Cauchy-Schwarz).  Twice
+        # again covers the two roundings: 7e-10 here, where 3e-11 is observed.
+        y_max = max(np.abs(r.y).max() for r in workspaces[1].regimes)
+        bound = 4 * np.finfo(float).eps * y_max / np.sqrt(want.sigma2.min())
+        np.testing.assert_allclose(got.sigma2, want.sigma2, rtol=bound, atol=0)
+        np.testing.assert_allclose(got.within, want.within, rtol=0, atol=bound)
+        np.testing.assert_allclose(got.between, want.between, rtol=0, atol=bound)
+        assert got.clipped == want.clipped
+
+    def test_fit_reads_rows_a_fixed_number_of_times(self, design2, grid012, monkeypatch):
+        # row-level residuals are formed at the anchor and for the sandwich,
+        # once per regime each, however many iterations the fit takes
+        rng = np.random.default_rng(13)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        calls = []
+        original = gee._Workspace._residuals
+
+        def counted(self, r, theta):
+            calls.append(r.cai)
+            return original(self, r, theta)
+
+        monkeypatch.setattr(gee._Workspace, "_residuals", counted)
+        iterations = set()
+        options = [
+            FitOptions(tolerance=math.inf), FitOptions(), FitOptions(tolerance=1e-14),
+            FitOptions(adjustments=AdjustmentOptions.all()),
+        ]
+        for opts in options:
+            calls.clear()
+            res = fit(ds, spec, UNSTR, opts)
+            iterations.add(res.iterations)
+            assert calls == list(enumerate_cais(design2)) * 2
+        assert len(iterations) >= 3
+
+    @pytest.mark.parametrize("c", [0.1, 1 / 3, 7.77, 5.3])
+    def test_constant_outcome_time_is_degenerate(self, c):
+        # y at the first time is c in every cluster and the saturated mean fits
+        # it exactly, so that variance is rounding error however c rounds
+        design = SmartDesign.balanced(DesignKind.III)
+        grid = TimeGrid(tuple(float(t) for t in range(6)), knot=2.0)
+        ds = random_dataset(np.random.default_rng(2), 120, grid, design, tuple(range(8, 17)))
+        ds = replace(ds, clusters=tuple(
+            replace(cl, individuals=tuple(replace(ind, y=(c,) + ind.y[1:]) for ind in cl.individuals))
+            for cl in ds.clusters
+        ))
+        spec = MeanModelSpec.custom(design, grid, make_saturated_basis(design, grid))
+        cov_spec = WorkingCovSpec(
+            within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.UNSTRUCTURED,
+            corr_cai=CorrCai.HOMOGENEOUS,
+        )
+        with pytest.raises(DegenerateVariance, match="at time index 0"):
+            fit(ds, spec, cov_spec)
 
 
 class TestPermutationInvariance:
