@@ -13,11 +13,16 @@ Datasets are immutable afterwards, so they can be shared freely across
 parallel workers.
 
 Datasets come from long-format delimited text (one row per cluster,
-individual and time), which :func:`parse_long_table` reads column-wise, a
-chunk of rows at a time, or from :class:`ClusterRecord` and
+individual and time), or from :class:`ClusterRecord` and
 :class:`IndividualRecord` records, which also serve as a read-only view
 (``ds.clusters``).  Records can hold what columns cannot, such as an outcome
 vector of the wrong length; the report lists such faults as violations.
+:func:`parse_long_table` reads text a chunk of lines at a time and checks it
+column-wise: a chunk of plain lines is split into columns with one
+``str.split``, one string per cell and nothing per row, and ``csv.reader``
+reads the rest.  Per-individual arrays are reserved from the line count, and
+rows written in canonical order, as :func:`serialize_long_table` writes
+them, fill them in place, so the dataset takes them without a sort or copy.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ import io
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple
 
@@ -387,29 +393,93 @@ def _parse_covariates(
     return tuple(values)
 
 
-# rows read and checked together: enough to amortize the per-chunk NumPy
-# calls, few enough that the chunk's row lists stay small next to the text
+# lines read and checked together: enough to amortize the per-chunk NumPy
+# calls, few enough that a chunk's cells stay small next to the builder's
+# per-individual arrays.  Chunks are bounded by lines, never by characters:
+# every line of a chunk becomes cells, so its line count sets its memory
 _CHUNK_ROWS = 512
 # time indices of a time cell that is not a number, or not on the grid
 _NON_NUMERIC_TIME, _OFF_GRID_TIME = -1, -2
 
 
-# characters of text split into lines at once
-_BLOCK_CHARS = 1 << 16
-
-
 def _lines(text: str) -> Iterator[str]:
-    """Lines split at "\\n" only, each keeping it, as :class:`io.StringIO` reads
-    them; a block of text at a time, so no copy of the whole text is made."""
-    start, end = 0, len(text)
+    """Lines split at "\\n" only, each keeping it, as :class:`io.StringIO` reads them."""
+    lines = text.split("\n")
+    tail = lines.pop()  # empty unless the text ends without a newline
+    yield from map(operator.add, lines, itertools.repeat("\n"))
+    if tail:
+        yield tail
+
+
+def _text_chunks(text: str, start: int) -> Iterator[Tuple[str, Iterable[str]]]:
+    """``text`` from ``start`` on, as slices of at most :data:`_CHUNK_ROWS`
+    lines, each ending at a line end or at the end of the text, with the
+    slice's lines.
+
+    A slice's span is guessed from the mean length of the lines before it,
+    and shrunk while it holds too many lines, so finding it costs a few
+    string scans and nothing per line.
+    """
+    end = len(text)
+    span = _CHUNK_ROWS * max(start, 1)  # the header's length, for a first guess
     while start < end:
-        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or end
-        lines = text[start:stop].split("\n")
-        tail = lines.pop()  # empty unless the text ends without a newline
-        yield from map(operator.add, lines, itertools.repeat("\n"))
-        if tail:
-            yield tail
+        stop = start + span
+        if stop < end:
+            # the last line end in the span; alone, a line longer than the span
+            stop = text.rfind("\n", start, stop) + 1 or text.find("\n", start) + 1 or end
+        else:
+            stop = end
+        n_lines = text.count("\n", start, stop) + (stop == end and not text.endswith("\n"))
+        if n_lines > _CHUNK_ROWS:
+            span = span * _CHUNK_ROWS // n_lines
+            continue
+        chunk = text[start:stop]
+        yield chunk, _lines(chunk)
+        span = (stop - start) * _CHUNK_ROWS // n_lines
         start = stop
+
+
+def _stream_chunks(source: Iterator[str]) -> Iterator[Tuple[str, Iterable[str]]]:
+    """At most :data:`_CHUNK_ROWS` lines of ``source`` at a time, joined, with
+    those lines; they are kept only where splitting the join at "\\n" may not
+    give them back, a stream that ends lines at a carriage return."""
+    while True:
+        lines: Iterable[str] = list(itertools.islice(source, _CHUNK_ROWS))
+        if not lines:
+            return
+        chunk = "".join(lines)
+        if "\r" not in chunk:
+            lines = _lines(chunk)
+        yield chunk, lines
+
+
+def _split_columns(chunk: str, delimiter: str, n_fields: int) -> Optional[List[List[str]]]:
+    """The columns of a chunk whose every line holds ``n_fields - 1``
+    delimiters, split with one ``str.split``; None for any other chunk, and
+    for one ``csv`` would reject: one holding a NUL, or a field longer than
+    ``csv.field_size_limit()``.
+
+    The chunk holds no quote and no carriage return outside "\\r\\n", so its
+    lines are its ``csv`` rows.  Each line end stays at the end of the line's
+    last cell: cells are only read stripped or through ``float``, which
+    ignore it, and finding one line end in every last cell shows that no
+    line holds too many or too few delimiters.
+    """
+    if "\0" in chunk:
+        return None
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    spread = chunk.replace("\n", "\n" + delimiter)
+    n_lines = len(spread) - len(chunk)  # one delimiter added per line end
+    cells = spread.split(delimiter)
+    del spread
+    cells.pop()  # empty: what follows the last line end
+    if len(cells) != n_lines * n_fields or "".join(cells[n_fields - 1 :: n_fields]).count("\n") != n_lines:
+        return None
+    limit = csv.field_size_limit()
+    if len(chunk) > limit and max(map(len, cells)) > limit:
+        return None
+    return [cells[j::n_fields] for j in range(n_fields)]
 
 
 def _floats(raws: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
@@ -455,56 +525,66 @@ def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     return bigger
 
 
-def _slots(slot_of: Dict, keys: Sequence, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each key's slot in ``slot_of``, which holds ``n`` slots; a key met for
-    the first time gets the next one.  Also where a key is new, and how many
-    slots there are before each key (and, last, after every key)."""
-    m = len(keys)
-    # a key new to this call first takes n + its position, then its dense slot
-    raw = np.fromiter(map(slot_of.setdefault, keys, itertools.count(n)), np.intp, m)
-    new = raw == np.arange(n, n + m)
-    before = np.empty(m + 1, dtype=np.intp)
+def _exact(array: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of ``array``: the array itself when that is all
+    of it, else a copy, so that no unused room outlives the parse."""
+    return array if len(array) == rows else array[:rows].copy()
+
+
+def _first_seen(slots: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """For slots handed out in order of first appearance, ``n`` of them
+    before ``slots``: where a slot is new, and how many slots there are
+    before each entry (and, last, after every entry)."""
+    before = np.empty(len(slots) + 1, dtype=np.intp)
     before[0] = n
-    np.cumsum(new, out=before[1:])
-    before[1:] += n
-    # the key introduced at position i takes slot before[i]
-    slot_of.update(zip(itertools.compress(keys, new), before[:-1][new].tolist()))
-    fresh = raw >= n
-    raw[fresh] = before[raw[fresh] - n]
-    return raw, new, before
+    np.maximum.accumulate(np.maximum(slots + 1, n), out=before[1:])
+    return slots >= before[:-1], before
+
+
+def _increasing(values: Sequence) -> np.ndarray:
+    """Whether each value is less than the next."""
+    return np.fromiter(map(operator.lt, values, values[1:]), bool, max(len(values) - 1, 0))
 
 
 class _ColumnBuilder:
     """Checks and accumulates a long table's rows, one chunk at a time.
 
     Clusters and individuals get dense slots in the order rows introduce
-    them: a dict keyed by id maps each cluster, and each (cluster id,
-    individual id), to its slot, and arrays indexed by slot hold a cluster's
-    first-row codes and covariates, and an individual's cluster, first-row
+    them: a dict maps each cluster id to its slot, and one dict per cluster
+    maps each of its individual ids, so no key is kept per row or per
+    (cluster, individual) pair.  Arrays indexed by slot hold a cluster's id, first-row
+    codes and covariates, and an individual's id, cluster, first-row
     covariates and outcomes, so their sizes follow the clusters and
-    individuals, not the rows.  :meth:`add` raises on the earliest failing
-    row with :meth:`_row_error`'s error, the only source of row messages.
+    individuals, not the rows; the per-individual arrays start with room
+    for ``people`` individuals, where their number can be foreseen.  Rows arrive as
+    lists (:meth:`add_rows`) or as columns (:meth:`add_columns`), and either
+    raises on the earliest failing row with :meth:`_row_error`'s error, the
+    only source of row messages.
     """
 
-    def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int]) -> None:
+    def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int], people: int) -> None:
         self.schema = schema
         self.n_fields = n_fields
         self.col = col_index
         self.n_times = schema.grid.n_times
         self.n_clusters = self.n_people = 0
-        self.cluster_of: Dict[str, int] = {}
-        self.person_of: Dict[Tuple[str, str], int] = {}
+        # a new id takes the next slot as it is looked up
+        self.cluster_of: Dict[str, int] = defaultdict(itertools.count().__next__)
+        self._next_person = itertools.count().__next__
+        self.people_of: List[Dict[str, int]] = []  # per cluster slot
+        self.cluster_ids: List[str] = []
+        self.individual_ids: List[str] = []
         n_xc, n_xi = len(schema.cluster_covariates), len(schema.individual_covariates)
         self.codes = np.zeros((0, 4), dtype=np.int8)  # a1, r, a2nr, a2r
         self.xc = np.zeros((0, n_xc))
-        self.owner = np.zeros(0, dtype=np.intp)
-        self.xi = np.zeros((0, n_xi))
-        self.y = np.zeros((0, self.n_times))
-        self.filled = np.zeros((0, self.n_times), dtype=bool)
+        self.owner = np.zeros(people, dtype=np.intp)
+        self.xi = np.zeros((people, n_xi))
+        self.y = np.zeros((people, self.n_times))
+        self.filled = np.zeros((people, self.n_times), dtype=bool)
 
-    def add(self, first_line: int, rows: List[List[str]]) -> None:
+    def add_rows(self, first_line: int, rows: List[List[str]]) -> None:
         """Check and store rows numbered from ``first_line``; blank rows are skipped."""
-        lines = list(range(first_line, first_line + len(rows)))
+        lines: Sequence[int] = range(first_line, first_line + len(rows))
         nonblank = list(map(any, map(map, itertools.repeat(str.strip), rows)))
         if not all(nonblank):
             rows = list(itertools.compress(rows, nonblank))
@@ -512,25 +592,54 @@ class _ColumnBuilder:
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
         wrong_length = np.flatnonzero(lengths != self.n_fields)
         m = int(wrong_length[0]) if wrong_length.size else len(rows)
-        fault, known = self._add_columns(rows[:m]) if m else (0, (self.n_clusters, self.n_people))
-        if fault < len(rows):
-            error = self._row_error(lines[fault], rows[fault], *known)
-            if error is None:
-                raise RuntimeError(f"line {lines[fault]} was flagged but passes every row check")
-            raise error
+        columns = list(zip(*rows[:m]))
+        cids = list(map(str.strip, columns[self.col["cluster_id"]])) if m else []
+        self._add(lines, columns, cids, rows[m] if m < len(rows) else None)
 
-    def _add_columns(self, rows: List[List[str]]) -> int:
-        """Convert and check rows that have the right number of fields.
+    def add_columns(self, first_line: int, columns: List[List[str]]) -> None:
+        """Check and store the rows, numbered from ``first_line``, of
+        ``columns``, one list of cells per field; blank rows are skipped."""
+        cids = list(map(str.strip, columns[self.col["cluster_id"]]))
+        lines: Sequence[int] = range(first_line, first_line + len(cids))
+        if "" in cids:  # only a row with an empty cluster id can be blank
+            nonblank = [bool(cid) or any(column[i].strip() for column in columns) for i, cid in enumerate(cids)]
+            if not all(nonblank):
+                columns = [list(itertools.compress(column, nonblank)) for column in columns]
+                cids = list(itertools.compress(cids, nonblank))
+                lines = list(itertools.compress(lines, nonblank))
+        self._add(lines, columns, cids, None)
 
-        Returns the position of the first row failing a check (``len(rows)``
+    def _add(
+        self, lines: Sequence[int], columns: Sequence[Sequence[str]], cids: List[str],
+        wrong_length: Optional[List[str]],
+    ) -> None:
+        """Store the rows of ``columns``, the rows on ``lines``, until the
+        first failing one, or else ``wrong_length``, the row on the line
+        after them, which has the wrong number of fields; and raise its error."""
+        m = len(cids)
+        fault, known = self._add_columns(columns, cids) if m else (0, (self.n_clusters, self.n_people))
+        if fault < m:
+            row = [column[fault] for column in columns]
+        elif wrong_length is not None:
+            row = wrong_length
+        else:
+            return
+        error = self._row_error(lines[fault], row, *known)
+        if error is None:
+            raise RuntimeError(f"line {lines[fault]} was flagged but passes every row check")
+        raise error
+
+    def _add_columns(self, columns: Sequence[Sequence[str]], cids: List[str]) -> Tuple[int, Tuple[int, int]]:
+        """Convert and check rows that have the right number of fields, given
+        their stripped cluster ids.
+
+        Returns the position of the first row failing a check (``len(cids)``
         if none) and the numbers of clusters and individuals introduced before
         it.  Outcomes are stored up to that row, first-row references for
         every cluster and individual the rows introduce.
         """
         schema, col, grid = self.schema, self.col, self.schema.grid
-        m = len(rows)
-        columns = list(zip(*rows))
-        cids = list(map(str.strip, columns[col["cluster_id"]]))
+        m = len(cids)
         iids = list(map(str.strip, columns[col["individual_id"]]))
         raw_y = list(map(str.strip, columns[col["y"]]))
 
@@ -555,9 +664,16 @@ class _ColumnBuilder:
         xi = _float_columns(columns, [col[name] for name in schema.individual_covariates], m)
 
         # each row's cluster and individual slot
-        c, new_c, clusters_before = _slots(self.cluster_of, cids, self.n_clusters)
-        p, new_p, people_before = _slots(self.person_of, list(zip(cids, iids)), self.n_people)
-        self.n_clusters, self.n_people = int(clusters_before[-1]), int(people_before[-1])
+        c_slots = list(map(self.cluster_of.__getitem__, cids))
+        c = np.array(c_slots, dtype=np.intp)
+        new_c, clusters_before = _first_seen(c, self.n_clusters)
+        self.n_clusters = int(clusters_before[-1])
+        self.cluster_ids.extend(itertools.compress(cids, new_c))
+        self.people_of.extend(defaultdict(self._next_person) for _ in range(self.n_clusters - len(self.people_of)))
+        p = np.fromiter(map(operator.getitem, map(self.people_of.__getitem__, c_slots), iids), np.intp, m)
+        new_p, people_before = _first_seen(p, self.n_people)
+        self.n_people = int(people_before[-1])
+        self.individual_ids.extend(itertools.compress(iids, new_p))
         for name in ("codes", "xc"):
             setattr(self, name, _grown(getattr(self, name), self.n_clusters))
         for name in ("owner", "xi", "y", "filled"):
@@ -630,13 +746,15 @@ class _ColumnBuilder:
         except SmartlongError as exc:
             return exc
 
+        # .get, unlike [], hands out no slot
         c = self.cluster_of.get(cid, clusters_before)
         if c < clusters_before:
             if self.codes[c].tolist() != list(map(_code, pathway)):
                 return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on treatment/response")
             if tuple(self.xc[c].tolist()) != xc:
                 return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on cluster covariates")
-        p = self.person_of.get((cid, iid), people_before)
+        # an individual met before belongs to a cluster met before
+        p = self.people_of[c].get(iid, people_before) if c < clusters_before else people_before
         if p < people_before:
             if self.filled[p, k]:
                 return InconsistentCluster(
@@ -647,24 +765,41 @@ class _ColumnBuilder:
         return None
 
     def dataset(self) -> TrialDataset:
-        """The canonical-order dataset, once every row has been added."""
+        """The canonical-order dataset, once every row has been added.
+
+        When the rows introduced clusters and individuals in canonical order,
+        as :func:`serialize_long_table` writes them, slots are positions and
+        the dataset takes the builder's arrays as they are; otherwise they
+        are sorted into place.
+        """
         schema, grid = self.schema, self.schema.grid
-        keys = list(self.person_of)  # (cluster id, individual id)
-        numbers = np.fromiter(self.person_of.values(), np.intp, len(keys))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        people = numbers[order]
-        filled = self.filled[people]
-        incomplete = np.flatnonzero(~filled.all(axis=1))
-        if incomplete.size:
-            j = int(incomplete[0])
-            cid, iid = keys[order[j]]
-            missing = [grid.times[k] for k in np.flatnonzero(~filled[j]).tolist()]
-            raise MissingCell(f"cluster {cid!r} individual {iid!r}: missing outcomes at times {missing}")
-        cids = sorted(self.cluster_of)
-        clusters = np.fromiter(map(self.cluster_of.__getitem__, cids), np.intp, len(cids))
-        position = np.zeros(self.n_clusters, dtype=np.intp)
-        position[clusters] = np.arange(len(cids))
-        codes = self.codes[clusters]
+        n_clusters, n_people = self.n_clusters, self.n_people
+        cids, iids = self.cluster_ids, self.individual_ids
+        owner = self.owner[:n_people]
+        incomplete = np.flatnonzero(~self.filled[:n_people].all(axis=1)).tolist()
+        if incomplete:
+            # the first in canonical order
+            j = min(incomplete, key=lambda j: (cids[owner[j]], iids[j]))
+            missing = [grid.times[k] for k in np.flatnonzero(~self.filled[j]).tolist()]
+            raise MissingCell(f"cluster {cids[owner[j]]!r} individual {iids[j]!r}: missing outcomes at times {missing}")
+        same_cluster = owner[1:] == owner[:-1]
+        if (
+            _increasing(cids).all() and (owner[1:] >= owner[:-1]).all()
+            and (_increasing(iids) | ~same_cluster).all()
+        ):
+            codes, x_cluster = _exact(self.codes, n_clusters), _exact(self.xc, n_clusters)
+            x_individual, y = _exact(self.xi, n_people), _exact(self.y, n_people)
+            sizes = np.bincount(owner, minlength=n_clusters)
+        else:
+            clusters = sorted(range(n_clusters), key=cids.__getitem__)
+            position = np.empty(n_clusters, dtype=np.intp)
+            position[clusters] = np.arange(n_clusters)
+            keys = list(zip(position[owner].tolist(), iids))
+            people = sorted(range(n_people), key=keys.__getitem__)
+            codes, x_cluster = self.codes[clusters], self.xc[clusters]
+            x_individual, y = self.xi[people], self.y[people]
+            sizes = np.bincount(position[owner], minlength=n_clusters)
+            cids, iids = [cids[c] for c in clusters], [iids[j] for j in people]
         pathways, pathway_index = _pathway_table(
             Pathway(a1, r, a2nr or None, a2r or None) for a1, r, a2nr, a2r in codes.tolist()
         )
@@ -673,12 +808,25 @@ class _ColumnBuilder:
             pathways=pathways, pathway_index=pathway_index,
             cluster_ids=tuple(cids),
             a1=codes[:, 0], r=codes[:, 1], a2nr=codes[:, 2], a2r=codes[:, 3],
-            sizes=np.bincount(position[self.owner[people]], minlength=len(cids)),
-            x_cluster=self.xc[clusters],
-            individual_ids=tuple(keys[j][1] for j in order),
-            x_individual=self.xi[people],
-            y=self.y[people],
+            sizes=sizes, x_cluster=x_cluster,
+            individual_ids=tuple(iids), x_individual=x_individual, y=y,
         )
+
+
+def _add_rows(builder: _ColumnBuilder, line: int, reader: Iterator[List[str]]) -> int:
+    """Add the rows ``reader`` yields, numbered from ``line``, a chunk at a
+    time, and return the number of the line after them."""
+    while True:
+        rows: List[List[str]] = []
+        try:
+            rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+        except csv.Error:
+            builder.add_rows(line, rows)  # a fault on an earlier row is reported first
+            raise
+        if not rows:
+            return line
+        builder.add_rows(line, rows)
+        line += len(rows)
 
 
 def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
@@ -689,14 +837,32 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
     cluster-level covariates.  Every individual must contribute exactly one
     complete outcome per grid time.  The earliest failing row raises; after
     all rows, missing outcomes and then the first validation violation do.
+
+    ``source``, a string or a text stream, is read at most
+    :data:`_CHUNK_ROWS` lines at a time; a string is sliced, never copied
+    whole or split per line.  A chunk whose every line holds one delimiter
+    fewer than the header has fields is split into columns at once, one
+    string per cell; a chunk that is not, or that holds a NUL or a field
+    longer than ``csv.field_size_limit()``, is read by ``csv.reader`` row by
+    row.  From the first chunk holding a quote or a carriage return outside
+    "\\r\\n", ``csv.reader`` reads all the rest, since a quoted field may
+    span lines.  Both routes give the same dataset, or the same error.
     """
-    lines = _lines(source) if isinstance(source, str) else iter(source)
-    sample = next(lines, "")
+    people = 0  # individuals foreseen from a string's lines: one per grid time
+    if isinstance(source, str):
+        header_end = source.find("\n") + 1 or len(source)
+        sample = source[:header_end]
+        chunks = _text_chunks(source, header_end)
+        n_lines = source.count("\n", header_end) + (not source.endswith("\n"))
+        people = -(-n_lines // schema.grid.n_times)
+    else:
+        stream = iter(source)
+        sample = next(stream, "")
+        chunks = _stream_chunks(stream)
     if not sample:
         raise MissingCell("empty input: header row required")
     delimiter = "\t" if sample.count("\t") >= sample.count(",") else ","
     header = [h.strip() for h in sample.rstrip("\r\n").split(delimiter)]
-    reader = csv.reader(lines, delimiter=delimiter)
 
     cols = dict(schema.columns)
     needed = ["cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr"]
@@ -713,19 +879,21 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
             raise MissingCell(f"covariate column {cov!r} missing from header")
         col_index[cov] = header.index(cov)
 
-    builder = _ColumnBuilder(schema, len(header), col_index)
+    builder = _ColumnBuilder(schema, len(header), col_index, people)
     line = 2
-    while True:
-        rows: List[List[str]] = []
-        try:
-            rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-        except csv.Error:
-            builder.add(line, rows)  # a fault on an earlier row is reported first
-            raise
-        if not rows:
+    for chunk, lines in chunks:
+        if '"' in chunk or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n"):
+            # a quoted field may span lines: csv.reader reads the rest
+            remaining = itertools.chain(lines, itertools.chain.from_iterable(more for _, more in chunks))
+            _add_rows(builder, line, csv.reader(remaining, delimiter=delimiter))
             break
-        builder.add(line, rows)
-        line += len(rows)
+        columns = _split_columns(chunk, delimiter, len(header))
+        if columns is None:
+            line = _add_rows(builder, line, csv.reader(lines, delimiter=delimiter))
+        else:
+            builder.add_columns(line, columns)
+            line += len(columns[0])
+        del columns  # before the next chunk is split
 
     ds = builder.dataset()
     report = validate(ds)

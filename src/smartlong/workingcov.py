@@ -241,7 +241,10 @@ def estimate_alpha(
 
     A regime-by-time variance within rounding error of its ``scale`` is
     raised to that floor; no correlation can be standardized by it, so a
-    spec that estimates one raises :class:`DegenerateVariance`.
+    spec that estimates one raises :class:`DegenerateVariance`.  So does a
+    spec without correlations whose V would hold a variance at its floor (one
+    the spec does not pool, or pools only from variances at their floor)
+    beside one that is not.
     """
     g = residuals if isinstance(residuals, ResidualGrams) else ResidualGrams.from_groups(residuals, cais)
     R, n_times = len(cais), g.rows.shape[-1]
@@ -271,15 +274,29 @@ def estimate_alpha(
 
     within = spec.within_corr if T >= 1 else WithinCorr.INDEPENDENT
     between = spec.between_corr
+    independent = within is WithinCorr.INDEPENDENT and between is BetweenCorr.INDEPENDENT
+    if degenerate.any():
+        floored, why = degenerate, "cannot standardize residuals"
+        if independent:
+            # V is diagonal in the variances it is built from, and one pooled
+            # from variances all at their floor is at its floor too.  One at
+            # its floor beside one that is not makes V singular; a regime whose
+            # every variance is at its floor (a mean that fits exactly) has
+            # V = floor x I, which is not
+            in_v = degenerate
+            if spec.variance_cai is VarianceCai.HOMOGENEOUS:
+                in_v = in_v.all(axis=0, keepdims=True)
+            if spec.variance_time is VarianceTime.HOMOSCEDASTIC:
+                in_v = in_v.all(axis=1, keepdims=True)
+            floored = np.broadcast_to(in_v & ~in_v.all(axis=1, keepdims=True), degenerate.shape)
+            why = "the working covariance would be singular"
+        if floored.any():
+            k, t = np.argwhere(floored)[0]
+            raise DegenerateVariance(f"zero variance for regime {cais[k]} at time index {t}; {why}")
     W = np.eye(n_times) + np.zeros((R, 1, 1))
     B = np.zeros((R, n_times, n_times))
-    if within is WithinCorr.INDEPENDENT and between is BetweenCorr.INDEPENDENT:
+    if independent:
         return AlphaEstimate(tuple(cais), sigma2, W, B)
-    if degenerate.any():
-        k, t = np.argwhere(degenerate)[0]
-        raise DegenerateVariance(
-            f"zero variance for regime {cais[k]} at time index {t}; cannot standardize residuals"
-        )
 
     s = np.sqrt(s2_std)
     scale = s[:, :, None] * s[:, None, :]

@@ -1092,10 +1092,11 @@ class TestResidualGrams:
             assert calls == list(enumerate_cais(design2)) * 2
         assert len(iterations) >= 3
 
-    @pytest.mark.parametrize("c", [0.1, 1 / 3, 7.77, 5.3])
-    def test_constant_outcome_time_is_degenerate(self, c):
-        # y at the first time is c in every cluster and the saturated mean fits
-        # it exactly, so that variance is rounding error however c rounds
+    @staticmethod
+    def constant_first_time(c):
+        """Data whose outcome at the first time is c in every cluster, and a
+        saturated mean, which fits it exactly: that variance is rounding error
+        however c rounds."""
         design = SmartDesign.balanced(DesignKind.III)
         grid = TimeGrid(tuple(float(t) for t in range(6)), knot=2.0)
         ds = random_dataset(np.random.default_rng(2), 120, grid, design, tuple(range(8, 17)))
@@ -1103,13 +1104,28 @@ class TestResidualGrams:
             replace(cl, individuals=tuple(replace(ind, y=(c,) + ind.y[1:]) for ind in cl.individuals))
             for cl in ds.clusters
         ))
-        spec = MeanModelSpec.custom(design, grid, make_saturated_basis(design, grid))
+        return ds, MeanModelSpec.custom(design, grid, make_saturated_basis(design, grid))
+
+    @pytest.mark.parametrize("c", [0.1, 1 / 3, 7.77, 5.3])
+    def test_constant_outcome_time_is_degenerate(self, c):
+        ds, spec = self.constant_first_time(c)
         cov_spec = WorkingCovSpec(
             within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.UNSTRUCTURED,
             corr_cai=CorrCai.HOMOGENEOUS,
         )
         with pytest.raises(DegenerateVariance, match="at time index 0"):
             fit(ds, spec, cov_spec)
+
+    @pytest.mark.parametrize("c", [0.1, 1 / 3, 7.77, 5.3])
+    def test_constant_outcome_time_is_degenerate_without_correlations(self, c):
+        # V itself would hold the floored variance, so naming it beats a
+        # singular V downstream
+        ds, spec = self.constant_first_time(c)
+        independent = WorkingCovSpec(within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT)
+        with pytest.raises(DegenerateVariance, match=r"regime .* at time index 0; the working covariance"):
+            fit(ds, spec, independent)
+        # pooled over regimes and times, V's one variance is real
+        assert fit(ds, spec, WorkingCovSpec.independent_homoscedastic()).converged
 
 
 class TestPermutationInvariance:

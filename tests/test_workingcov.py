@@ -358,6 +358,20 @@ class TestEstimateAlpha:
         with pytest.raises(DegenerateVariance):
             estimate_alpha(residual_groups(entries), spec, [D11])
 
+    def test_degenerate_variance_without_correlations(self):
+        spec = WorkingCovSpec(within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET)
+        eps = np.array([[1.0, 0.0], [2.0, 0.0]])  # no variance at time 1
+        with pytest.raises(DegenerateVariance, match="at time index 1; the working covariance"):
+            estimate_alpha(residual_groups([(D11, 1.0, eps)]), spec, [D11])
+        # every variance of V at its floor: V is a multiple of the identity
+        estimate_alpha(residual_groups([(D11, 1.0, np.zeros((2, 2)))]), spec, [D11])
+        # pooled with a regime whose variance at time 1 is real
+        pooled = WorkingCovSpec(
+            variance_cai=VarianceCai.HOMOGENEOUS, within_corr=WithinCorr.INDEPENDENT,
+            between_corr=BetweenCorr.INDEPENDENT,
+        )
+        estimate_alpha(residual_groups([(D11, 1.0, eps), (D1M, 1.0, np.ones((2, 2)))]), pooled, [D11, D1M])
+
     def test_pooled_variance_over_cai(self):
         spec = WorkingCovSpec(
             variance_time=VarianceTime.HETEROSCEDASTIC,
