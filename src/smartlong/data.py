@@ -328,6 +328,22 @@ def _pathway_table(pathways: Iterable[Pathway]) -> Tuple[Tuple[Pathway, ...], np
     return tuple(table), np.array(index, dtype=np.intp)
 
 
+def _code_pathway_table(codes: np.ndarray) -> Tuple[Tuple[Pathway, ...], np.ndarray]:
+    """:func:`_pathway_table` of the pathways whose valid int8 codes (a1, r,
+    a2nr, a2r) are the rows of ``codes``, with no object per row."""
+    # a row's four int8 codes read as one int32 key
+    _, first, inverse = np.unique(
+        np.ascontiguousarray(codes).view(np.int32)[:, 0], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pathways = tuple(
+        Pathway(a1, r, a2nr or None, a2r or None) for a1, r, a2nr, a2r in codes[first[order]].tolist()
+    )
+    return pathways, rank[inverse]
+
+
 @dataclass(frozen=True)
 class TableSchema:
     """Column mapping and coding rules for a long-format table.
@@ -691,9 +707,9 @@ class _ColumnBuilder:
         repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
         k_safe = np.where(on_grid, k, 0)
 
+        # an absent outcome, "" or "NA", is unreadable
         failed = (
-            np.fromiter(map(_ABSENT.__contains__, raw_y), bool, m)
-            | y_unreadable | (k == _NON_NUMERIC_TIME) | ~np.isfinite(y) | (k == _OFF_GRID_TIME)
+            y_unreadable | (k == _NON_NUMERIC_TIME) | ~np.isfinite(y) | (k == _OFF_GRID_TIME)
             | (codes == _BAD_CODE).any(axis=1)
             | ~np.isfinite(xc).all(axis=1) | ~np.isfinite(xi).all(axis=1)
             | (self.codes[c] != codes).any(axis=1) | (self.xc[c] != xc).any(axis=1)
@@ -772,6 +788,7 @@ class _ColumnBuilder:
         the dataset takes the builder's arrays as they are; otherwise they
         are sorted into place.
         """
+        del self.cluster_of, self.people_of  # no id is looked up after the last row
         schema, grid = self.schema, self.schema.grid
         n_clusters, n_people = self.n_clusters, self.n_people
         cids, iids = self.cluster_ids, self.individual_ids
@@ -800,9 +817,7 @@ class _ColumnBuilder:
             x_individual, y = self.xi[people], self.y[people]
             sizes = np.bincount(position[owner], minlength=n_clusters)
             cids, iids = [cids[c] for c in clusters], [iids[j] for j in people]
-        pathways, pathway_index = _pathway_table(
-            Pathway(a1, r, a2nr or None, a2r or None) for a1, r, a2nr, a2r in codes.tolist()
-        )
+        pathways, pathway_index = _code_pathway_table(codes)
         return TrialDataset._from_columns(
             schema.design, grid, schema.cluster_covariates, schema.individual_covariates,
             pathways=pathways, pathway_index=pathway_index,

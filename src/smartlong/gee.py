@@ -28,11 +28,12 @@ number of clusters.  Residuals and scores for the sandwich are read from
 the same structure, and the bias-corrected meat uses the Woodbury form of
 the inverse leverage, one p x p solve per cluster; they are linear in the
 number of observations and run once per fit.  Only C depends on the
-cluster size, so each regime keeps one stack of its consistent clusters,
+cluster size, so each regime indexes one stack of its consistent clusters,
 one row per individual, in the dataset's canonical sorted-id order; results
-are reproducible and independent of input row order.  The stacks are
-filled array-at-once from the dataset's columns, regime membership and
-design weights decided once per distinct observed pathway.
+are reproducible and independent of input row order.  A stack's rows are
+gathered from the dataset's columns array-at-once where a pass reads them,
+never kept per regime, regime membership and design weights decided once
+per distinct observed pathway.
 
 :func:`fit` is the only entry point: it solves, applies the finite-sample
 adjustments and the estimated-weight correction, and assembles the sandwich
@@ -169,12 +170,14 @@ class WeightModel:
 class _Regime:
     """The clusters consistent with one regime, stacked in canonical order:
     cluster ``i`` owns rows ``starts[i] : starts[i] + sizes[i]``, one per
-    individual.
+    individual.  The regime holds index structure, not the rows: those are
+    the dataset's rows of its clusters, in order, and
+    :meth:`_Workspace.regime_rows` gathers them when a pass needs them.
 
     Individual j's design is D_j = [Gamma | 1 x_j'] = G E(z_j), with
     G = [Gamma | 1], z_j = (1, x_j) and E(z) = diag(z_0 I, z_1..q'); a
     cluster's design sum is G E(z_i) with z_i = (n_i, X_i).  So the regime
-    keeps G and the covariate rows, never D; the workspace keeps the weighted
+    keeps G and each cluster's X_i, never D; the workspace keeps the weighted
     moments of z the normal equations and the residual Grams need.
     """
 
@@ -183,8 +186,6 @@ class _Regime:
     sizes: np.ndarray        # (m,)
     starts: np.ndarray       # (m,)
     basis: np.ndarray        # (T+1, n_gamma + 1), G = [Gamma | 1]
-    x: np.ndarray            # (rows, q) covariate rows
-    y: np.ndarray            # (rows, T+1)
     x_sum: np.ndarray        # (m, q), each cluster's covariates summed over its rows
     distinct: np.ndarray     # (k,) distinct cluster sizes, ascending
     size_idx: np.ndarray     # (m,) each cluster's index into ``distinct``
@@ -195,8 +196,16 @@ class _Regime:
 
 
 class _Workspace:
-    """Per-regime covariate and outcome stacks for one dataset and mean model,
-    with the weighted moments that every iteration is computed from.
+    """Per-regime index structure for one dataset and mean model, with the
+    weighted moments that every iteration is computed from.
+
+    The workspace keeps one covariate table, a row per individual of the
+    dataset, and no outcome or covariate row per regime: a regime's rows are
+    gathered from it and from the dataset's outcomes while the moments are
+    built, and again only where residual rows are formed, by
+    :meth:`_residuals` for the residual Grams' anchor and for the scores.
+    So the rows a fit holds do not grow with the number of regimes a
+    cluster is consistent with.
 
     The moments are stacked over the regimes that have clusters (R' of them),
     the size-dependent ones padded to the largest number k of distinct sizes:
@@ -233,14 +242,16 @@ class _Workspace:
         sizes = ds.sizes
         first = np.cumsum(sizes) - sizes
         q, n_times = len(spec.covariate_terms), spec.grid.n_times
-        x = np.empty((len(ds.y), q))
+        # the covariate rows of every individual, shared by the regimes
+        self._x = np.empty((len(ds.y), q))
         for c_idx, name in enumerate(spec.covariate_terms):
             if name in ds.cluster_covariates:
-                x[:, c_idx] = np.repeat(ds.x_cluster[:, ds.cluster_covariates.index(name)], sizes)
+                self._x[:, c_idx] = np.repeat(ds.x_cluster[:, ds.cluster_covariates.index(name)], sizes)
             elif name in ds.individual_covariates:
-                x[:, c_idx] = ds.x_individual[:, ds.individual_covariates.index(name)]
+                self._x[:, c_idx] = ds.x_individual[:, ds.individual_covariates.index(name)]
             else:
                 raise ValueError(f"covariate {name!r} not present in the dataset schema")
+        x_sum = np.add.reduceat(self._x, first)
         # consistency depends only on the pathway: decide it once per pathway
         by_pathway = np.array(
             [[consistency_indicator(p, d, ds.design) for p in ds.pathways] for d in self.cais], dtype=bool
@@ -256,30 +267,30 @@ class _Workspace:
             gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
             n = sizes[pos]
             starts = np.cumsum(n) - n
-            person = np.repeat(first[pos] - starts, n) + np.arange(n.sum())
-            xs, ys = x[person], ds.y[person]
-            x_sum = np.add.reduceat(xs, starts) if q else np.zeros((pos.size, 0))
             distinct, size_idx = np.unique(n, return_inverse=True)
+            r = _Regime(
+                d, pos, n, starts, np.column_stack((gamma, np.ones(len(gamma)))), x_sum[pos],
+                distinct, size_idx,
+            )
+            xs, ys = self.regime_rows(r)
             w = self.weights[pos]
             w_rows = np.repeat(w, n)
             # moments of z against (z, Y): over rows, then per distinct size
             z_rows = np.column_stack((np.ones(len(xs)), xs))
-            z_clusters = np.column_stack((n, x_sum))
+            wz_rows = w_rows[:, None] * z_rows
+            z_clusters = np.column_stack((n, r.x_sum))
             m = np.zeros((1 + distinct.size, 1 + q, 1 + q + n_times))
-            m[0] = (w_rows[:, None] * z_rows).T @ np.hstack((z_rows, ys))
-            per_cluster = (w[:, None] * z_clusters)[:, :, None] * np.hstack(
-                (z_clusters, np.add.reduceat(ys, starts))
-            )[:, None, :]
-            np.add.at(m[1:], size_idx, per_cluster)
+            m[0, :, : 1 + q] = wz_rows.T @ z_rows
+            m[0, :, 1 + q :] = wz_rows.T @ ys
+            wz_clusters = (w[:, None] * z_clusters)[:, :, None]
+            np.add.at(m[1:, :, : 1 + q], size_idx, wz_clusters * z_clusters[:, None, :])
+            np.add.at(m[1:, :, 1 + q :], size_idx, wz_clusters * np.add.reduceat(ys, starts)[:, None, :])
             moments.append(m)
             people.append(w @ n)
             pairs.append(w @ (n * (n - 1.0)))
             y_square.append(w_rows @ ys**2 / people[-1])
             self._rows.append(k)
-            self.regimes.append(_Regime(
-                d, pos, n, starts, np.column_stack((gamma, np.ones(len(gamma)))), xs, ys, x_sum,
-                distinct, size_idx,
-            ))
+            self.regimes.append(r)
         R = len(self.regimes)
         k_max = max((r.distinct.size for r in self.regimes), default=0)
         self._basis = np.array([r.basis for r in self.regimes]).reshape(R, n_times, spec.n_gamma + 1)
@@ -331,9 +342,24 @@ class _Workspace:
         theta = np.linalg.solve(A, b)
         return theta, A, b
 
-    def _residuals(self, r: _Regime, theta: np.ndarray) -> np.ndarray:
+    def regime_rows(self, r: _Regime) -> Tuple[np.ndarray, np.ndarray]:
+        """Regime ``r``'s covariate rows (rows, q) and outcome rows (rows, T+1),
+        gathered from the workspace's covariate table and the dataset."""
+        member = np.zeros(self.N, dtype=bool)
+        member[r.cluster_pos] = True
+        rows = np.flatnonzero(np.repeat(member, self.ds.sizes))
+        # take gathers rows several times faster than fancy indexing
+        return self._x.take(rows, axis=0), self.ds.y.take(rows, axis=0)
+
+    def _residuals(self, r: _Regime, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Regime ``r``'s covariate rows and its residual rows y - D theta.
+        The only place a fit reads rows, once per regime at the anchor of the
+        residual Grams and once for the scores."""
         n_gamma = self.mean_spec.n_gamma
-        return r.y - r.gamma @ theta[:n_gamma] - (r.x @ theta[n_gamma:])[:, None]
+        x, eps = self.regime_rows(r)
+        eps -= r.gamma @ theta[:n_gamma]
+        eps -= (x @ theta[n_gamma:])[:, None]
+        return x, eps
 
     def _anchor_at(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """theta with, stacked over (rows, cluster sums) x regimes, the weighted
@@ -344,12 +370,13 @@ class _Workspace:
         cross = np.empty((2, len(self.regimes), q1, n_times))
         for i, r in enumerate(self.regimes):
             w = self.weights[r.cluster_pos]
-            w_rows = np.repeat(w, r.sizes)[:, None]
-            eps = self._residuals(r, theta)
+            x, eps = self._residuals(r, theta)
+            w_eps = np.repeat(w, r.sizes)[:, None] * eps
             col = np.add.reduceat(eps, r.starts)
-            grams[0, i] = (w_rows * eps).T @ eps
+            grams[0, i] = w_eps.T @ eps
             grams[1, i] = (w[:, None] * col).T @ col
-            cross[0, i] = (w_rows * np.column_stack((np.ones(len(eps)), r.x))).T @ eps
+            cross[0, i, 0] = w_eps.sum(axis=0)
+            cross[0, i, 1:] = x.T @ w_eps
             cross[1, i] = (w[:, None] * np.column_stack((r.sizes, r.x_sum))).T @ col
         return theta.copy(), grams, cross
 
@@ -390,6 +417,11 @@ class _Workspace:
         under ``factors`` (the identity when None): in the notation of
         :class:`_Regime`, with E_i the sum of cluster i's residual rows and C
         its size's C, U_i = w_i (sum_j E(z_j)'G'A'^{-1} eps_j + E(z_i)'G'C E_i).
+        With z_j = (1, x_j) the sum over j needs no row-by-parameter product:
+        its Gamma block is E_i'A'^{-1}Gamma, and its eta block is
+        sum_j (eps_j'A'^{-1}g_1) x_j with g_1 = G's last column.  The
+        residual rows are formed here by :meth:`_residuals`, one regime at a
+        time, and dropped before the next regime's.
 
         With ``leverage_inverse_from`` set to the unnormalized bread matrix A,
         each residual block is premultiplied by (I - H_id)^{-1} where H_id
@@ -402,20 +434,25 @@ class _Workspace:
         first such cluster and its regime.
         """
         g, z = self._g, self._z
+        n_gamma = self.mean_spec.n_gamma
         U = np.zeros((self.N, self.p))
         for r, s in zip(self.regimes, self._identity() if factors is None else factors):
             w = self.weights[r.cluster_pos]
-            eps = self._residuals(r, theta)
-            ce = (np.add.reduceat(eps, r.starts) @ s[1:])[r.size_idx, np.arange(len(w))]  # row i: (C E_i)'
-            z_rows = np.column_stack((np.ones(len(eps)), r.x))
-            z_cluster = np.column_stack((r.sizes, r.x_sum))[:, z]
-            u = (
-                np.add.reduceat((eps @ s[0] @ r.basis)[:, g] * z_rows[:, z], r.starts)
-                + (ce @ r.basis)[:, g] * z_cluster
+            x, eps = self._residuals(r, theta)
+            e = np.add.reduceat(eps, r.starts)
+            ce = (e @ s[1:])[r.size_idx, np.arange(len(w))]  # row i: (C E_i)'
+            # Gamma's block from cluster sums alone; eta's weighs each x_j by eps_j'A'^{-1}g_1
+            g_1 = r.basis[:, -1]
+            u = np.empty((len(w), self.p))
+            u[:, :n_gamma] = (e @ s[0] + r.sizes[:, None] * ce) @ r.gamma
+            u[:, n_gamma:] = (
+                np.add.reduceat((eps @ (s[0] @ g_1))[:, None] * x, r.starts) + (ce @ g_1)[:, None] * r.x_sum
             )
             if leverage_inverse_from is not None:
                 gsg = (r.basis.T @ s @ r.basis)[:, g[:, None], g]
+                z_rows = np.column_stack((np.ones(len(x)), x))
                 zz_rows = np.add.reduceat(z_rows[:, :, None] * z_rows[:, None, :], r.starts)
+                z_cluster = np.column_stack((r.sizes, r.x_sum))[:, z]
                 M = (
                     gsg[0] * zz_rows[:, z[:, None], z]
                     + gsg[1 + r.size_idx] * z_cluster[:, :, None] * z_cluster[:, None, :]
@@ -434,7 +471,9 @@ class _Workspace:
                                 f"one under regime {r.cai}; the bias correction is undefined"
                             ) from None
                     raise
-            U[r.cluster_pos] += w[:, None] * u
+            u *= w[:, None]
+            U[r.cluster_pos] += u
+            del x, eps, e, ce, u  # before the next regime's rows are gathered
         return U
 
     def factorize(self, alpha: AlphaEstimate) -> np.ndarray:

@@ -119,11 +119,11 @@ def permuted(ds, rng):
     return replace(ds, clusters=tuple(clusters[i] for i in rng.permutation(len(clusters))))
 
 
-def regime_design(regime, rows):
-    """The design rows D_j = [gamma | 1 x_j'] of the individuals in ``rows`` of
-    one engine regime stack, rebuilt from its gamma and covariate rows in the
-    public stacker's layout (individual-major, then time)."""
-    gamma, x = regime.gamma, regime.x[rows]
+def regime_design(regime, x):
+    """The design rows D_j = [gamma | 1 x_j'] of individuals with covariate
+    rows ``x`` under one engine regime, rebuilt from its gamma in the public
+    stacker's layout (individual-major, then time)."""
+    gamma = regime.gamma
     D = np.empty((len(x), len(gamma), gamma.shape[1] + x.shape[1]))
     D[..., : gamma.shape[1]] = gamma
     D[..., gamma.shape[1] :] = x[:, None]

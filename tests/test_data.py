@@ -697,16 +697,17 @@ class TestRecordRoute:
         ws_parsed, ws_records = _make_workspace(parsed, spec), _make_workspace(records, spec)
         np.testing.assert_array_equal(ws_parsed.weights, ws_records.weights)
         for g, h in zip(ws_parsed.regimes, ws_records.regimes, strict=True):
+            (g_x, g_y), (h_x, h_y) = ws_parsed.regime_rows(g), ws_records.regime_rows(h)
             assert g.cai == h.cai
             np.testing.assert_array_equal(g.sizes, h.sizes)
             np.testing.assert_array_equal(g.cluster_pos, h.cluster_pos)
             np.testing.assert_array_equal(g.gamma, h.gamma)
-            np.testing.assert_array_equal(g.x, h.x)
-            np.testing.assert_array_equal(g.y, h.y)
+            np.testing.assert_array_equal(g_x, h_x)
+            np.testing.assert_array_equal(g_y, h_y)
             for pos, start, n in zip(g.cluster_pos, g.starts, g.sizes):
                 rows = slice(start, start + n)
                 np.testing.assert_array_equal(
-                    regime_design(g, rows), stack_design_matrix(spec, g.cai, records.clusters[pos], records)
+                    regime_design(g, g_x[rows]), stack_design_matrix(spec, g.cai, records.clusters[pos], records)
                 )
 
     @pytest.mark.parametrize("kind", list(DesignKind))

@@ -24,6 +24,7 @@ from smartlong import (
     TimeGrid,
     VarianceCai,
     VarianceTime,
+    WeightMode,
     WithinCorr,
     WorkingCovSpec,
     build_V,
@@ -291,15 +292,16 @@ class TestFit:
         ]
         assert got == sorted(expected, key=lambda e: (e[0], e[2]))
         for r in ws.regimes:
+            x, y = ws.regime_rows(r)
             np.testing.assert_array_equal(r.distinct[r.size_idx], r.sizes)
             for i, (pos, start, n) in enumerate(zip(r.cluster_pos, r.starts, r.sizes)):
                 cl = ds.clusters[pos]
                 assert cl.n == n
                 rows = slice(start, start + n)
-                np.testing.assert_array_equal(regime_design(r, rows), stack_design_matrix(spec, r.cai, cl, ds))
-                np.testing.assert_array_equal(r.y[rows].ravel(), [v for ind in cl.individuals for v in ind.y])
-                scale = np.abs(r.x[rows]).sum(axis=0)
-                assert np.all(np.abs(r.x_sum[i] - r.x[rows].sum(axis=0)) <= 1e-14 * scale)
+                np.testing.assert_array_equal(regime_design(r, x[rows]), stack_design_matrix(spec, r.cai, cl, ds))
+                np.testing.assert_array_equal(y[rows].ravel(), [v for ind in cl.individuals for v in ind.y])
+                scale = np.abs(x[rows]).sum(axis=0)
+                assert np.all(np.abs(r.x_sum[i] - x[rows].sum(axis=0)) <= 1e-14 * scale)
 
 
 class TestSandwich:
@@ -591,29 +593,53 @@ class TestAdjustments:
 
 
 class TestFitMemory:
-    @pytest.mark.parametrize(
-        "adjustments,multiple", [(AdjustmentOptions(), 10), (AdjustmentOptions.all(), 25)], ids=["none", "all"]
-    )
-    def test_peak_is_a_small_multiple_of_the_data(self, adjustments, multiple):
-        # fit keeps each regime's covariate and outcome rows and moments whose
-        # size does not grow with N, never a design of rows x (T+1) x p: on
-        # 5007 rows it peaks near 6.6x the outcome and covariate bytes, 18x
-        # with the p x p Woodbury solve per cluster of the bias correction,
-        # where a stored design and V^{-1} D made these 34x and 45x
-        design = SmartDesign.balanced(DesignKind.I)
-        terms = ("u", "v", "w")
-        ds = random_dataset(np.random.default_rng(0), 2000, GRID012, design, (1, 2, 3, 4), (), terms)
-        spec = MeanModelSpec.piecewise_linear(design, GRID012, terms)
-        options = FitOptions(adjustments=adjustments)
+    @staticmethod
+    def warm_peak(ds, spec, options):
+        """tracemalloc peak of a fit after a first one."""
         fit(ds, spec, WorkingCovSpec(), options)
         tracemalloc.start()
         try:
             fit(ds, spec, WorkingCovSpec(), options)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "adjustments,multiple", [(AdjustmentOptions(), 10), (AdjustmentOptions.all(), 25)], ids=["none", "all"]
+    )
+    def test_peak_is_a_small_multiple_of_the_data(self, adjustments, multiple):
+        # fit keeps index structure and moments whose size does not grow with
+        # N, never a design of rows x (T+1) x p: on 5007 rows it peaks near
+        # 3.6x the outcome and covariate bytes, 17x with the p x p Woodbury
+        # solve per cluster of the bias correction, where a stored design and
+        # V^{-1} D made these 34x and 45x (6.6x and 18x with per-regime rows)
+        design = SmartDesign.balanced(DesignKind.I)
+        terms = ("u", "v", "w")
+        ds = random_dataset(np.random.default_rng(0), 2000, GRID012, design, (1, 2, 3, 4), (), terms)
+        spec = MeanModelSpec.piecewise_linear(design, GRID012, terms)
+        peak = self.warm_peak(ds, spec, FitOptions(adjustments=adjustments))
         assert len(ds.y) > 4000
         assert peak < multiple * (ds.y.nbytes + ds.x_individual.nbytes)
+
+    def test_rows_are_not_copied_per_regime(self):
+        # design I puts every cluster in two regimes; with cluster and
+        # individual covariates and estimated weights, 7553 rows peak near
+        # 4.3x the dataset's array bytes, against 7.4x when each regime kept
+        # its own outcome and covariate rows.  Those copies add about 2x here,
+        # so a bound 0.7x above the measured ratio would catch their return.
+        design = SmartDesign.balanced(DesignKind.I)
+        ds = random_dataset(np.random.default_rng(0), 3000, GRID012, design, (1, 2, 3, 4), ("u", "v"), ("w",))
+        spec = MeanModelSpec.piecewise_linear(design, GRID012, ("u", "v", "w"))
+        options = FitOptions(
+            weight_mode=WeightMode.ESTIMATED, stage1_covariates=("u", "v"), stage2_covariates=("u",)
+        )
+        peak = self.warm_peak(ds, spec, options)
+        arrays = sum(
+            getattr(ds, name).nbytes
+            for name in ("a1", "r", "a2nr", "a2r", "sizes", "x_cluster", "x_individual", "y", "pathway_index")
+        )
+        assert len(ds.y) > 7000
+        assert peak < 5.0 * arrays
 
 
 class TestEndOfStudyComparator:
@@ -1006,9 +1032,10 @@ def row_residual_groups(ws, theta):
     return [
         ResidualGroup(
             r.cai, ws.weights[r.cluster_pos], r.sizes,
-            r.y - r.gamma @ theta[:n_gamma] - (r.x @ theta[n_gamma:])[:, None],
+            y - r.gamma @ theta[:n_gamma] - (x @ theta[n_gamma:])[:, None],
         )
         for r in ws.regimes
+        for x, y in [ws.regime_rows(r)]
     ]
 
 
@@ -1059,7 +1086,7 @@ class TestResidualGrams:
         # size eps max|y| / sigma next to their unit-scale residuals; a moment
         # over sigma^2 moves by at most twice that (Cauchy-Schwarz).  Twice
         # again covers the two roundings: 7e-10 here, where 3e-11 is observed.
-        y_max = max(np.abs(r.y).max() for r in workspaces[1].regimes)
+        y_max = max(np.abs(workspaces[1].regime_rows(r)[1]).max() for r in workspaces[1].regimes)
         bound = 4 * np.finfo(float).eps * y_max / np.sqrt(want.sigma2.min())
         np.testing.assert_allclose(got.sigma2, want.sigma2, rtol=bound, atol=0)
         np.testing.assert_allclose(got.within, want.within, rtol=0, atol=bound)
