@@ -911,10 +911,7 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
         del columns  # before the next chunk is split
 
     ds = builder.dataset()
-    report = validate(ds)
-    if report.violations:
-        first = report.violations[0]
-        raise InconsistentCluster(f"cluster {first.cluster_id!r}: {first.message}")
+    _raise_first_violation(validate(ds))
     return ds
 
 
@@ -1049,6 +1046,13 @@ def _check(ds: TrialDataset, faults: Sequence[Tuple[tuple, Violation]] = ()) -> 
             if not any(consistency_indicator(p, cai, ds.design) for p in ds.pathways)
         )
     return ValidationReport(violations, warnings)
+
+
+def _raise_first_violation(report: ValidationReport) -> None:
+    """Raise :class:`InconsistentCluster` for the report's first violation, if any."""
+    if report.violations:
+        first = report.violations[0]
+        raise InconsistentCluster(f"cluster {first.cluster_id!r}: {first.message}")
 
 
 def validate(ds: TrialDataset) -> ValidationReport:

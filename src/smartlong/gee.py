@@ -35,6 +35,13 @@ gathered from the dataset's columns array-at-once where a pass reads them,
 never kept per regime, regime membership and design weights decided once
 per distinct observed pathway.
 
+Each job has one path.  Every regime of :func:`enumerate_cais` has
+clusters (validation rejects a dataset where one has none), so each stack
+covers them all, in order.  The identity that starts the iteration is an
+ordinary factor stack.  Residual rows are formed only by
+:meth:`_Workspace._residuals`.  One rule, :func:`_symmetric_cond`, judges
+the conditioning of A, J and the score outer product.
+
 :func:`fit` is the only entry point: it solves, applies the finite-sample
 adjustments and the estimated-weight correction, and assembles the sandwich
 once (the end-of-study comparator runs it on the final time alone).  A
@@ -54,10 +61,9 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import norm, t as student_t
 
-from .data import TrialDataset, validate
+from .data import TrialDataset, _raise_first_violation, validate
 from .design import DesignKind, EmbeddedCai, consistency_indicator, design_weight, enumerate_cais
 from .errors import (
-    InconsistentCluster,
     InsufficientData,
     RankDeficient,
     Separation,
@@ -137,6 +143,8 @@ class FitOptions:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if (self.stage1_covariates or self.stage2_covariates) and self.weight_mode is not WeightMode.ESTIMATED:
+            raise ValueError("weight-model covariates need weight_mode=WeightMode.ESTIMATED")
 
 
 @dataclass(frozen=True)
@@ -199,6 +207,10 @@ class _Workspace:
     """Per-regime index structure for one dataset and mean model, with the
     weighted moments that every iteration is computed from.
 
+    Every regime of ``cais`` has a consistent cluster, as :func:`fit`'s
+    validation guarantees (it raises otherwise); ``weights`` None takes the
+    design weights.
+
     The workspace keeps one covariate table, a row per individual of the
     dataset, and no outcome or covariate row per regime: a regime's rows are
     gathered from it and from the dataset's outcomes while the moments are
@@ -207,20 +219,22 @@ class _Workspace:
     So the rows a fit holds do not grow with the number of regimes a
     cluster is consistent with.
 
-    The moments are stacked over the regimes that have clusters (R' of them),
-    the size-dependent ones padded to the largest number k of distinct sizes:
-    ``wzz`` (R', 1 + k, p, p) and ``wzy`` (R', 1 + k, p, T+1) hold sum w z z'
-    and sum w z Y' (Y the outcome sum of the same rows) over every row for
-    the A'^{-1} term and over the clusters of each distinct size for its C_n
-    term, spread to the parameter layout: entry (i, j) pairs with
-    (G' S G)[g_i, g_j] where g maps each parameter to its column of G.
-    ``szz`` (2, R', 1 + q, 1 + q) holds sum w z z' over rows and over cluster
-    sums for the residual Grams.  The weights are fixed, so all are built once.
+    The moments are stacked over the R regimes, the size-dependent ones
+    padded to the largest number k of distinct sizes: ``wzz`` (R, 1 + k, p,
+    p) and ``wzy`` (R, 1 + k, p, T+1) hold sum w z z' and sum w z Y' (Y the
+    outcome sum of the same rows) over every row for the A'^{-1} term and
+    over the clusters of each distinct size for its C_n term, spread to the
+    parameter layout: entry (i, j) pairs with (G' S G)[g_i, g_j] where g maps
+    each parameter to its column of G.  ``szz`` (2, R, 1 + q, 1 + q) holds
+    sum w z z' over rows and over cluster sums for the residual Grams.  The
+    weights are fixed, so all are built once.
     """
 
-    def __init__(self, ds: TrialDataset, mean_spec: MeanModelSpec, weights: np.ndarray) -> None:
+    def __init__(self, ds: TrialDataset, mean_spec: MeanModelSpec, weights: Optional[np.ndarray] = None) -> None:
         self.ds = ds
         self.mean_spec = mean_spec
+        if weights is None:
+            weights = np.array([design_weight(p, ds.design) for p in ds.pathways])[ds.pathway_index]
         self.weights = np.asarray(weights, dtype=float)
         self.N = ds.n_clusters
         if self.weights.shape != (self.N,) or not np.all(np.isfinite(self.weights) & (self.weights > 0)):
@@ -258,12 +272,11 @@ class _Workspace:
         ).reshape(len(self.cais), len(ds.pathways))
         consistent = by_pathway[:, ds.pathway_index]
         self.regimes: List[_Regime] = []
-        self._rows: List[int] = []  # each regime's index into ``cais``
         moments, people, pairs, y_square = [], [], [], []
-        for k, d in enumerate(self.cais):
-            pos = np.flatnonzero(consistent[k])
+        for d, member in zip(self.cais, consistent):
+            pos = np.flatnonzero(member)
             if pos.size == 0:
-                continue
+                raise InsufficientData(f"no cluster is consistent with embedded regime {d}")
             gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
             n = sizes[pos]
             starts = np.cumsum(n) - n
@@ -289,11 +302,10 @@ class _Workspace:
             people.append(w @ n)
             pairs.append(w @ (n * (n - 1.0)))
             y_square.append(w_rows @ ys**2 / people[-1])
-            self._rows.append(k)
             self.regimes.append(r)
         R = len(self.regimes)
-        k_max = max((r.distinct.size for r in self.regimes), default=0)
-        self._basis = np.array([r.basis for r in self.regimes]).reshape(R, n_times, spec.n_gamma + 1)
+        k_max = max(r.distinct.size for r in self.regimes)
+        self._basis = np.array([r.basis for r in self.regimes])
         self._distinct = np.zeros((R, k_max), dtype=int)  # padded with zeros
         stacked = np.zeros((R, 1 + k_max, 1 + q, 1 + q + n_times))
         for i, (r, m) in enumerate(zip(self.regimes, moments)):
@@ -302,17 +314,12 @@ class _Workspace:
         self._wzz = stacked[:, :, self._z[:, None], self._z]
         self._wzy = stacked[:, :, self._z, 1 + q :]
         self._szz = np.stack((stacked[:, 0, :, : 1 + q], stacked[:, 1:, :, : 1 + q].sum(axis=1)))
-        # per regime of ``cais``, zero where a regime has no clusters: the
-        # sums of w n and w n (n - 1), and each time's mean square outcome
-        self._people = np.zeros(len(self.cais))
-        self._pairs = np.zeros(len(self.cais))
-        self._y_square = np.zeros((len(self.cais), n_times))
-        self._people[self._rows], self._pairs[self._rows] = people, pairs
-        self._y_square[self._rows] = np.reshape(y_square, (R, n_times))
+        # per regime: the sums of w n and w n (n - 1), and each time's mean square outcome
+        self._people, self._pairs, self._y_square = np.array(people), np.array(pairs), np.array(y_square)
 
     # -- linear algebra over the regime stacks --------------------------------
 
-    def _identity(self) -> np.ndarray:
+    def identity(self) -> np.ndarray:
         """The identity working covariance as factors: A'^{-1} = I, every C_n = 0."""
         R, k = self._distinct.shape
         factors = np.zeros((R, 1 + k) + 2 * (self.mean_spec.grid.n_times,))
@@ -330,10 +337,9 @@ class _Workspace:
         b = np.einsum("rkit,rkit->i", gs[:, :, g], self._wzy)
         return A, b
 
-    def solve(self, factors=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """theta under ``factors`` (the identity when None), with the A and b
-        it was solved from."""
-        A, b = self.normal_equations(self._identity() if factors is None else factors)
+    def solve(self, factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """theta under ``factors``, with the A and b it was solved from."""
+        A, b = self.normal_equations(factors)
         if not np.all(np.isfinite(A)) or _symmetric_cond(A) > _MAX_COND:
             raise RankDeficient(
                 "weighted normal system is singular; the mean model is not "
@@ -351,28 +357,27 @@ class _Workspace:
         # take gathers rows several times faster than fancy indexing
         return self._x.take(rows, axis=0), self.ds.y.take(rows, axis=0)
 
-    def _residuals(self, r: _Regime, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Regime ``r``'s covariate rows and its residual rows y - D theta.
-        The only place a fit reads rows, once per regime at the anchor of the
+    def _residuals(self, r: _Regime, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Regime ``r``'s cluster weights (m,), covariate rows, residual rows
+        y - D theta and each cluster's sum of residual rows (m, T+1).  The
+        only place a fit reads rows, once per regime at the anchor of the
         residual Grams and once for the scores."""
         n_gamma = self.mean_spec.n_gamma
         x, eps = self.regime_rows(r)
         eps -= r.gamma @ theta[:n_gamma]
         eps -= (x @ theta[n_gamma:])[:, None]
-        return x, eps
+        return self.weights[r.cluster_pos], x, eps, np.add.reduceat(eps, r.starts)
 
     def _anchor_at(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """theta with, stacked over (rows, cluster sums) x regimes, the weighted
-        Grams sum w eps eps' (2, R', T+1, T+1) of the residuals at theta and
-        their cross moments sum w z eps' (2, R', 1 + q, T+1) with z."""
+        Grams sum w eps eps' (2, R, T+1, T+1) of the residuals at theta and
+        their cross moments sum w z eps' (2, R, 1 + q, T+1) with z."""
         n_times, q1 = self.mean_spec.grid.n_times, self._szz.shape[-1]
         grams = np.empty((2, len(self.regimes), n_times, n_times))
         cross = np.empty((2, len(self.regimes), q1, n_times))
         for i, r in enumerate(self.regimes):
-            w = self.weights[r.cluster_pos]
-            x, eps = self._residuals(r, theta)
+            w, x, eps, col = self._residuals(r, theta)
             w_eps = np.repeat(w, r.sizes)[:, None] * eps
-            col = np.add.reduceat(eps, r.starts)
             grams[0, i] = w_eps.T @ eps
             grams[1, i] = (w[:, None] * col).T @ col
             cross[0, i, 0] = w_eps.sum(axis=0)
@@ -403,25 +408,20 @@ class _Workspace:
         dm[:, :, 1:] = d[n_gamma:]
         shift = dm @ cross
         q = grams - shift - shift.swapaxes(2, 3) + dm @ self._szz @ dm.swapaxes(1, 2)
-        spread = np.zeros((2, len(self.cais)) + q.shape[2:])
-        spread[:, self._rows] = q
-        return ResidualGrams(spread[0], spread[1], self._people, self._pairs, self._y_square)
+        return ResidualGrams(q[0], q[1], self._people, self._pairs, self._y_square)
 
     def u_rows(
-        self,
-        theta: np.ndarray,
-        factors: Optional[np.ndarray] = None,
-        leverage_inverse_from: Optional[np.ndarray] = None,
+        self, theta: np.ndarray, factors: np.ndarray, leverage_inverse_from: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Per-cluster estimating-function contributions U_i, shape (N, p),
-        under ``factors`` (the identity when None): in the notation of
-        :class:`_Regime`, with E_i the sum of cluster i's residual rows and C
-        its size's C, U_i = w_i (sum_j E(z_j)'G'A'^{-1} eps_j + E(z_i)'G'C E_i).
-        With z_j = (1, x_j) the sum over j needs no row-by-parameter product:
-        its Gamma block is E_i'A'^{-1}Gamma, and its eta block is
-        sum_j (eps_j'A'^{-1}g_1) x_j with g_1 = G's last column.  The
-        residual rows are formed here by :meth:`_residuals`, one regime at a
-        time, and dropped before the next regime's.
+        under ``factors``: in the notation of :class:`_Regime`, with E_i the
+        sum of cluster i's residual rows and C its size's C,
+        U_i = w_i (sum_j E(z_j)'G'A'^{-1} eps_j + E(z_i)'G'C E_i).  With
+        z_j = (1, x_j) the sum over j needs no row-by-parameter product: its
+        Gamma block is E_i'A'^{-1}Gamma, and its eta block is
+        sum_j (eps_j'A'^{-1}g_1) x_j with g_1 = G's last column.  The weights,
+        residual rows and cluster sums come from :meth:`_residuals`, one
+        regime at a time, and are dropped before the next regime's.
 
         With ``leverage_inverse_from`` set to the unnormalized bread matrix A,
         each residual block is premultiplied by (I - H_id)^{-1} where H_id
@@ -436,10 +436,8 @@ class _Workspace:
         g, z = self._g, self._z
         n_gamma = self.mean_spec.n_gamma
         U = np.zeros((self.N, self.p))
-        for r, s in zip(self.regimes, self._identity() if factors is None else factors):
-            w = self.weights[r.cluster_pos]
-            x, eps = self._residuals(r, theta)
-            e = np.add.reduceat(eps, r.starts)
+        for r, s in zip(self.regimes, factors):
+            w, x, eps, e = self._residuals(r, theta)
             ce = (e @ s[1:])[r.size_idx, np.arange(len(w))]  # row i: (C E_i)'
             # Gamma's block from cluster sums alone; eta's weighs each x_j by eps_j'A'^{-1}g_1
             g_1 = r.basis[:, -1]
@@ -477,7 +475,7 @@ class _Workspace:
         return U
 
     def factorize(self, alpha: AlphaEstimate) -> np.ndarray:
-        """The stack (R', 1 + k, T+1, T+1) of each regime's A'^{-1} and C_n
+        """The stack (R, 1 + k, T+1, T+1) of each regime's A'^{-1} and C_n
         for each of its distinct sizes n, C_n = (A_n'^{-1} - A'^{-1}) / n, so
         that a cluster of n people has V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n;
         padding slots are zero.
@@ -490,7 +488,7 @@ class _Workspace:
         """
         n = self._distinct
         factors = np.linalg.inv(block_stack(alpha, [alpha.cais.index(r.cai) for r in self.regimes], n)[2])
-        factors[n.max(axis=1, initial=0) <= 1, 0] = 0.0
+        factors[n.max(axis=1) <= 1, 0] = 0.0
         factors[:, 1:] -= factors[:, :1]
         factors[:, 1:] /= np.maximum(n, 1)[..., None, None]
         factors[:, 1:][n == 0] = 0.0
@@ -531,27 +529,16 @@ def _split_theta(mean_spec: MeanModelSpec, theta: np.ndarray) -> ThetaEstimate:
 
 def sandwich_covariance(j_hat: np.ndarray, q_hat: np.ndarray, n_clusters: int) -> np.ndarray:
     """Plug-in covariance of theta-hat, (1/N) J^{-1} Q J^{-1}."""
-    if not np.all(np.isfinite(j_hat)) or np.linalg.cond(j_hat) > _MAX_COND:
+    if not np.all(np.isfinite(j_hat)) or _symmetric_cond(j_hat) > _MAX_COND:
         raise RankDeficient("bread matrix J is singular")
     ji = np.linalg.inv(j_hat)
     sigma = ji @ q_hat @ ji / n_clusters
     return (sigma + sigma.T) / 2.0
 
 
-def _make_workspace(
-    ds: TrialDataset, mean_spec: MeanModelSpec, weights: Optional[np.ndarray] = None
-) -> _Workspace:
-    if weights is None:
-        per_pathway = np.array([design_weight(p, ds.design) for p in ds.pathways], dtype=float)
-        weights = per_pathway[ds.pathway_index]
-    return _Workspace(ds, mean_spec, weights)
-
-
 def _require_valid(ds: TrialDataset) -> None:
     report = validate(ds)
-    if report.violations:
-        v = report.violations[0]
-        raise InconsistentCluster(f"cluster {v.cluster_id!r}: {v.message}")
+    _raise_first_violation(report)
     if report.warnings:
         raise InsufficientData(report.warnings[0])
 
@@ -578,11 +565,15 @@ def fit(
     ``bias_correct`` inflates each cluster's residuals by its inverse
     leverage inside the meat matrix (Mancl & DeRouen, Biometrics 2001);
     ``t_reference`` sets ``df = N - p`` so that :func:`wald_test` refers to
-    ``t`` instead of the normal.  Under estimated weights the meat matrix is
-    projected off the weight-model scores.  The sandwich is assembled once,
-    from the final theta.
+    ``t`` instead of the normal, and needs N > p.  Under estimated weights
+    the meat matrix is projected off the weight-model scores.  The sandwich
+    is assembled once, from the final theta.
     """
     _require_valid(ds)
+    if options.adjustments.t_reference and ds.n_clusters <= mean_spec.n_params:
+        raise InsufficientData(
+            f"t reference needs more clusters than parameters: N = {ds.n_clusters}, p = {mean_spec.n_params}"
+        )
     weight_model = weights = None
     if options.weight_mode is WeightMode.ESTIMATED:
         weight_model = estimate_weight_model(
@@ -590,11 +581,11 @@ def fit(
         )
         weights = weight_model.fitted_weights
 
-    ws = _make_workspace(ds, mean_spec, weights)
+    ws = _Workspace(ds, mean_spec, weights)
     # invariant: theta is always the exact root of the normal system (A, b)
-    # under V(alpha) as factorized in ``factors``, or under the identity
-    # (``factors`` None) before the first factorization
-    factors = None
+    # under the working covariance factorized in ``factors``, the identity
+    # before the first factorization
+    factors = ws.identity()
     theta, A, b = ws.solve(factors)
     alpha = estimate_alpha(ws.residual_grams(theta), cov_spec, ws.cais)
     if options.tolerance == math.inf:
@@ -657,13 +648,13 @@ def _assemble(
     theta: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    factors: Optional[np.ndarray],
+    factors: np.ndarray,
     bias_correct: bool,
     weight_model: Optional[WeightModel],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The sandwich stage: J, Q, Sigma and the estimating-equation residual,
-    from the normal system (A, b) and the factors (None: the identity) that
-    ``theta`` was solved from."""
+    from the normal system (A, b) and the factors that ``theta`` was solved
+    from."""
     ee_residual = float(np.abs(b - A @ theta).max())
     j_hat = A / ws.N
     U = ws.u_rows(theta, factors, leverage_inverse_from=A if bias_correct else None)
@@ -679,7 +670,7 @@ def _score_corrected_q(q_hat: np.ndarray, U: np.ndarray, scores: np.ndarray) -> 
     if not np.any(B):
         return q_hat  # projection of zero: plain sandwich
     M = scores.T @ scores / N
-    if not np.all(np.isfinite(M)) or np.linalg.cond(M) > _MAX_COND:
+    if not np.all(np.isfinite(M)) or _symmetric_cond(M) > _MAX_COND:
         raise RankDeficient("score outer-product matrix is singular")
     corrected = q_hat - B @ np.linalg.solve(M, B.T)
     return (corrected + corrected.T) / 2.0
@@ -689,7 +680,8 @@ def _score_corrected_q(q_hat: np.ndarray, U: np.ndarray, scores: np.ndarray) -> 
 
 
 def _logistic_mle(X: np.ndarray, y: np.ndarray, max_iter: int = 50) -> np.ndarray:
-    """Newton-Raphson MLE for a canonical-link binary model; raises on separation."""
+    """Newton-Raphson MLE for a canonical-link binary model; raises on
+    separation, when some fitted logit leaves [-15, 15]."""
     beta = np.zeros(X.shape[1])
     for _ in range(max_iter):
         p = expit(X @ beta)
@@ -700,7 +692,8 @@ def _logistic_mle(X: np.ndarray, y: np.ndarray, max_iter: int = 50) -> np.ndarra
         except np.linalg.LinAlgError as exc:
             raise Separation("singular information matrix in weight model") from exc
         beta = beta + step
-        if np.abs(beta).max() > 15.0:
+        # judged on the linear predictor, which no affine map of the covariates changes
+        if np.abs(X @ beta).max() > 15.0:
             raise Separation("weight-model MLE is diverging")
         if np.abs(step).max() < 1e-12:
             break
@@ -734,56 +727,50 @@ def estimate_weight_model(
 ) -> WeightModel:
     """Per-cell maximum-likelihood randomization models and implied weights.
 
-    Stage-two models are fit separately within each (a1, r) cell where the
-    design re-randomizes.  Cells whose MLE separates fall back to the design
-    probabilities (flagged) and contribute no score terms.
+    One model is fit to the first-stage treatment over every cluster, and
+    one to the second-stage treatment within each (a1, r) cell where the
+    design re-randomizes and some cluster lies.  A model whose MLE separates
+    falls back to the design probability and contributes no score columns;
+    a stage-two fallback is listed in ``fallback_cells``, a stage-one
+    fallback is not.  ``scores`` holds each fitted model's score block in
+    its own columns, zero outside the model's clusters.
     """
     N = ds.n_clusters
     design = ds.design
-
-    X1 = _design_columns(ds, stage1_covariates)
-    y1 = (ds.a1 == 1).astype(float)
-    fallback: List[Tuple[int, int]] = []
-    score_blocks: List[np.ndarray] = []
-
-    try:
-        beta1 = _logistic_mle(X1, y1)
-        p1_plus = expit(X1 @ beta1)
-        score_blocks.append(X1 * (y1 - p1_plus)[:, None])
-    except Separation:
-        beta1 = np.array([math.log(design.p_a1 / (1.0 - design.p_a1))] + [0.0] * (X1.shape[1] - 1))
-        p1_plus = np.full(N, design.p_a1)
-
-    prob = np.where(y1 == 1.0, p1_plus, 1.0 - p1_plus)
-
     X2 = _design_columns(ds, stage2_covariates)
     a2_observed = _observed_a2(ds)
-    stage2_coef: Dict[Tuple[int, int], np.ndarray] = {}
+    # (cell, members, X, treatment indicator, design probability); stage one has no cell
+    models = [(None, slice(None), _design_columns(ds, stage1_covariates), ds.a1 == 1, design.p_a1)]
     for cell in sorted(design.p_a2_given):
-        a1_c, r_c = cell
-        members = np.flatnonzero((ds.a1 == a1_c) & (ds.r == r_c))
-        if members.size == 0:
-            continue
-        y2 = (a2_observed[members] == 1).astype(float)
-        Xc = X2[members]
-        design_p = design.p_a2_given[cell]
-        try:
-            beta2 = _logistic_mle(Xc, y2)
-            p2_plus = expit(Xc @ beta2)
-            block = np.zeros((N, Xc.shape[1]))
-            block[members] = Xc * (y2 - p2_plus)[:, None]
-            score_blocks.append(block)
-        except Separation:
-            beta2 = np.array([math.log(design_p / (1.0 - design_p))] + [0.0] * (Xc.shape[1] - 1))
-            p2_plus = np.full(members.size, design_p)
-            fallback.append(cell)
-        stage2_coef[cell] = beta2
-        prob[members] *= np.where(y2 == 1.0, p2_plus, 1.0 - p2_plus)
+        members = np.flatnonzero((ds.a1 == cell[0]) & (ds.r == cell[1]))
+        if members.size:
+            models.append((cell, members, X2[members], a2_observed[members] == 1, design.p_a2_given[cell]))
 
-    scores = np.hstack(score_blocks) if score_blocks else np.zeros((N, 0))
+    prob = np.ones(N)
+    coefs: List[np.ndarray] = []
+    fitted = []  # (members, score block) of each model that did not fall back
+    fallback: List[Tuple[int, int]] = []
+    for cell, members, X, treated, design_p in models:
+        y = treated.astype(float)
+        try:
+            beta = _logistic_mle(X, y)
+            p_plus = expit(X @ beta)
+            fitted.append((members, X * (y - p_plus)[:, None]))
+        except Separation:
+            beta = np.array([math.log(design_p / (1.0 - design_p))] + [0.0] * (X.shape[1] - 1))
+            p_plus = np.full(len(y), design_p)
+            if cell is not None:
+                fallback.append(cell)
+        coefs.append(beta)
+        prob[members] *= np.where(treated, p_plus, 1.0 - p_plus)
+
+    starts = np.cumsum([0] + [block.shape[1] for _, block in fitted])
+    scores = np.zeros((N, starts[-1]))
+    for (members, block), start in zip(fitted, starts):
+        scores[members, start : start + block.shape[1]] = block
     return WeightModel(
-        stage1_coef=beta1,
-        stage2_coef=stage2_coef,
+        stage1_coef=coefs[0],
+        stage2_coef={cell: beta for (cell, *_), beta in zip(models[1:], coefs[1:])},
         scores=scores,
         fitted_weights=1.0 / prob,
         fallback_cells=tuple(fallback),

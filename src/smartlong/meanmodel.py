@@ -49,6 +49,9 @@ def _second_stage_multipliers(kind: DesignKind, d: EmbeddedCai) -> Tuple[float, 
     return (1.0, a1, d.a2nr, a1 * d.a2nr)  # IV, a2 stored in the a2nr slot
 
 
+# panels of the composite Simpson rule a custom basis is integrated with (even)
+_SIMPSON_PANELS = 1024
+
 _N_SECOND_STAGE = {
     DesignKind.I: 6,
     DesignKind.II: 4,
@@ -124,7 +127,6 @@ class CustomBasis(TrajectoryBasis):
         grid: TimeGrid,
         labels: Optional[Sequence[str]] = None,
         quadrature: bool = False,
-        quadrature_panels: int = 1024,
     ) -> None:
         self.functions = tuple(functions)
         self.grid = grid
@@ -135,7 +137,6 @@ class CustomBasis(TrajectoryBasis):
         if len(self.labels) != self.n_gamma:
             raise ValueError("labels must match the number of basis functions")
         self.quadrature = quadrature
-        self.quadrature_panels = quadrature_panels
 
     def gamma_row(self, t: float, d: EmbeddedCai) -> np.ndarray:
         return np.array([f(t, d) for f in self.functions], dtype=float)
@@ -145,12 +146,10 @@ class CustomBasis(TrajectoryBasis):
             raise NonIntegrableBasis(
                 "custom basis has no closed form; enable quadrature to integrate"
             )
-        # composite Simpson on an even number of panels
-        panels = self.quadrature_panels + (self.quadrature_panels % 2)
-        ts = np.linspace(self.grid.times[0], self.grid.t_end, panels + 1)
+        ts = np.linspace(self.grid.times[0], self.grid.t_end, _SIMPSON_PANELS + 1)
         values = np.stack([self.gamma_row(t, d) for t in ts])
-        h = (self.grid.t_end - self.grid.times[0]) / panels
-        coeff = np.ones(panels + 1)
+        h = (self.grid.t_end - self.grid.times[0]) / _SIMPSON_PANELS
+        coeff = np.ones(_SIMPSON_PANELS + 1)
         coeff[1:-1:2] = 4.0
         coeff[2:-1:2] = 2.0
         return (h / 3.0) * coeff @ values

@@ -33,7 +33,7 @@ from smartlong.errors import (
     SmartlongError,
     UnknownTime,
 )
-from smartlong.gee import _make_workspace
+from smartlong.gee import _Workspace
 
 from conftest import (
     make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
@@ -694,7 +694,7 @@ class TestRecordRoute:
         assert parsed == records and records == parsed
         assert validate(parsed) == validate(records)
         spec = MeanModelSpec.piecewise_linear(design, grid012, covariate_terms=xc + xi)
-        ws_parsed, ws_records = _make_workspace(parsed, spec), _make_workspace(records, spec)
+        ws_parsed, ws_records = _Workspace(parsed, spec), _Workspace(records, spec)
         np.testing.assert_array_equal(ws_parsed.weights, ws_records.weights)
         for g, h in zip(ws_parsed.regimes, ws_records.regimes, strict=True):
             (g_x, g_y), (h_x, h_y) = ws_parsed.regime_rows(g), ws_records.regime_rows(h)

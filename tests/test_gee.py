@@ -49,7 +49,7 @@ from smartlong.errors import (
     DegenerateVariance, InconsistentCluster, InsufficientData, NotPositiveDefinite, RankDeficient,
     ZeroVariance,
 )
-from smartlong.gee import _assemble, _make_workspace, _Workspace
+from smartlong.gee import _assemble, _Workspace
 from smartlong.workingcov import cluster_blocks
 
 from conftest import (
@@ -92,7 +92,8 @@ def model_mean(theta, a1, a2nr, t, knot=1.0):
 
 def identity_solve(ds, spec, weights=None):
     """theta from one weighted solve under an identity working covariance."""
-    theta, _, _ = _make_workspace(ds, spec, weights).solve(None)
+    ws = _Workspace(ds, spec, weights)
+    theta, _, _ = ws.solve(ws.identity())
     return ThetaEstimate(theta[: spec.n_gamma], theta[spec.n_gamma :], spec.param_names)
 
 
@@ -134,7 +135,7 @@ class TestSolveTheta:
         rng = np.random.default_rng(1)
         ds = random_design2_dataset(rng, 30, GRID012, DESIGN2)
         spec = MeanModelSpec.piecewise_linear(DESIGN2, GRID012)
-        ws = _make_workspace(ds, spec)
+        ws = _Workspace(ds, spec)
         base = identity_solve(ds, spec)
         scaled = identity_solve(ds, spec, weights=scale * ws.weights)
         np.testing.assert_allclose(scaled.full, base.full, rtol=1e-12)
@@ -144,7 +145,7 @@ class TestSolveTheta:
         rng = np.random.default_rng(1)
         ds = random_design2_dataset(rng, 30, grid012, design2)
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        weights = _make_workspace(ds, spec).weights.copy()
+        weights = _Workspace(ds, spec).weights.copy()
         weights[3] = bad
         with pytest.raises(ValueError, match="finite and positive"):
             identity_solve(ds, spec, weights=weights)
@@ -232,6 +233,12 @@ class TestFit:
         with pytest.raises(ValueError, match="tolerance must be positive|max_iter must be (at least 1|an integer)"):
             FitOptions(**kwargs)
 
+    @pytest.mark.parametrize("stage", ["stage1_covariates", "stage2_covariates"])
+    def test_options_reject_weight_covariates_under_design_weights(self, stage):
+        with pytest.raises(ValueError, match="weight-model covariates need weight_mode"):
+            FitOptions(**{stage: ("u",)})
+        assert getattr(FitOptions(weight_mode=WeightMode.ESTIMATED, **{stage: ("u",)}), stage) == ("u",)
+
     def test_missing_regime_is_hard_error(self, design2, grid012):
         clusters = [
             make_cluster("a", 1, 0, 1, [(1.0, 2.0, 3.0)]),
@@ -254,6 +261,15 @@ class TestFit:
         with pytest.raises(InconsistentCluster, match="not all finite"):
             fit_end_of_study(ds, ("u",))
 
+    def test_covariate_collinear_with_intercept_is_rank_deficient(self, design2, grid012):
+        # a cluster covariate equal in every cluster is a multiple of the intercept
+        rng = np.random.default_rng(21)
+        ds = random_design2_dataset(rng, 30, grid012, design2, cluster_covariates=("u",))
+        ds = replace(ds, clusters=tuple(replace(cl, x_cluster=(2.5,)) for cl in ds.clusters))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("u",))
+        with pytest.raises(RankDeficient, match="weighted normal system is singular"):
+            fit(ds, spec, IID)
+
     def test_determinism_and_cluster_order_invariance(self, design2, grid012):
         rng = np.random.default_rng(6)
         ds = random_design2_dataset(rng, 30, grid012, design2, sizes=(2, 3))
@@ -275,7 +291,7 @@ class TestFit:
         design = SmartDesign.balanced(kind)
         ds = random_dataset(rng, 40, grid012, design, sizes, cluster_covariates=("u",), individual_covariates=("v",))
         spec = MeanModelSpec.piecewise_linear(design, grid012, covariate_terms=terms)
-        ws = _make_workspace(ds, spec)
+        ws = _Workspace(ds, spec)
         cais = enumerate_cais(design)
         # every consistent (cluster, regime) pair once, in canonical regime,
         # then ascending position order
@@ -355,6 +371,24 @@ class TestSandwich:
         np.testing.assert_array_equal(sig, sig.T)
         assert np.linalg.eigvalsh(sig)[0] >= 0
 
+    @pytest.mark.parametrize(
+        "j_hat",
+        [
+            np.array([[1.0, 1.0], [1.0, 1.0]]),
+            np.diag([1.0, 1e-13]),
+            np.array([[1.0, 0.0], [0.0, math.inf]]),
+            np.array([[1.0, math.nan], [math.nan, 1.0]]),
+        ],
+        ids=["singular", "cond-above-1e12", "infinite", "nan"],
+    )
+    def test_sandwich_rejects_singular_bread(self, j_hat):
+        with pytest.raises(RankDeficient, match="bread matrix J is singular"):
+            sandwich_covariance(j_hat, np.eye(2), 10)
+
+    def test_sandwich_accepts_bread_below_condition_bound(self):
+        sigma = sandwich_covariance(np.diag([1.0, 1e-11]), np.eye(2), 10)
+        np.testing.assert_allclose(np.diag(sigma), [0.1, 1e21], rtol=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(1e-3, 1e3))
     @example(scale=5.0)
@@ -362,12 +396,12 @@ class TestSandwich:
         rng = np.random.default_rng(9)
         ds = random_design2_dataset(rng, 25, GRID012, DESIGN2)
         spec = MeanModelSpec.piecewise_linear(DESIGN2, GRID012)
-        ws = _make_workspace(ds, spec)
+        ws = _Workspace(ds, spec)
 
         def run(scale):
             w = _Workspace(ds, spec, ws.weights * scale)
-            theta, A, b = w.solve(None)
-            _, _, sigma, _ = _assemble(w, theta, A, b, None, False, None)
+            theta, A, b = w.solve(w.identity())
+            _, _, sigma, _ = _assemble(w, theta, A, b, w.identity(), False, None)
             return theta, sigma
 
         (theta1, sigma1), (theta_s, sigma_s) = run(1.0), run(scale)
@@ -486,6 +520,27 @@ class TestAdjustments:
         assert np.all(adj.alpha.within[negative] == np.eye(3))
         np.testing.assert_array_equal(adj.alpha.within[~negative], res.alpha.within[~negative])
         assert not np.array_equal(adj.theta.full, res.theta.full)
+
+    def test_t_reference_needs_more_clusters_than_parameters(self, design2, grid012):
+        # N = p leaves df = 0, where the t reference has no quantiles
+        rng = np.random.default_rng(31)
+        paths = [(1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1), (1, 1, None), (-1, 1, None), (1, 0, 1), (-1, 0, -1)]
+        clusters = [
+            make_cluster(f"c{i}", a1, r, a2nr, rng.normal(size=(3 + i % 2, 3)))
+            for i, (a1, r, a2nr) in enumerate(paths)
+        ]
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        options = FitOptions(adjustments=AdjustmentOptions(t_reference=True))
+        with pytest.raises(InsufficientData, match="N = 7, p = 7"):
+            fit(make_dataset(clusters[:7], design2, grid012), spec, IID, options)
+        res = fit(make_dataset(clusters, design2, grid012), spec, IID, options)
+        assert res.df == 1
+        wald = wald_test(res, contrast_end_of_study(spec, D11, DMM))
+        assert math.isfinite(wald.p_value) and all(math.isfinite(v) for v in wald.ci)
+        # the comparator has one mean per regime
+        with pytest.raises(InsufficientData, match="N = 4, p = 4"):
+            fit_end_of_study(make_dataset(clusters[:4], design2, grid012), t_reference=True)
+        assert fit_end_of_study(make_dataset(clusters[:5], design2, grid012), t_reference=True).df == 1
 
     def test_t_matches_z_for_large_n(self, design2, grid012):
         rng = np.random.default_rng(14)
@@ -869,7 +924,7 @@ class TestClosedFormInverse:
             )
             basis = make_saturated_basis(design2, grid)
             mean_spec = MeanModelSpec.custom(design2, grid, basis, covariates)
-            ws = _make_workspace(ds, mean_spec)
+            ws = _Workspace(ds, mean_spec)
             alpha = random_alpha(rng, spec, ws.cais, n_times, rho_b)
             dense = {}
             for key in {(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}:
@@ -913,17 +968,17 @@ class TestClosedFormInverse:
             cluster_covariates=("u",), individual_covariates=("v",),
         )
         mean_spec = MeanModelSpec.piecewise_linear(design2, grid012, covariates)
-        ws = _make_workspace(ds, mean_spec)
+        ws = _Workspace(ds, mean_spec)
         eye = {(r.cai, n): cho_factor(np.eye(n * grid012.n_times)) for r in ws.regimes for n in r.sizes.tolist()}
         theta = rng.normal(size=mean_spec.n_params)
         A, b, U, U_bc = dense_normal_system(ds, mean_spec, eye, theta)
-        got_theta, got_A, got_b = ws.solve(None)
+        got_theta, got_A, got_b = ws.solve(ws.identity())
         assert_close_rows(got_A, A)
         assert_close_rows(got_b, b)
         np.testing.assert_allclose(got_theta, np.linalg.solve(A, b), rtol=1e-10)
-        assert_close_rows(ws.u_rows(theta), U)
+        assert_close_rows(ws.u_rows(theta, ws.identity()), U)
         assert U_bc is not None
-        assert_close_rows(ws.u_rows(theta, None, leverage_inverse_from=got_A), U_bc)
+        assert_close_rows(ws.u_rows(theta, ws.identity(), leverage_inverse_from=got_A), U_bc)
 
     def test_same_rejection_as_dense(self, design2, grid012):
         spec = WorkingCovSpec(
@@ -932,9 +987,16 @@ class TestClosedFormInverse:
             within_corr=WithinCorr.INDEPENDENT,
             between_corr=BetweenCorr.EXCHANGEABLE,
         )
-        alpha = AlphaEstimate((D11,), np.ones((1, 3)), [np.eye(3)], np.full((1, 3, 3), -0.9))
+        # rho_b = -0.9 under (+1,+1); a singleton in each other regime, where B = 0
+        alpha = AlphaEstimate(
+            (D11, D1M, DM1, DMM), np.ones((4, 3)), [np.eye(3)] * 4,
+            np.array([-0.9, 0.0, 0.0, 0.0])[:, None, None] * np.ones((3, 3)),
+        )
         clusters = [make_cluster(f"c{i}", 1, 0, 1, [(0.0, 1.0, 2.0)] * 5) for i in range(3)]
-        ws = _make_workspace(
+        clusters += [
+            make_cluster(f"d{a1}{a2nr}", a1, 0, a2nr, [(0.0, 1.0, 2.0)]) for a1, a2nr in ((1, -1), (-1, 1), (-1, -1))
+        ]
+        ws = _Workspace(
             make_dataset(clusters, design2, grid012), MeanModelSpec.piecewise_linear(design2, grid012)
         )
         with pytest.raises(NotPositiveDefinite):
@@ -949,16 +1011,18 @@ class TestClosedFormInverse:
             within_corr=WithinCorr.INDEPENDENT,
             between_corr=BetweenCorr.EXCHANGEABLE,
         )
-        # rho_b = -0.2 makes V indefinite from three people on, -0.9 from two
+        # rho_b = -0.2 makes V indefinite from three people on, -0.9 from two;
+        # a singleton in each a1 = -1 regime, where B = 0
         alpha = AlphaEstimate(
-            (D11, D1M), np.ones((2, 3)), [np.eye(3)] * 2,
-            np.array([-0.2, -0.9])[:, None, None] * np.ones((3, 3)),
+            (D11, D1M, DM1, DMM), np.ones((4, 3)), [np.eye(3)] * 4,
+            np.array([-0.2, -0.9, 0.0, 0.0])[:, None, None] * np.ones((3, 3)),
         )
         clusters = [
             make_cluster(f"c{i}{a2nr}", 1, 0, a2nr, [(0.0, 1.0, 2.0)] * n)
             for a2nr in (-1, 1) for i, n in enumerate((4, 1, 3, 2))
         ]
-        ws = _make_workspace(
+        clusters += [make_cluster(f"d{a2nr}", -1, 0, a2nr, [(0.0, 1.0, 2.0)]) for a2nr in (-1, 1)]
+        ws = _Workspace(
             make_dataset(clusters, design2, grid012), MeanModelSpec.piecewise_linear(design2, grid012)
         )
         message = (
@@ -975,7 +1039,7 @@ class TestClosedFormInverse:
         rng = np.random.default_rng(32)
         design = SmartDesign.balanced(kind)
         ds = random_dataset(rng, 120, grid012, design, (1, 2, 3, 4))
-        ws = _make_workspace(ds, MeanModelSpec.piecewise_linear(design, grid012))
+        ws = _Workspace(ds, MeanModelSpec.piecewise_linear(design, grid012))
         alpha = random_alpha(rng, UNSTR, ws.cais, 3)
         calls = {"eigvalsh": 0, "inv": 0}
         for name in calls:
@@ -1061,7 +1125,7 @@ class TestResidualGrams:
             for cl in ds.clusters
         ))
         spec = MeanModelSpec.piecewise_linear(design, GRID012, covariate_terms=("v",))
-        return _make_workspace(ds, spec), _make_workspace(shifted, spec)
+        return _Workspace(ds, spec), _Workspace(shifted, spec)
 
     @pytest.mark.parametrize("variance", VARIANCE_POOLING, ids=["variance-per-cell", "variance-pooled"])
     @pytest.mark.parametrize("within,between,corr_cai", STRUCTURES)
@@ -1071,7 +1135,7 @@ class TestResidualGrams:
         spec = WorkingCovSpec(*variance, within, between, corr_cai)
         estimates = []
         for ws in workspaces:
-            theta_0 = ws.solve(None)[0]
+            theta_0 = ws.solve(ws.identity())[0]
             theta = theta_0 + np.random.default_rng(42).normal(scale=0.3, size=theta_0.size)
             at_anchor = estimate_alpha(ws.residual_grams(theta_0), spec, ws.cais)
             assert_same_alpha(at_anchor, estimate_alpha(row_residual_groups(ws, theta_0), spec, ws.cais), 1e-15)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from smartlong import (
     fit,
     sandwich_covariance,
 )
-from smartlong.gee import _make_workspace, _score_corrected_q
+from smartlong.errors import RankDeficient
+from smartlong.gee import _score_corrected_q, _Workspace
 from smartlong import WorkingCovSpec
 
-from conftest import make_cluster, make_dataset, random_design2_dataset
+from conftest import make_cluster, make_dataset, random_dataset, random_design2_dataset
 
 IID = WorkingCovSpec.independent_homoscedastic()
 
@@ -90,6 +93,21 @@ class TestWeightModel:
         # fallback cell uses the design probability 0.5
         assert by_id["a"] == pytest.approx(1.0 / ((3 / 5) * 0.5), rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "scale,shift", [(1e-3, 0.0), (1e3, 0.0), (1.0, 100.0)], ids=["milli", "kilo", "shifted"]
+    )
+    def test_covariate_units_do_not_change_the_model(self, design2, grid012, scale, shift):
+        # an affine map of a covariate leaves the fitted probabilities alone,
+        # so it must not turn a model into a fallback: at x 1e-3 the
+        # coefficient of u is -30 in stage one, of v up to 346 in stage two
+        ds = random_dataset(np.random.default_rng(3), 400, grid012, design2, (1, 2), ("u", "v"))
+        mapped = replace(ds, clusters=tuple(
+            replace(cl, x_cluster=tuple(v * scale + shift for v in cl.x_cluster)) for cl in ds.clusters
+        ))
+        base, moved = (estimate_weight_model(d, ("u",), ("v",)) for d in (ds, mapped))
+        assert moved.fallback_cells == base.fallback_cells == ()
+        np.testing.assert_allclose(moved.fitted_weights, base.fitted_weights, rtol=1e-10, atol=0)
+
 
 class TestCorrectedSandwich:
     def test_zero_scores_equal_plain_sandwich(self, design2, grid012):
@@ -97,12 +115,20 @@ class TestCorrectedSandwich:
         ds = random_design2_dataset(rng, 50, grid012, design2, sizes=(2,))
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         res = fit(ds, spec, IID)
-        ws = _make_workspace(ds, spec)
+        ws = _Workspace(ds, spec)
         U = ws.u_rows(res.theta.full, ws.factorize(res.alpha))
         q = _score_corrected_q(res.q_hat, U, np.zeros((res.n_clusters, 3)))
         assert q is res.q_hat
         corrected = sandwich_covariance(res.j_hat, q, res.n_clusters)
         np.testing.assert_allclose(corrected, res.sigma_theta, atol=1e-15)
+
+    def test_duplicated_score_columns_are_rejected(self):
+        # U'S is nonzero, so the projection needs S'S / N, which is singular
+        rng = np.random.default_rng(25)
+        U = rng.normal(size=(40, 3))
+        s = U[:, :1] + rng.normal(size=(40, 1))
+        with pytest.raises(RankDeficient, match="score outer-product matrix is singular"):
+            _score_corrected_q(U.T @ U / 40, U, np.hstack((s, s)))
 
     def test_correction_never_inflates_diagonal(self, design2, grid012):
         spec_cache = None
@@ -118,8 +144,8 @@ class TestCorrectedSandwich:
             )
             wm = res.weight_model
             # rebuild the uncorrected meat for comparison
-            ws = _make_workspace(ds, spec, wm.fitted_weights)
-            factors = ws.factorize(res.alpha) if res.iterations else None
+            ws = _Workspace(ds, spec, wm.fitted_weights)
+            factors = ws.factorize(res.alpha) if res.iterations else ws.identity()
             U = ws.u_rows(res.theta.full, factors)
             q_plain = U.T @ U / res.n_clusters
             np.testing.assert_array_compare(
