@@ -23,6 +23,9 @@ column-wise: a chunk of plain lines is split into columns with one
 reads the rest.  Per-individual arrays are reserved from the line count, and
 rows written in canonical order, as :func:`serialize_long_table` writes
 them, fill them in place, so the dataset takes them without a sort or copy.
+On such rows the parser also keeps a map of individual ids only for the
+clusters a chunk reads: every other cluster's individuals are a run of
+slots, whose ids are read back where the cluster is met again.
 """
 from __future__ import annotations
 
@@ -562,17 +565,70 @@ def _increasing(values: Sequence) -> np.ndarray:
     return np.fromiter(map(operator.lt, values, values[1:]), bool, max(len(values) - 1, 0))
 
 
+class _PersonSlots(dict):
+    """Each cluster slot's map from individual id to slot, held only while in use.
+
+    Clusters and individuals get slots in the order rows introduce them.
+    While every cluster's individuals hold one run of slots, as on input in
+    canonical order, the runs follow cluster order: cluster ``c`` holds the
+    slots ``first[c] : first[c + 1]``.  So no map outlives the chunk that used
+    it (:meth:`settle`), except the chunk's last cluster's, whose rows may go
+    on in the next chunk: a later lookup of a cluster rebuilds its map from
+    the ids of its run.  From the first chunk that breaks that order on,
+    every map is kept, and ``first`` stays true of the clusters whose maps
+    were dropped before.
+    """
+
+    def __init__(self, ids: List[str], next_slot) -> None:
+        super().__init__()
+        self.ids = ids  # every individual id, by slot
+        self.next_slot = next_slot
+        self.first = np.zeros(1, dtype=np.intp)
+        self.in_order = True
+
+    def __missing__(self, c: int) -> Dict[str, int]:
+        # only a cluster of an earlier chunk can lack a map: see open
+        f, e = int(self.first[c]), int(self.first[c + 1])
+        people = self[c] = defaultdict(self.next_slot, zip(self.ids[f:e], range(f, e)))
+        return people
+
+    def open(self, start: int, stop: int) -> None:
+        """Empty maps for the new cluster slots ``start`` to ``stop``."""
+        self.update(zip(range(start, stop), map(defaultdict, itertools.repeat(self.next_slot, stop - start))))
+
+    def settle(self, owner: np.ndarray, start: int, stop: int, n_clusters: int, last: int) -> None:
+        """Drop the maps no later chunk needs, once a chunk is read: its new
+        individuals are the slots ``start : stop`` of ``owner``, the clusters
+        now number ``n_clusters``, and its last row is of cluster ``last``."""
+        if not self.in_order:
+            return
+        after = max(start, 1)  # the first slot with a slot before it
+        step = owner[after:stop] - owner[after - 1 : stop - 1]
+        if step.size and step.min() < 0:
+            self.in_order = False
+            return
+        heads = np.flatnonzero(step) + after  # each new cluster's first slot
+        self.first = _grown(self.first, n_clusters + 1)
+        self.first[n_clusters - heads.size : n_clusters] = heads
+        self.first[n_clusters] = stop
+        people = self[last]
+        self.clear()
+        self[last] = people
+
+
 class _ColumnBuilder:
     """Checks and accumulates a long table's rows, one chunk at a time.
 
     Clusters and individuals get dense slots in the order rows introduce
-    them: a dict maps each cluster id to its slot, and one dict per cluster
-    maps each of its individual ids, so no key is kept per row or per
-    (cluster, individual) pair.  Arrays indexed by slot hold a cluster's id, first-row
-    codes and covariates, and an individual's id, cluster, first-row
-    covariates and outcomes, so their sizes follow the clusters and
-    individuals, not the rows; the per-individual arrays start with room
-    for ``people`` individuals, where their number can be foreseen.  Rows arrive as
+    them: a dict maps each cluster id to its slot, and a
+    :class:`_PersonSlots` maps the individual ids of the clusters in use, so
+    no key is kept per row or per (cluster, individual) pair, and on input
+    in canonical order no map of individual ids outlives its chunk.  Arrays
+    indexed by slot hold a cluster's id, first-row codes and covariates, and
+    an individual's id, cluster, first-row covariates and outcomes, so their
+    sizes follow the clusters and individuals, not the rows; the
+    per-individual arrays start with room for ``people`` individuals, where
+    their number can be foreseen.  Rows arrive as
     lists (:meth:`add_rows`) or as columns (:meth:`add_columns`), and either
     raises on the earliest failing row with :meth:`_row_error`'s error, the
     only source of row messages.
@@ -586,10 +642,9 @@ class _ColumnBuilder:
         self.n_clusters = self.n_people = 0
         # a new id takes the next slot as it is looked up
         self.cluster_of: Dict[str, int] = defaultdict(itertools.count().__next__)
-        self._next_person = itertools.count().__next__
-        self.people_of: List[Dict[str, int]] = []  # per cluster slot
         self.cluster_ids: List[str] = []
         self.individual_ids: List[str] = []
+        self.people_of = _PersonSlots(self.individual_ids, itertools.count().__next__)
         n_xc, n_xi = len(schema.cluster_covariates), len(schema.individual_covariates)
         self.codes = np.zeros((0, 4), dtype=np.int8)  # a1, r, a2nr, a2r
         self.xc = np.zeros((0, n_xc))
@@ -685,7 +740,7 @@ class _ColumnBuilder:
         new_c, clusters_before = _first_seen(c, self.n_clusters)
         self.n_clusters = int(clusters_before[-1])
         self.cluster_ids.extend(itertools.compress(cids, new_c))
-        self.people_of.extend(defaultdict(self._next_person) for _ in range(self.n_clusters - len(self.people_of)))
+        self.people_of.open(int(clusters_before[0]), self.n_clusters)
         p = np.fromiter(map(operator.getitem, map(self.people_of.__getitem__, c_slots), iids), np.intp, m)
         new_p, people_before = _first_seen(p, self.n_people)
         self.n_people = int(people_before[-1])
@@ -698,6 +753,7 @@ class _ColumnBuilder:
         self.xc[c[new_c]] = xc[new_c]
         self.owner[p[new_p]] = c[new_p]
         self.xi[p[new_p]] = xi[new_p]
+        self.people_of.settle(self.owner, int(people_before[0]), self.n_people, self.n_clusters, c_slots[-1])
 
         # the key of an off-grid row is unique, so it never counts as a duplicate
         on_grid = k >= 0

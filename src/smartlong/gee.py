@@ -32,8 +32,12 @@ cluster size, so each regime indexes one stack of its consistent clusters,
 one row per individual, in the dataset's canonical sorted-id order; results
 are reproducible and independent of input row order.  A stack's rows are
 gathered from the dataset's columns array-at-once where a pass reads them,
-never kept per regime, regime membership and design weights decided once
-per distinct observed pathway.
+never kept per individual or per regime, regime membership and design
+weights decided once per distinct observed pathway.  A regime keeps only
+its clusters' positions; their sizes, row offsets and covariate sums are
+read from arrays every regime shares where a pass needs them.  The
+weight-model scores are kept as one block per fitted model and laid out
+densely only for the estimated-weight correction, after the scores U.
 
 Each job has one path.  Every regime of :func:`enumerate_cais` has
 clusters (validation rejects a dataset where one has none), so each stack
@@ -46,10 +50,13 @@ the conditioning of A, J and the score outer product.
 adjustments and the estimated-weight correction, and assembles the sandwich
 once (the end-of-study comparator runs it on the final time alone).  A
 :class:`FitResult` holds values only, nothing to re-enter the engine with.
-:func:`wald_test` is the only source of p-values and confidence intervals.
+:func:`wald_test` is the only source of p-values and confidence intervals;
+it evaluates the survival function directly and computes each critical
+value once per (level, df).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -58,7 +65,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtr, stdtr
 from scipy.stats import norm, t as student_t
 
 from .data import TrialDataset, _raise_first_violation, validate
@@ -69,7 +76,7 @@ from .errors import (
     Separation,
     ZeroVariance,
 )
-from .meanmodel import ContrastVector, MeanModelSpec, ThetaEstimate, make_saturated_basis
+from .meanmodel import ContrastVector, MeanModelSpec, ThetaEstimate, _name_tuple, make_saturated_basis
 from .workingcov import (
     AlphaEstimate,
     BetweenCorr,
@@ -143,6 +150,8 @@ class FitOptions:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        for name in ("stage1_covariates", "stage2_covariates"):
+            object.__setattr__(self, name, _name_tuple(getattr(self, name), name))
         if (self.stage1_covariates or self.stage2_covariates) and self.weight_mode is not WeightMode.ESTIMATED:
             raise ValueError("weight-model covariates need weight_mode=WeightMode.ESTIMATED")
 
@@ -161,17 +170,34 @@ class WaldResult:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Fitted randomization-probability models and their score contributions."""
+    """Fitted randomization-probability models and their score contributions.
+
+    ``score_blocks`` holds, per fitted model, its clusters (an index array,
+    or a slice for every cluster) and their score rows; :attr:`scores`
+    lays the blocks out side by side as one dense matrix, on each use.
+    """
 
     stage1_coef: np.ndarray
     stage2_coef: Dict[Tuple[int, int], np.ndarray]
-    scores: np.ndarray            # (N, q), canonical cluster order
+    score_blocks: Tuple[Tuple[slice | np.ndarray, np.ndarray], ...]
     fitted_weights: np.ndarray    # (N,)
     fallback_cells: Tuple[Tuple[int, int], ...] = ()
 
     @property
+    def scores(self) -> np.ndarray:
+        """(N, q) score contributions in canonical cluster order: each fitted
+        model's block in its own columns, zero outside the model's clusters."""
+        scores = np.zeros((len(self.fitted_weights), sum(block.shape[1] for _, block in self.score_blocks)))
+        start = 0
+        for members, block in self.score_blocks:
+            scores[members, start : start + block.shape[1]] = block
+            start += block.shape[1]
+        return scores
+
+    @property
     def score_sum_norm(self) -> float:
-        return float(np.abs(self.scores.sum(axis=0)).max()) if self.scores.size else 0.0
+        scores = self.scores
+        return float(np.abs(scores.sum(axis=0)).max()) if scores.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -181,26 +207,48 @@ class _Regime:
     individual.  The regime holds index structure, not the rows: those are
     the dataset's rows of its clusters, in order, and
     :meth:`_Workspace.regime_rows` gathers them when a pass needs them.
+    ``sizes``, ``starts``, ``size_idx`` and ``x_sum`` are likewise derived
+    when a pass asks for them, from arrays every regime shares.
 
     Individual j's design is D_j = [Gamma | 1 x_j'] = G E(z_j), with
     G = [Gamma | 1], z_j = (1, x_j) and E(z) = diag(z_0 I, z_1..q'); a
     cluster's design sum is G E(z_i) with z_i = (n_i, X_i).  So the regime
-    keeps G and each cluster's X_i, never D; the workspace keeps the weighted
-    moments of z the normal equations and the residual Grams need.
+    keeps G and reads each cluster's X_i, never D; the workspace keeps the
+    weighted moments of z the normal equations and the residual Grams need.
     """
 
     cai: EmbeddedCai
-    cluster_pos: np.ndarray  # (m,) indices into canonical cluster order
-    sizes: np.ndarray        # (m,)
-    starts: np.ndarray       # (m,)
-    basis: np.ndarray        # (T+1, n_gamma + 1), G = [Gamma | 1]
-    x_sum: np.ndarray        # (m, q), each cluster's covariates summed over its rows
-    distinct: np.ndarray     # (k,) distinct cluster sizes, ascending
-    size_idx: np.ndarray     # (m,) each cluster's index into ``distinct``
+    cluster_pos: np.ndarray    # (m,) indices into canonical cluster order
+    basis: np.ndarray          # (T+1, n_gamma + 1), G = [Gamma | 1]
+    distinct: np.ndarray       # (k,) distinct cluster sizes, ascending
+    cluster_sizes: np.ndarray  # (N,) every cluster's size, shared
+    cluster_x_sum: np.ndarray  # (N, q) every cluster's covariates summed over its rows, shared
 
     @property
     def gamma(self) -> np.ndarray:
         return self.basis[:, :-1]
+
+    # take gathers several times faster than fancy indexing
+    @property
+    def sizes(self) -> np.ndarray:
+        """(m,) each cluster's size."""
+        return self.cluster_sizes.take(self.cluster_pos)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """(m,) each cluster's first row."""
+        sizes = self.sizes
+        return np.cumsum(sizes) - sizes
+
+    @property
+    def size_idx(self) -> np.ndarray:
+        """(m,) each cluster's index into ``distinct``."""
+        return np.searchsorted(self.distinct, self.sizes)
+
+    @property
+    def x_sum(self) -> np.ndarray:
+        """(m, q) each cluster's covariates summed over its rows."""
+        return self.cluster_x_sum.take(self.cluster_pos, axis=0)
 
 
 class _Workspace:
@@ -211,13 +259,13 @@ class _Workspace:
     validation guarantees (it raises otherwise); ``weights`` None takes the
     design weights.
 
-    The workspace keeps one covariate table, a row per individual of the
-    dataset, and no outcome or covariate row per regime: a regime's rows are
-    gathered from it and from the dataset's outcomes while the moments are
-    built, and again only where residual rows are formed, by
-    :meth:`_residuals` for the residual Grams' anchor and for the scores.
-    So the rows a fit holds do not grow with the number of regimes a
-    cluster is consistent with.
+    The workspace keeps no outcome or covariate row, per individual or per
+    regime: a regime's rows are gathered from the dataset's columns while
+    the moments are built, and again only where residual rows are formed,
+    by :meth:`_residuals` for the residual Grams' anchor and for the
+    scores.  Per cluster it keeps the covariate sums, one table the regimes
+    share.  So the rows a fit holds do not grow with the number of regimes
+    a cluster is consistent with.
 
     The moments are stacked over the R regimes, the size-dependent ones
     padded to the largest number k of distinct sizes: ``wzz`` (R, 1 + k, p,
@@ -254,18 +302,17 @@ class _Workspace:
     def _build_regimes(self) -> None:
         spec, ds = self.mean_spec, self.ds
         sizes = ds.sizes
-        first = np.cumsum(sizes) - sizes
         q, n_times = len(spec.covariate_terms), spec.grid.n_times
-        # the covariate rows of every individual, shared by the regimes
-        self._x = np.empty((len(ds.y), q))
-        for c_idx, name in enumerate(spec.covariate_terms):
+        # each covariate term's column: (whether it is a cluster covariate, its index)
+        self._columns: List[Tuple[bool, int]] = []
+        for name in spec.covariate_terms:
             if name in ds.cluster_covariates:
-                self._x[:, c_idx] = np.repeat(ds.x_cluster[:, ds.cluster_covariates.index(name)], sizes)
+                self._columns.append((True, ds.cluster_covariates.index(name)))
             elif name in ds.individual_covariates:
-                self._x[:, c_idx] = ds.x_individual[:, ds.individual_covariates.index(name)]
+                self._columns.append((False, ds.individual_covariates.index(name)))
             else:
                 raise ValueError(f"covariate {name!r} not present in the dataset schema")
-        x_sum = np.add.reduceat(self._x, first)
+        x_sum = np.add.reduceat(self._covariate_rows(np.arange(self.N), np.arange(len(ds.y))), np.cumsum(sizes) - sizes)
         # consistency depends only on the pathway: decide it once per pathway
         by_pathway = np.array(
             [[consistency_indicator(p, d, ds.design) for p in ds.pathways] for d in self.cais], dtype=bool
@@ -279,12 +326,8 @@ class _Workspace:
                 raise InsufficientData(f"no cluster is consistent with embedded regime {d}")
             gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
             n = sizes[pos]
-            starts = np.cumsum(n) - n
-            distinct, size_idx = np.unique(n, return_inverse=True)
-            r = _Regime(
-                d, pos, n, starts, np.column_stack((gamma, np.ones(len(gamma)))), x_sum[pos],
-                distinct, size_idx,
-            )
+            distinct = np.unique(n)
+            r = _Regime(d, pos, np.column_stack((gamma, np.ones(len(gamma)))), distinct, sizes, x_sum)
             xs, ys = self.regime_rows(r)
             w = self.weights[pos]
             w_rows = np.repeat(w, n)
@@ -296,8 +339,9 @@ class _Workspace:
             m[0, :, : 1 + q] = wz_rows.T @ z_rows
             m[0, :, 1 + q :] = wz_rows.T @ ys
             wz_clusters = (w[:, None] * z_clusters)[:, :, None]
+            size_idx = r.size_idx
             np.add.at(m[1:, :, : 1 + q], size_idx, wz_clusters * z_clusters[:, None, :])
-            np.add.at(m[1:, :, 1 + q :], size_idx, wz_clusters * np.add.reduceat(ys, starts)[:, None, :])
+            np.add.at(m[1:, :, 1 + q :], size_idx, wz_clusters * np.add.reduceat(ys, np.cumsum(n) - n)[:, None, :])
             moments.append(m)
             people.append(w @ n)
             pairs.append(w @ (n * (n - 1.0)))
@@ -348,14 +392,28 @@ class _Workspace:
         theta = np.linalg.solve(A, b)
         return theta, A, b
 
+    def _covariate_rows(self, pos: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The covariate rows (rows, q) of the clusters at ``pos``, whose
+        individuals are the dataset's ``rows``: each cluster covariate
+        repeated over its cluster's rows, each individual covariate gathered."""
+        ds = self.ds
+        x = np.empty((len(rows), len(self._columns)))
+        sizes = ds.sizes.take(pos)
+        for j, (per_cluster, col) in enumerate(self._columns):
+            if per_cluster:
+                x[:, j] = np.repeat(ds.x_cluster[:, col].take(pos), sizes)
+            else:
+                x[:, j] = ds.x_individual[:, col].take(rows)
+        return x
+
     def regime_rows(self, r: _Regime) -> Tuple[np.ndarray, np.ndarray]:
         """Regime ``r``'s covariate rows (rows, q) and outcome rows (rows, T+1),
-        gathered from the workspace's covariate table and the dataset."""
+        gathered from the dataset's columns."""
         member = np.zeros(self.N, dtype=bool)
         member[r.cluster_pos] = True
         rows = np.flatnonzero(np.repeat(member, self.ds.sizes))
         # take gathers rows several times faster than fancy indexing
-        return self._x.take(rows, axis=0), self.ds.y.take(rows, axis=0)
+        return self._covariate_rows(r.cluster_pos, rows), self.ds.y.take(rows, axis=0)
 
     def _residuals(self, r: _Regime, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Regime ``r``'s cluster weights (m,), covariate rows, residual rows
@@ -377,12 +435,13 @@ class _Workspace:
         cross = np.empty((2, len(self.regimes), q1, n_times))
         for i, r in enumerate(self.regimes):
             w, x, eps, col = self._residuals(r, theta)
-            w_eps = np.repeat(w, r.sizes)[:, None] * eps
+            n = r.sizes
+            w_eps = np.repeat(w, n)[:, None] * eps
             grams[0, i] = w_eps.T @ eps
             grams[1, i] = (w[:, None] * col).T @ col
             cross[0, i, 0] = w_eps.sum(axis=0)
             cross[0, i, 1:] = x.T @ w_eps
-            cross[1, i] = (w[:, None] * np.column_stack((r.sizes, r.x_sum))).T @ col
+            cross[1, i] = (w[:, None] * np.column_stack((n, r.x_sum))).T @ col
         return theta.copy(), grams, cross
 
     def residual_grams(self, theta: np.ndarray) -> ResidualGrams:
@@ -438,22 +497,26 @@ class _Workspace:
         U = np.zeros((self.N, self.p))
         for r, s in zip(self.regimes, factors):
             w, x, eps, e = self._residuals(r, theta)
-            ce = (e @ s[1:])[r.size_idx, np.arange(len(w))]  # row i: (C E_i)'
+            n, size_idx = r.sizes, r.size_idx
+            starts = np.cumsum(n) - n
             # Gamma's block from cluster sums alone; eta's weighs each x_j by eps_j'A'^{-1}g_1
             g_1 = r.basis[:, -1]
+            eps_g = eps @ (s[0] @ g_1)
+            del eps  # each array is dropped once read, to keep the peak low
+            ce = (e @ s[1:])[size_idx, np.arange(len(w))]  # row i: (C E_i)'
             u = np.empty((len(w), self.p))
-            u[:, :n_gamma] = (e @ s[0] + r.sizes[:, None] * ce) @ r.gamma
-            u[:, n_gamma:] = (
-                np.add.reduceat((eps @ (s[0] @ g_1))[:, None] * x, r.starts) + (ce @ g_1)[:, None] * r.x_sum
-            )
+            u[:, :n_gamma] = (e @ s[0] + n[:, None] * ce) @ r.gamma
+            del e
+            u[:, n_gamma:] = np.add.reduceat(eps_g[:, None] * x, starts) + (ce @ g_1)[:, None] * r.x_sum
+            del eps_g
             if leverage_inverse_from is not None:
                 gsg = (r.basis.T @ s @ r.basis)[:, g[:, None], g]
                 z_rows = np.column_stack((np.ones(len(x)), x))
-                zz_rows = np.add.reduceat(z_rows[:, :, None] * z_rows[:, None, :], r.starts)
-                z_cluster = np.column_stack((r.sizes, r.x_sum))[:, z]
+                zz_rows = np.add.reduceat(z_rows[:, :, None] * z_rows[:, None, :], starts)
+                z_cluster = np.column_stack((n, r.x_sum))[:, z]
                 M = (
                     gsg[0] * zz_rows[:, z[:, None], z]
-                    + gsg[1 + r.size_idx] * z_cluster[:, :, None] * z_cluster[:, None, :]
+                    + gsg[1 + size_idx] * z_cluster[:, :, None] * z_cluster[:, None, :]
                 )
                 K = leverage_inverse_from[None] / w[:, None, None] - M
                 try:
@@ -471,7 +534,7 @@ class _Workspace:
                     raise
             u *= w[:, None]
             U[r.cluster_pos] += u
-            del x, eps, e, ce, u  # before the next regime's rows are gathered
+            del x, ce, u  # before the next regime's rows are gathered
         return U
 
     def factorize(self, alpha: AlphaEstimate) -> np.ndarray:
@@ -732,12 +795,14 @@ def estimate_weight_model(
     design re-randomizes and some cluster lies.  A model whose MLE separates
     falls back to the design probability and contributes no score columns;
     a stage-two fallback is listed in ``fallback_cells``, a stage-one
-    fallback is not.  ``scores`` holds each fitted model's score block in
-    its own columns, zero outside the model's clusters.
+    fallback is not.  ``score_blocks`` keeps each fitted model's score rows
+    for its own clusters alone; :attr:`WeightModel.scores` spreads them
+    into one dense matrix where it is read.
     """
     N = ds.n_clusters
     design = ds.design
-    X2 = _design_columns(ds, stage2_covariates)
+    stage1_covariates = _name_tuple(stage1_covariates, "stage1_covariates")
+    X2 = _design_columns(ds, _name_tuple(stage2_covariates, "stage2_covariates"))
     a2_observed = _observed_a2(ds)
     # (cell, members, X, treatment indicator, design probability); stage one has no cell
     models = [(None, slice(None), _design_columns(ds, stage1_covariates), ds.a1 == 1, design.p_a1)]
@@ -764,14 +829,10 @@ def estimate_weight_model(
         coefs.append(beta)
         prob[members] *= np.where(treated, p_plus, 1.0 - p_plus)
 
-    starts = np.cumsum([0] + [block.shape[1] for _, block in fitted])
-    scores = np.zeros((N, starts[-1]))
-    for (members, block), start in zip(fitted, starts):
-        scores[members, start : start + block.shape[1]] = block
     return WeightModel(
         stage1_coef=coefs[0],
         stage2_coef={cell: beta for (cell, *_), beta in zip(models[1:], coefs[1:])},
-        scores=scores,
+        score_blocks=tuple(fitted),
         fitted_weights=1.0 / prob,
         fallback_cells=tuple(fallback),
     )
@@ -787,6 +848,16 @@ def _clamp_nonneg(alpha: AlphaEstimate, cov_spec: WorkingCovSpec) -> AlphaEstima
     if cov_spec.within_corr is WithinCorr.AR1 and alpha.n_times > 1:
         within[alpha.within[:, 0, 1] < 0.0] = np.eye(alpha.n_times)
     return replace(alpha, within=within, between=np.maximum(alpha.between, 0.0))
+
+
+@functools.lru_cache(maxsize=256)
+def _quantile(level: float, df: Optional[int]) -> float:
+    """The two-sided ``level`` critical value of the normal (``df`` None) or
+    of t on ``df`` degrees of freedom.  Cached: one ``ppf`` costs more than
+    the rest of a Wald test, and a study asks for few (level, df) pairs."""
+    if df is None:
+        return float(norm.ppf(0.5 + level / 2.0))
+    return float(student_t.ppf(0.5 + level / 2.0, df))
 
 
 def wald_test(fit_result: FitResult, contrast: ContrastVector, level: float = 0.95) -> WaldResult:
@@ -808,12 +879,12 @@ def wald_test(fit_result: FitResult, contrast: ContrastVector, level: float = 0.
     statistic = est_n / se_n
     estimate = scale * est_n
     se = scale * se_n
+    # the survival functions norm.sf and t.sf evaluate, without their argument handling
     if fit_result.df is None:
-        p_value = 2.0 * float(norm.sf(abs(statistic)))
-        quantile = float(norm.ppf(0.5 + level / 2.0))
+        p_value = 2.0 * float(ndtr(-abs(statistic)))
     else:
-        p_value = 2.0 * float(student_t.sf(abs(statistic), fit_result.df))
-        quantile = float(student_t.ppf(0.5 + level / 2.0, fit_result.df))
+        p_value = 2.0 * float(stdtr(fit_result.df, -abs(statistic)))
+    quantile = _quantile(level, fit_result.df)
     ci = (estimate - quantile * se, estimate + quantile * se)
     return WaldResult(
         label=contrast.label,

@@ -155,6 +155,14 @@ class CustomBasis(TrajectoryBasis):
         return (h / 3.0) * coeff @ values
 
 
+def _name_tuple(names: Sequence[str], argument: str) -> Tuple[str, ...]:
+    """``names`` as a tuple of names; a bare string, which would split into
+    its characters, raises TypeError naming ``argument``."""
+    if isinstance(names, str):
+        raise TypeError(f"{argument} must be a sequence of names, not the string {names!r}")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class MeanModelSpec:
     """A trajectory basis plus linear baseline-covariate adjustment terms."""
@@ -164,19 +172,23 @@ class MeanModelSpec:
     grid: TimeGrid
     covariate_terms: Tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        # every constructor passes through here, the classmethods included
+        object.__setattr__(self, "covariate_terms", _name_tuple(self.covariate_terms, "covariate_terms"))
+
     @classmethod
     def piecewise_linear(
         cls, design: SmartDesign, grid: TimeGrid, covariate_terms: Sequence[str] = ()
     ) -> "MeanModelSpec":
         basis = AnchoredKnotBasis(design.kind, grid, "linear")
-        return cls(basis, design, grid, tuple(covariate_terms))
+        return cls(basis, design, grid, covariate_terms)
 
     @classmethod
     def piecewise_sqrt(
         cls, design: SmartDesign, grid: TimeGrid, covariate_terms: Sequence[str] = ()
     ) -> "MeanModelSpec":
         basis = AnchoredKnotBasis(design.kind, grid, "sqrt")
-        return cls(basis, design, grid, tuple(covariate_terms))
+        return cls(basis, design, grid, covariate_terms)
 
     @classmethod
     def custom(
@@ -186,7 +198,7 @@ class MeanModelSpec:
         basis: CustomBasis,
         covariate_terms: Sequence[str] = (),
     ) -> "MeanModelSpec":
-        return cls(basis, design, grid, tuple(covariate_terms))
+        return cls(basis, design, grid, covariate_terms)
 
     @property
     def n_gamma(self) -> int:

@@ -17,6 +17,7 @@ from smartlong import (
     SmartDesign,
     TableSchema,
     TimeGrid,
+    TrialDataset,
     WorkingCovSpec,
     data,
     fit,
@@ -483,6 +484,59 @@ class TestSplitPath:
             csv.field_size_limit(limit)
 
 
+def ordered_rows(order):
+    """CHAR_ROWS with the rows of the (person, time) pairs ``order`` first,
+    person ``k`` being ``CHAR_PEOPLE[k]``, and the rest after them in order."""
+    chosen = [3 * k + t for k, t in order]
+    return [CHAR_ROWS[i] for i in chosen + [i for i in range(len(CHAR_ROWS)) if i not in chosen]]
+
+
+# row orders for the parser's individual-id maps, each read in chunks of 2, 3
+# and 512 rows, so that a cluster is met again after its map was dropped
+PERSON_ORDERS = {
+    # c1's second individual arrives after c2's, in one chunk
+    "two_runs_in_one_chunk": [(0, 0), (2, 0), (1, 0)],
+    # the same, with chunks of three rows between them
+    "two_runs_across_chunks": [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2), (1, 0)],
+    # every individual's first time, then every second, then every third:
+    # later rows only revisit individuals met before
+    "revisits_of_known_people": [(k, t) for t in range(3) for k in range(len(CHAR_PEOPLE))],
+}
+
+
+class TestPersonSlots:
+    """The parser keeps a cluster's map of individual ids only while the
+    cluster's rows are read, unless its individuals are scattered.  Any row
+    order parses as the records route builds the dataset, and a fault on a
+    revisited individual names the same line and message."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3, 512])
+    @pytest.mark.parametrize("order", list(PERSON_ORDERS))
+    def test_parses_equal_to_the_records_route(self, design2, grid012, order, chunk_rows):
+        schema = char_schema(design2, grid012)
+        canonical = parse_long_table(char_table(), schema)
+        records = TrialDataset(design2, grid012, list(canonical.clusters), ("u",), ("v",))
+        text = char_table(rows=ordered_rows(PERSON_ORDERS[order]))
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+            for stream in (False, True):
+                got = parse_outcome(text, schema, stream)
+                assert_same_columns(got, records)
+                assert got == records
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3, 512])
+    @pytest.mark.parametrize("order", list(PERSON_ORDERS))
+    @pytest.mark.parametrize("name", ["dup_time", "xi", "xc"])
+    def test_faults_on_revisited_individuals_name_their_line(self, design2, grid012, name, order, chunk_rows):
+        schema = char_schema(design2, grid012)
+        rows = ordered_rows(PERSON_ORDERS[order])
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+            for person in (["c1", "p1"], ["c1", "p2"], ["c3", "p2"]):
+                # the individual's last row, a time after its first
+                line = max(line for line, row in enumerate(rows, start=2) if row[:2] == person)
+                assert rows[line - 2][2] != "0"
+                assert raised(char_table([(line, name)], rows), schema) == expected_error(name, line, rows)
+
+
 class TestValidate:
     def test_well_formed_empty_report(self, design2, grid012):
         rng = np.random.default_rng(1)
@@ -646,23 +700,25 @@ class TestParseMemory:
         return peak, len(text)
 
     def test_peak_is_a_small_multiple_of_the_text(self):
-        # 4144 rows of 700 small clusters peak near 2.15x the text's length
-        # (2.57x when every row was a list and each individual kept a tuple key)
+        # 4144 rows of 700 small clusters peak near 1.77x the text's length:
+        # 2.15x while every cluster kept its map of individual ids to the
+        # end, 2.57x when every row was a list and each individual a tuple key
         peak, size = self.parse_peak(3, 700)
-        assert peak < 2.4 * size
+        assert peak < 2.1 * size
 
     def test_peak_on_a_long_grid(self):
         # the per-individual arrays grow with the individuals, not the rows:
-        # 5626 rows on 45 times peak near 1.01x the text's length (was 1.61x)
+        # 5626 rows on 45 times peak near 1.00x the text's length (was 1.61x)
         peak, size = self.parse_peak(45, 60)
         assert peak < 1.25 * size
 
     def test_peak_with_short_rows_in_large_clusters(self):
         # short rows make many cells per character of text: 9026 rows of 30
-        # clusters of 40-80 on 5 times, without covariates, peak near 1.43x
-        # the text's length (2.64x when every row was a list)
+        # clusters of 40-80 on 5 times, without covariates, peak near 1.23x
+        # the text's length (1.43x while every cluster kept its map of
+        # individual ids, 2.64x when every row was a list)
         peak, size = self.parse_peak(5, 30, DesignKind.II, tuple(range(40, 81)), ((), ()))
-        assert peak < 1.7 * size
+        assert peak < 1.5 * size
 
 
 ID_COLUMNS = ("cluster_ids", "individual_ids", "pathways")

@@ -239,6 +239,21 @@ class TestFit:
             FitOptions(**{stage: ("u",)})
         assert getattr(FitOptions(weight_mode=WeightMode.ESTIMATED, **{stage: ("u",)}), stage) == ("u",)
 
+    @pytest.mark.parametrize("stage", ["stage1_covariates", "stage2_covariates"])
+    def test_options_reject_a_bare_string_of_covariates(self, stage):
+        # a string is a sequence of its characters: "age" would name columns a, g and e
+        for mode in WeightMode:
+            with pytest.raises(TypeError, match=f"{stage} must be a sequence of names, not the string 'age'"):
+                FitOptions(weight_mode=mode, **{stage: "age"})
+        assert getattr(FitOptions(weight_mode=WeightMode.ESTIMATED, **{stage: ["age"]}), stage) == ("age",)
+
+    def test_end_of_study_rejects_a_bare_string_of_covariates(self, design2, grid012):
+        rng = np.random.default_rng(18)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3), cluster_covariates=("u",))
+        with pytest.raises(TypeError, match="covariate_terms must be a sequence of names, not the string 'u'"):
+            fit_end_of_study(ds, "u")
+        assert fit_end_of_study(ds, ["u"]).param_names[-1] == "eta_u"
+
     def test_missing_regime_is_hard_error(self, design2, grid012):
         clusters = [
             make_cluster("a", 1, 0, 1, [(1.0, 2.0, 3.0)]),
@@ -456,6 +471,56 @@ class TestWald:
         assert w3.p_value == pytest.approx(w1.p_value, rel=1e-12)
         np.testing.assert_allclose([v / factor for v in w3.ci], w1.ci, rtol=1e-12)
 
+    def test_p_values_and_intervals_equal_scipy_stats(self, fitted, monkeypatch):
+        # p-values come from ndtr and stdtr, the functions norm.sf and t.sf
+        # evaluate, and each critical value from one ppf per (level, df)
+        from scipy.stats import norm, t as student_t
+
+        from smartlong import ContrastVector
+
+        spec, res = fitted
+        z = np.concatenate((np.linspace(-40.0, 40.0, 161), [-1e-3, 1e-12, 0.37, 1.959963984540054, 39.999]))
+        levels = (0.5, 0.9, 0.95, 0.99)
+        dfs = (None, 1, 2, 5, 10, 30, 100, 1000, 100_000)
+        c = np.zeros(spec.n_params)
+        c[0] = 1.0
+        contrast = ContrastVector(c=c, label="first")
+        # theta_0 = z under unit variance: the statistic is z exactly
+        unit = replace(res, sigma_theta=np.eye(spec.n_params))
+        fits = [
+            replace(unit, theta=ThetaEstimate(np.r_[v, res.theta.gamma[1:]], res.theta.eta, res.theta.names))
+            for v in z
+        ]
+        want = {}
+        for df in dfs:
+            dist, args = (norm, ()) if df is None else (student_t, (df,))
+            p = [2.0 * float(dist.sf(abs(v), *args)) for v in z]
+            for level in levels:
+                q = float(dist.ppf(0.5 + level / 2.0, *args))
+                want[level, df] = (p, [(v - q, v + q) for v in z])
+
+        class PpfOnly:
+            """A distribution whose ppf calls are counted, and that has no sf."""
+
+            def __init__(self, dist):
+                self.dist = dist
+
+            def ppf(self, *args):
+                calls.append(args)
+                return self.dist.ppf(*args)
+
+        calls = []
+        monkeypatch.setattr(gee, "norm", PpfOnly(norm))
+        monkeypatch.setattr(gee, "student_t", PpfOnly(student_t))
+        gee._quantile.cache_clear()
+        for (level, df), (p, ci) in want.items():
+            walds = [wald_test(replace(f, df=df), contrast, level=level) for f in fits]
+            assert [w.statistic for w in walds] == z.tolist()
+            assert np.array_equal([w.p_value for w in walds], p), (level, df)
+            assert np.array_equal([w.ci for w in walds], ci), (level, df)
+        assert len(calls) == len(want)
+        gee._quantile.cache_clear()
+
     def test_ci_contains_estimate_and_se_positive(self, fitted):
         spec, res = fitted
         w = wald_test(res, contrast_end_of_study(spec, D11, DM1), level=0.9)
@@ -660,14 +725,15 @@ class TestFitMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize(
-        "adjustments,multiple", [(AdjustmentOptions(), 10), (AdjustmentOptions.all(), 25)], ids=["none", "all"]
+        "adjustments,multiple", [(AdjustmentOptions(), 4), (AdjustmentOptions.all(), 25)], ids=["none", "all"]
     )
     def test_peak_is_a_small_multiple_of_the_data(self, adjustments, multiple):
         # fit keeps index structure and moments whose size does not grow with
         # N, never a design of rows x (T+1) x p: on 5007 rows it peaks near
-        # 3.6x the outcome and covariate bytes, 17x with the p x p Woodbury
+        # 2.3x the outcome and covariate bytes, 15x with the p x p Woodbury
         # solve per cluster of the bias correction, where a stored design and
-        # V^{-1} D made these 34x and 45x (6.6x and 18x with per-regime rows)
+        # V^{-1} D made these 34x and 45x (6.6x and 18x with per-regime rows,
+        # 3.6x and 17x with a per-individual covariate table)
         design = SmartDesign.balanced(DesignKind.I)
         terms = ("u", "v", "w")
         ds = random_dataset(np.random.default_rng(0), 2000, GRID012, design, (1, 2, 3, 4), (), terms)
@@ -679,9 +745,11 @@ class TestFitMemory:
     def test_rows_are_not_copied_per_regime(self):
         # design I puts every cluster in two regimes; with cluster and
         # individual covariates and estimated weights, 7553 rows peak near
-        # 4.3x the dataset's array bytes, against 7.4x when each regime kept
-        # its own outcome and covariate rows.  Those copies add about 2x here,
-        # so a bound 0.7x above the measured ratio would catch their return.
+        # 2.7x the dataset's array bytes: 4.3x with a per-individual covariate
+        # table, per-regime index copies and a dense weight-score matrix, 7.4x
+        # when each regime kept its own outcome and covariate rows.  Those
+        # rows add about 2x here, so a bound 0.8x above the measured ratio
+        # would catch their return.
         design = SmartDesign.balanced(DesignKind.I)
         ds = random_dataset(np.random.default_rng(0), 3000, GRID012, design, (1, 2, 3, 4), ("u", "v"), ("w",))
         spec = MeanModelSpec.piecewise_linear(design, GRID012, ("u", "v", "w"))
@@ -694,7 +762,7 @@ class TestFitMemory:
             for name in ("a1", "r", "a2nr", "a2r", "sizes", "x_cluster", "x_individual", "y", "pathway_index")
         )
         assert len(ds.y) > 7000
-        assert peak < 5.0 * arrays
+        assert peak < 3.5 * arrays
 
 
 class TestEndOfStudyComparator:

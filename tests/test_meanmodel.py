@@ -52,6 +52,22 @@ def fd_gradient(spec, d, x, t, p, h=1e-6):
     return grad
 
 
+class TestSpecConstructors:
+    @pytest.mark.parametrize("make", [
+        lambda design, grid, terms: MeanModelSpec.piecewise_linear(design, grid, terms),
+        lambda design, grid, terms: MeanModelSpec.piecewise_sqrt(design, grid, terms),
+        lambda design, grid, terms: MeanModelSpec.custom(design, grid, make_saturated_basis(design, grid), terms),
+        lambda design, grid, terms: MeanModelSpec(AnchoredKnotBasis(design.kind, grid), design, grid, terms),
+    ], ids=["piecewise_linear", "piecewise_sqrt", "custom", "direct"])
+    def test_a_bare_string_of_covariates_is_rejected(self, design2, grid012, make):
+        # a string is a sequence of its characters: "age" would give eta_a, eta_g and eta_e
+        with pytest.raises(TypeError, match="covariate_terms must be a sequence of names, not the string 'age'"):
+            make(design2, grid012, "age")
+        spec = make(design2, grid012, ["age", "sex"])
+        assert spec.covariate_terms == ("age", "sex")
+        assert spec.param_names[-2:] == ("eta_age", "eta_sex")
+
+
 class TestMu:
     def test_parameter_counts_by_design(self, grid012):
         expected = {DesignKind.II: 7, DesignKind.I: 9, DesignKind.III: 6, DesignKind.IV: 7}

@@ -70,6 +70,13 @@ class TestWeightModel:
         wm = estimate_weight_model(ds, stage1_covariates=("x",), stage2_covariates=("x",))
         assert wm.score_sum_norm < 1e-6
 
+    @pytest.mark.parametrize("stage", ["stage1_covariates", "stage2_covariates"])
+    def test_a_bare_string_of_covariates_is_rejected(self, design2, grid012, stage):
+        rng = np.random.default_rng(21)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3), cluster_covariates=("x",))
+        with pytest.raises(TypeError, match=f"{stage} must be a sequence of names, not the string 'x'"):
+            estimate_weight_model(ds, **{stage: "x"})
+
     def test_probabilities_valid(self, design2, grid012):
         rng = np.random.default_rng(22)
         ds = random_design2_dataset(rng, 60, grid012, design2, cluster_covariates=("x",))
