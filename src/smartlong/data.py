@@ -5,12 +5,14 @@ sorted by id, and each cluster's individuals sorted by id and stored next to
 each other.  Per cluster it holds the ids, the pathway codes ``a1``, ``r``,
 ``a2nr`` and ``a2r`` (small ints, 0 for an absent second-stage slot), the
 sizes and the cluster covariates; per individual the ids, the individual
-covariates and one outcome per grid time.  The distinct observed pathways and
-each cluster's index into them are derived once, as are the invariant checks:
-the :class:`ValidationReport` is computed when the dataset is built, judging
-the pathway rule once per distinct pathway, and :func:`validate` returns it.
-Datasets are immutable afterwards, so they can be shared freely across
-parallel workers.
+covariates and one outcome per grid time.  Each id column is one string of
+every id joined and where each id begins in it, not a ``str`` object per id;
+the tuple of ids is made where it is asked for.  The distinct observed pathways
+and each cluster's index into them are derived once, as are the invariant
+checks: the :class:`ValidationReport` is computed when the dataset is built,
+judging the pathway rule once per distinct pathway, and :func:`validate`
+returns it.  Datasets are immutable afterwards, so they can be shared freely
+across parallel workers, and they pickle and copy as read-only as they were.
 
 Datasets come from long-format delimited text (one row per cluster,
 individual and time), or from :class:`ClusterRecord` and
@@ -25,7 +27,9 @@ rows written in canonical order, as :func:`serialize_long_table` writes
 them, fill them in place, so the dataset takes them without a sort or copy.
 On such rows the parser also keeps a map of individual ids only for the
 clusters a chunk reads: every other cluster's individuals are a run of
-slots, whose ids are read back where the cluster is met again.
+slots, whose ids are read back where the cluster is met again.  A chunk's
+new ids are kept joined into one string, so their ``str`` objects go with
+the chunk's cells.
 """
 from __future__ import annotations
 
@@ -133,6 +137,51 @@ class Pathway(NamedTuple):
     a2r: Optional[int]
 
 
+def _name_tuple(names: Sequence[str], argument: str) -> Tuple[str, ...]:
+    """``names`` as a tuple of names; a bare string, which would split into
+    its characters, raises TypeError naming ``argument``."""
+    if isinstance(names, str):
+        raise TypeError(f"{argument} must be a sequence of names, not the string {names!r}")
+    return tuple(names)
+
+
+class _Ids:
+    """A column of ids as one string of them all joined, and where each
+    begins in it: id ``i``, for ``0 <= i < len(ids)``, is
+    ``text[offsets[i] : offsets[i + 1]]``, with ``offsets`` read-only int64
+    from 0.  That takes a byte a character of ASCII ids and 8 an id, where a
+    ``str`` object and a tuple slot take about 72 bytes an id."""
+
+    __slots__ = ("text", "offsets")
+
+    def __init__(self, text: str, offsets: np.ndarray) -> None:
+        offsets.flags.writeable = False
+        self.text, self.offsets = text, offsets
+
+    @classmethod
+    def of(cls, ids: Sequence[str]) -> "_Ids":
+        lengths = np.fromiter(itertools.chain((0,), map(len, ids)), np.int64, len(ids) + 1)
+        return cls("".join(ids), np.cumsum(lengths))
+
+    def __reduce__(self):
+        # through __init__, so that a copy's offsets are read-only too
+        return _Ids, (self.text, self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> str:
+        return self.text[self.offsets[i] : self.offsets[i + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        offsets = self.offsets.tolist()
+        return map(self.text.__getitem__, map(slice, offsets, offsets[1:]))
+
+
+# each id tuple, made on first use, and the column it is made from
+_ID_TUPLES = {"cluster_ids": "_cluster_id_column", "individual_ids": "_individual_id_column"}
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class TrialDataset:
     """A trial's observations as columns in canonical (sorted-id) order.
@@ -142,7 +191,9 @@ class TrialDataset:
     clusters' members contiguous: ``individual_ids``; ``x_individual``
     (M x q'); ``y`` (M x (T+1)).  ``pathways`` lists the distinct observed
     pathways and ``pathway_index`` maps each cluster to its entry.  Arrays are
-    read-only.
+    read-only.  The ids are held as :class:`_Ids` columns; ``cluster_ids``
+    and ``individual_ids``, tuples of ``str``, are made from them on first
+    use, and nothing in the library asks for them.
 
     The constructor is the record route: clusters and their individuals may
     come in any order.  Its arguments are the dataclass fields, so
@@ -174,9 +225,22 @@ class TrialDataset:
         x_individual, bad_xi = _record_matrix([ind.x_individual for ind in people], n_xi)
         sizes = np.array([cl.n for cl in records], dtype=np.intp)
         owner = np.repeat(np.arange(len(records)), sizes)
+        cids = [cl.cluster_id for cl in records]
+        iids = [ind.individual_id for ind in people]
 
-        # what columns cannot hold, keyed by position as _check orders violations
+        # what columns cannot hold, keyed by position as _check orders
+        # violations; only records can repeat an id, and sorting puts the
+        # repeats next to each other
         faults = [
+            ((pos, 0), Violation(cids[pos], "DuplicateCluster", "duplicate cluster id"))
+            for pos in range(1, len(cids)) if cids[pos] == cids[pos - 1]
+        ]
+        faults += [
+            ((c, 4, j, -1), Violation(cids[c], "DuplicateIndividual", f"duplicate individual id {iids[j]!r}"))
+            for j, c, before in zip(range(1, len(iids)), owner[1:].tolist(), owner[:-1].tolist())
+            if c == before and iids[j] == iids[j - 1]
+        ]
+        faults += [
             ((pos, 3), Violation(
                 records[pos].cluster_id, "CovariateSchema",
                 f"expected {n_xc} cluster covariates, got {len(records[pos].x_cluster)}",
@@ -204,9 +268,9 @@ class TrialDataset:
         object.__setattr__(self, "clusters", records)
         self._set_columns(
             design, grid, cluster_covariates, individual_covariates,
-            cluster_ids=tuple(cl.cluster_id for cl in records), a1=a1, r=r, a2nr=a2nr, a2r=a2r,
+            _cluster_id_column=_Ids.of(cids), a1=a1, r=r, a2nr=a2nr, a2r=a2r,
             sizes=sizes, x_cluster=x_cluster,
-            individual_ids=tuple(ind.individual_id for ind in people), x_individual=x_individual, y=y,
+            _individual_id_column=_Ids.of(iids), x_individual=x_individual, y=y,
             pathways=pathways, pathway_index=pathway_index,
         )
         object.__setattr__(self, "_report", _check(self, faults))
@@ -231,27 +295,34 @@ class TrialDataset:
     def _set_columns(self, design, grid, cluster_covariates, individual_covariates, **columns) -> None:
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "cluster_covariates", tuple(cluster_covariates))
-        object.__setattr__(self, "individual_covariates", tuple(individual_covariates))
+        object.__setattr__(self, "cluster_covariates", _name_tuple(cluster_covariates, "cluster_covariates"))
+        object.__setattr__(self, "individual_covariates", _name_tuple(individual_covariates, "individual_covariates"))
         for name, value in columns.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        # through _set_columns, so that a copy's arrays are read-only too
+        return _restored, (vars(self),)
+
     def __getattr__(self, name: str):
         # only reached for an attribute not set yet: the record view of a
-        # dataset built from columns
-        if name != "clusters":
+        # dataset built from columns, or an id tuple
+        if name == "clusters":
+            value = self._record_view()
+        elif name in _ID_TUPLES:
+            value = tuple(getattr(self, _ID_TUPLES[name]))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        view = self._record_view()
-        object.__setattr__(self, "clusters", view)
-        return view
+        object.__setattr__(self, name, value)
+        return value
 
     def _record_view(self) -> Tuple[ClusterRecord, ...]:
         first = np.cumsum(self.sizes) - self.sizes
         people = [
             IndividualRecord(iid, tuple(xi), tuple(y))
-            for iid, xi, y in zip(self.individual_ids, self.x_individual.tolist(), self.y.tolist())
+            for iid, xi, y in zip(self._individual_id_column, self.x_individual.tolist(), self.y.tolist())
         ]
         return tuple(
             ClusterRecord(
@@ -259,7 +330,7 @@ class TrialDataset:
                 individuals=tuple(people[f : f + n]),
             )
             for cid, p, xc, f, n in zip(
-                self.cluster_ids, (self.pathways[i] for i in self.pathway_index),
+                self._cluster_id_column, (self.pathways[i] for i in self.pathway_index),
                 self.x_cluster.tolist(), first.tolist(), self.sizes.tolist(),
             )
         )
@@ -275,7 +346,7 @@ class TrialDataset:
 
     @property
     def n_clusters(self) -> int:
-        return len(self.cluster_ids)
+        return len(self.sizes)
 
     def final_time(self) -> "TrialDataset":
         """The dataset on a one-time grid holding its last time alone.
@@ -286,8 +357,8 @@ class TrialDataset:
         columns = {
             c: getattr(self, c)
             for c in (
-                "cluster_ids", "a1", "r", "a2nr", "a2r", "sizes", "x_cluster",
-                "individual_ids", "x_individual", "pathways", "pathway_index",
+                "_cluster_id_column", "a1", "r", "a2nr", "a2r", "sizes", "x_cluster",
+                "_individual_id_column", "x_individual", "pathways", "pathway_index",
             )
         }
         return TrialDataset._from_columns(
@@ -295,6 +366,13 @@ class TrialDataset:
             self.cluster_covariates, self.individual_covariates, report=self._report,
             y=self.y[:, -1:], **columns,
         )
+
+
+def _restored(state: Dict[str, object]) -> TrialDataset:
+    """The dataset whose attributes are ``state``, as pickled."""
+    ds = TrialDataset.__new__(TrialDataset)
+    ds._set_columns(**state)
+    return ds
 
 
 def _with_sorted_individuals(cl: ClusterRecord) -> ClusterRecord:
@@ -367,6 +445,10 @@ class TableSchema:
     a1_codes: Mapping[str, int] = field(default_factory=lambda: {"1": 1, "+1": 1, "-1": -1})
     r_codes: Mapping[str, int] = field(default_factory=lambda: {"0": 0, "1": 1})
     a2_codes: Mapping[str, int] = field(default_factory=lambda: {"1": 1, "+1": 1, "-1": -1})
+
+    def __post_init__(self) -> None:
+        for name in ("cluster_covariates", "individual_covariates"):
+            object.__setattr__(self, name, _name_tuple(getattr(self, name), name))
 
 
 _ABSENT = ("", "NA")
@@ -560,9 +642,49 @@ def _first_seen(slots: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return slots >= before[:-1], before
 
 
-def _increasing(values: Sequence) -> np.ndarray:
-    """Whether each value is less than the next."""
-    return np.fromiter(map(operator.lt, values, values[1:]), bool, max(len(values) - 1, 0))
+def _descents(values: Sequence) -> List[int]:
+    """The positions of the values not less than the next."""
+    return list(itertools.compress(itertools.count(), map(operator.ge, values, values[1:])))
+
+
+class _IdPieces:
+    """Ids by slot, appended a chunk at a time: each chunk's new ids joined
+    into one string, a piece, with the offsets of :class:`_Ids` into the
+    pieces joined, which start with room for ``room`` ids."""
+
+    def __init__(self, room: int) -> None:
+        self.pieces: List[str] = []
+        self.first: List[int] = []  # each piece's first slot
+        self.start: List[int] = []  # each piece's offset
+        self.offsets = np.zeros(room + 1, dtype=np.int64)
+        self.n = 0
+        self.last = ""  # the id of slot n - 1
+
+    def extend(self, ids: List[str]) -> None:
+        if not ids:
+            return
+        n, stop = self.n, self.n + len(ids)
+        self.offsets = _grown(self.offsets, stop + 1)
+        start = int(self.offsets[n])
+        lengths = np.fromiter(itertools.chain((start,), map(len, ids)), np.int64, len(ids) + 1)
+        np.cumsum(lengths, out=self.offsets[n : stop + 1])
+        self.pieces.append("".join(ids))
+        self.first.append(n)
+        self.start.append(start)
+        self.n, self.last = stop, ids[-1]
+
+    def read(self, start: int, stop: int) -> List[str]:
+        """The ids of the slots ``start`` to ``stop``, at a cost that grows
+        with their number, not with the number of pieces."""
+        offsets = self.offsets[start : stop + 1].tolist()
+        ids = []
+        for slot, begin, end in zip(range(start, stop), offsets, offsets[1:]):
+            k = bisect.bisect_right(self.first, slot) - 1
+            ids.append(self.pieces[k][begin - self.start[k] : end - self.start[k]])
+        return ids
+
+    def column(self) -> _Ids:
+        return _Ids("".join(self.pieces), _exact(self.offsets, self.n + 1))
 
 
 class _PersonSlots(dict):
@@ -574,12 +696,12 @@ class _PersonSlots(dict):
     slots ``first[c] : first[c + 1]``.  So no map outlives the chunk that used
     it (:meth:`settle`), except the chunk's last cluster's, whose rows may go
     on in the next chunk: a later lookup of a cluster rebuilds its map from
-    the ids of its run.  From the first chunk that breaks that order on,
-    every map is kept, and ``first`` stays true of the clusters whose maps
-    were dropped before.
+    the ids of its run, read back from their pieces.  From the first chunk
+    that breaks that order on, every map is kept, and ``first`` stays true of
+    the clusters whose maps were dropped before.
     """
 
-    def __init__(self, ids: List[str], next_slot) -> None:
+    def __init__(self, ids: _IdPieces, next_slot) -> None:
         super().__init__()
         self.ids = ids  # every individual id, by slot
         self.next_slot = next_slot
@@ -589,7 +711,7 @@ class _PersonSlots(dict):
     def __missing__(self, c: int) -> Dict[str, int]:
         # only a cluster of an earlier chunk can lack a map: see open
         f, e = int(self.first[c]), int(self.first[c + 1])
-        people = self[c] = defaultdict(self.next_slot, zip(self.ids[f:e], range(f, e)))
+        people = self[c] = defaultdict(self.next_slot, zip(self.ids.read(f, e), range(f, e)))
         return people
 
     def open(self, start: int, stop: int) -> None:
@@ -623,15 +745,17 @@ class _ColumnBuilder:
     them: a dict maps each cluster id to its slot, and a
     :class:`_PersonSlots` maps the individual ids of the clusters in use, so
     no key is kept per row or per (cluster, individual) pair, and on input
-    in canonical order no map of individual ids outlives its chunk.  Arrays
-    indexed by slot hold a cluster's id, first-row codes and covariates, and
-    an individual's id, cluster, first-row covariates and outcomes, so their
-    sizes follow the clusters and individuals, not the rows; the
-    per-individual arrays start with room for ``people`` individuals, where
-    their number can be foreseen.  Rows arrive as
-    lists (:meth:`add_rows`) or as columns (:meth:`add_columns`), and either
-    raises on the earliest failing row with :meth:`_row_error`'s error, the
-    only source of row messages.
+    in canonical order no map of individual ids outlives its chunk.  The
+    cluster ids by slot are that dict's keys, listed; the individual ids are
+    :class:`_IdPieces`, judged a chunk at a time, while they are ``str``
+    objects, on whether they are in canonical order.  Arrays indexed by
+    slot hold a cluster's first-row codes and covariates, and an
+    individual's cluster, first-row covariates and outcomes, so their sizes
+    follow the clusters and individuals, not the rows; the per-individual
+    arrays start with room for ``people`` individuals, where their number
+    can be foreseen.  Rows arrive as lists (:meth:`add_rows`) or as columns
+    (:meth:`add_columns`), and either raises on the earliest failing row
+    with :meth:`_row_error`'s error, the only source of row messages.
     """
 
     def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int], people: int) -> None:
@@ -642,8 +766,9 @@ class _ColumnBuilder:
         self.n_clusters = self.n_people = 0
         # a new id takes the next slot as it is looked up
         self.cluster_of: Dict[str, int] = defaultdict(itertools.count().__next__)
-        self.cluster_ids: List[str] = []
-        self.individual_ids: List[str] = []
+        self.cluster_ids: List[str] = []  # the keys of cluster_of, by slot
+        self.individual_ids = _IdPieces(people)
+        self.people_in_order = True  # each individual id greater than the one before in its cluster
         self.people_of = _PersonSlots(self.individual_ids, itertools.count().__next__)
         n_xc, n_xi = len(schema.cluster_covariates), len(schema.individual_covariates)
         self.codes = np.zeros((0, 4), dtype=np.int8)  # a1, r, a2nr, a2r
@@ -744,7 +869,6 @@ class _ColumnBuilder:
         p = np.fromiter(map(operator.getitem, map(self.people_of.__getitem__, c_slots), iids), np.intp, m)
         new_p, people_before = _first_seen(p, self.n_people)
         self.n_people = int(people_before[-1])
-        self.individual_ids.extend(itertools.compress(iids, new_p))
         for name in ("codes", "xc"):
             setattr(self, name, _grown(getattr(self, name), self.n_clusters))
         for name in ("owner", "xi", "y", "filled"):
@@ -754,6 +878,7 @@ class _ColumnBuilder:
         self.owner[p[new_p]] = c[new_p]
         self.xi[p[new_p]] = xi[new_p]
         self.people_of.settle(self.owner, int(people_before[0]), self.n_people, self.n_clusters, c_slots[-1])
+        self._add_individual_ids(list(itertools.compress(iids, new_p)))
 
         # the key of an off-grid row is unique, so it never counts as a duplicate
         on_grid = k >= 0
@@ -776,6 +901,19 @@ class _ColumnBuilder:
         self.y[p[:fault], k[:fault]] = y[:fault]
         self.filled[p[:fault], k[:fault]] = True
         return fault, (int(clusters_before[fault]), int(people_before[fault]))
+
+    def _add_individual_ids(self, iids: List[str]) -> None:
+        """Append the ids of a chunk's new individuals, whose owners are
+        stored, judging while they are ``str`` objects whether each is still
+        greater than the one before in its cluster, as in canonical order."""
+        ids = self.individual_ids
+        if self.people_in_order:
+            run = [ids.last, *iids] if ids.n else iids  # from the last id added before
+            if falls := _descents(run):
+                # an id may fall only where one cluster's slots end
+                slots = np.array(falls, dtype=np.intp) + max(ids.n - 1, 0)
+                self.people_in_order = bool((self.owner[slots] != self.owner[slots + 1]).all())
+        ids.extend(iids)
 
     def _decode(self, name: str, raw: str, where: str) -> Optional[int]:
         """The pathway entry ``name`` coded in ``raw``; raises BadTreatmentCode."""
@@ -841,13 +979,14 @@ class _ColumnBuilder:
 
         When the rows introduced clusters and individuals in canonical order,
         as :func:`serialize_long_table` writes them, slots are positions and
-        the dataset takes the builder's arrays as they are; otherwise they
-        are sorted into place.
+        the dataset takes the builder's arrays and ids as they are; otherwise
+        they are sorted into place.
         """
         del self.cluster_of, self.people_of  # no id is looked up after the last row
         schema, grid = self.schema, self.schema.grid
         n_clusters, n_people = self.n_clusters, self.n_people
-        cids, iids = self.cluster_ids, self.individual_ids
+        cids, iids = self.cluster_ids, self.individual_ids.column()
+        del self.individual_ids  # its pieces, joined now
         owner = self.owner[:n_people]
         incomplete = np.flatnonzero(~self.filled[:n_people].all(axis=1)).tolist()
         if incomplete:
@@ -855,32 +994,29 @@ class _ColumnBuilder:
             j = min(incomplete, key=lambda j: (cids[owner[j]], iids[j]))
             missing = [grid.times[k] for k in np.flatnonzero(~self.filled[j]).tolist()]
             raise MissingCell(f"cluster {cids[owner[j]]!r} individual {iids[j]!r}: missing outcomes at times {missing}")
-        same_cluster = owner[1:] == owner[:-1]
-        if (
-            _increasing(cids).all() and (owner[1:] >= owner[:-1]).all()
-            and (_increasing(iids) | ~same_cluster).all()
-        ):
+        if self.people_in_order and not _descents(cids) and (owner[1:] >= owner[:-1]).all():
             codes, x_cluster = _exact(self.codes, n_clusters), _exact(self.xc, n_clusters)
             x_individual, y = _exact(self.xi, n_people), _exact(self.y, n_people)
             sizes = np.bincount(owner, minlength=n_clusters)
         else:
+            iid_list = list(iids)
             clusters = sorted(range(n_clusters), key=cids.__getitem__)
             position = np.empty(n_clusters, dtype=np.intp)
             position[clusters] = np.arange(n_clusters)
-            keys = list(zip(position[owner].tolist(), iids))
+            keys = list(zip(position[owner].tolist(), iid_list))
             people = sorted(range(n_people), key=keys.__getitem__)
             codes, x_cluster = self.codes[clusters], self.xc[clusters]
             x_individual, y = self.xi[people], self.y[people]
             sizes = np.bincount(position[owner], minlength=n_clusters)
-            cids, iids = [cids[c] for c in clusters], [iids[j] for j in people]
+            cids, iids = [cids[c] for c in clusters], _Ids.of([iid_list[j] for j in people])
         pathways, pathway_index = _code_pathway_table(codes)
         return TrialDataset._from_columns(
             schema.design, grid, schema.cluster_covariates, schema.individual_covariates,
             pathways=pathways, pathway_index=pathway_index,
-            cluster_ids=tuple(cids),
+            _cluster_id_column=_Ids.of(cids),
             a1=codes[:, 0], r=codes[:, 1], a2nr=codes[:, 2], a2r=codes[:, 3],
             sizes=sizes, x_cluster=x_cluster,
-            individual_ids=tuple(iids), x_individual=x_individual, y=y,
+            _individual_id_column=iids, x_individual=x_individual, y=y,
         )
 
 
@@ -993,13 +1129,14 @@ def serialize_long_table(ds: TrialDataset, delimiter: str = ",") -> str:
         )
     ]
     times = [repr(t) for t in ds.grid.times]
+    cids = list(ds._cluster_id_column)
     owner = np.repeat(np.arange(ds.n_clusters), ds.sizes).tolist()
 
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(header)
-    for c, iid, xi, ys in zip(owner, ds.individual_ids, ds.x_individual.tolist(), ds.y.tolist()):
-        cid, cells, xi = ds.cluster_ids[c], cluster_cells[c], [repr(v) for v in xi]
+    for c, iid, xi, ys in zip(owner, ds._individual_id_column, ds.x_individual.tolist(), ds.y.tolist()):
+        cid, cells, xi = cids[c], cluster_cells[c], [repr(v) for v in xi]
         writer.writerows([cid, iid, t, repr(v), *cells, *xi] for t, v in zip(times, ys))
     return out.getvalue()
 
@@ -1060,15 +1197,12 @@ def _check(ds: TrialDataset, faults: Sequence[Tuple[tuple, Violation]] = ()) -> 
 
     A key (cluster position, check, individual position, slot) orders the
     violations: duplicate id, pathway, empty cluster, cluster covariates,
-    then each individual's outcomes and covariates.
+    then each individual's duplicate id, outcomes and covariates.  Duplicate
+    ids are among ``faults``: only records can hold them.  Ids are read only
+    to name a violation's cluster or individual.
     """
     faults = list(faults)
-    ids = ds.cluster_ids
-    if len(set(ids)) != len(ids):
-        faults += [
-            ((pos, 0), Violation(ids[pos], "DuplicateCluster", "duplicate cluster id"))
-            for pos in range(1, len(ids)) if ids[pos] == ids[pos - 1]
-        ]
+    ids = ds._cluster_id_column
     messages = [_pathway_violation(p, ds.design.kind) for p in ds.pathways]
     if any(messages):
         faults += [
@@ -1089,7 +1223,7 @@ def _check(ds: TrialDataset, faults: Sequence[Tuple[tuple, Violation]] = ()) -> 
     ):
         faults += [
             ((int(owner[j]), 4, j, slot), Violation(
-                ids[owner[j]], code, f"individual {ds.individual_ids[j]!r} has non-finite {what}",
+                ids[owner[j]], code, f"individual {ds._individual_id_column[j]!r} has non-finite {what}",
             ))
             for j in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
         ]

@@ -68,7 +68,7 @@ import numpy as np
 from scipy.special import expit, ndtr, stdtr
 from scipy.stats import norm, t as student_t
 
-from .data import TrialDataset, _raise_first_violation, validate
+from .data import TrialDataset, _name_tuple, _raise_first_violation, validate
 from .design import DesignKind, EmbeddedCai, consistency_indicator, design_weight, enumerate_cais
 from .errors import (
     InsufficientData,
@@ -76,7 +76,7 @@ from .errors import (
     Separation,
     ZeroVariance,
 )
-from .meanmodel import ContrastVector, MeanModelSpec, ThetaEstimate, _name_tuple, make_saturated_basis
+from .meanmodel import ContrastVector, MeanModelSpec, ThetaEstimate, make_saturated_basis
 from .workingcov import (
     AlphaEstimate,
     BetweenCorr,
@@ -528,7 +528,7 @@ class _Workspace:
                             np.linalg.solve(k, u[i])
                         except np.linalg.LinAlgError:
                             raise RankDeficient(
-                                f"cluster {self.ds.cluster_ids[r.cluster_pos[i]]!r} has leverage "
+                                f"cluster {self.ds._cluster_id_column[r.cluster_pos[i]]!r} has leverage "
                                 f"one under regime {r.cai}; the bias correction is undefined"
                             ) from None
                     raise

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import ClusterRecord, TimeGrid, TrialDataset
+from .data import ClusterRecord, TimeGrid, TrialDataset, _name_tuple
 from .design import DesignKind, EmbeddedCai, SmartDesign, enumerate_cais
 from .errors import NonIntegrableBasis, TimeOutOfRange, UnknownCai
 
@@ -153,14 +153,6 @@ class CustomBasis(TrajectoryBasis):
         coeff[1:-1:2] = 4.0
         coeff[2:-1:2] = 2.0
         return (h / 3.0) * coeff @ values
-
-
-def _name_tuple(names: Sequence[str], argument: str) -> Tuple[str, ...]:
-    """``names`` as a tuple of names; a bare string, which would split into
-    its characters, raises TypeError naming ``argument``."""
-    if isinstance(names, str):
-        raise TypeError(f"{argument} must be a sequence of names, not the string {names!r}")
-    return tuple(names)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import copy
 import csv
 import io
 import itertools
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -12,20 +14,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartlong import (
+    AdjustmentOptions,
     DesignKind,
+    FitOptions,
     MeanModelSpec,
     SmartDesign,
     TableSchema,
     TimeGrid,
     TrialDataset,
+    WeightMode,
     WorkingCovSpec,
+    contrast_auc,
+    contrast_end_of_study,
+    contrast_second_stage_slope,
     data,
+    enumerate_cais,
     fit,
     fit_end_of_study,
     parse_long_table,
     serialize_long_table,
     stack_design_matrix,
     validate,
+    wald_test,
 )
 from smartlong.errors import (
     BadTreatmentCode,
@@ -405,6 +415,17 @@ def parse_outcome(text, schema, stream):
         return type(exc), str(exc)
 
 
+class TestCovariateNames:
+    @pytest.mark.parametrize("name", ["cluster_covariates", "individual_covariates"])
+    def test_bare_string_raises(self, design2, grid012, name):
+        with pytest.raises(TypeError, match=f"{name} must be a sequence of names, not the string 'age'"):
+            TableSchema(design=design2, grid=grid012, **{name: "age"})
+        with pytest.raises(TypeError, match=f"{name} must be a sequence of names, not the string 'ab'"):
+            TrialDataset(design2, grid012, [], **{name: "ab"})
+        assert getattr(TableSchema(design=design2, grid=grid012, **{name: ["age"]}), name) == ("age",)
+        assert getattr(TrialDataset(design2, grid012, [], **{name: ["ab"]}), name) == ("ab",)
+
+
 class TestSplitPath:
     """Chunks split at once into columns read as ``csv.reader`` reads them."""
 
@@ -583,6 +604,27 @@ class TestValidate:
         ]
         assert report.warnings == ()
 
+    def test_duplicate_individual_is_rejected(self, design2, grid012):
+        three = (1.0, 2.0, 3.0)
+        cl = make_cluster("c1", 1, 0, -1, [three, three, (1.0, math.nan, 3.0)])
+        twice = replace(cl, individuals=(cl.individuals[1], cl.individuals[0], replace(cl.individuals[2], individual_id="c1-0")))
+        # the same id in another cluster is no duplicate
+        other = make_cluster("c2", 1, 0, 1, [three])
+        other = replace(other, individuals=(replace(other.individuals[0], individual_id="c1-0"),))
+        ds = make_dataset([other, twice], design2, grid012)
+        # the repeat, the second in sorted order, is reported before its outcomes
+        assert [(v.cluster_id, v.code, v.message) for v in validate(ds).violations] == [
+            ("c1", "DuplicateIndividual", "duplicate individual id 'c1-0'"),
+            ("c1", "MissingCell", "individual 'c1-0' has non-finite outcomes"),
+        ]
+        same = make_dataset([other, replace(cl, individuals=cl.individuals[:1] * 2)], design2, grid012)
+        assert [v.code for v in validate(same).violations] == ["DuplicateIndividual"]
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        with pytest.raises(InconsistentCluster, match="cluster 'c1': duplicate individual id 'c1-0'"):
+            fit(same, spec, WorkingCovSpec())
+        with pytest.raises(InconsistentCluster, match="duplicate time 0.0 for individual 'c1-0' in cluster 'c1'"):
+            parse_long_table(serialize_long_table(same), schema_for(design2, grid012))
+
     def test_uncovered_cai_is_warning_not_violation(self, design2, grid012):
         cl = make_cluster("c1", 1, 0, 1, [(1.0, 2.0, 3.0)])
         report = validate(make_dataset([cl], design2, grid012))
@@ -700,11 +742,12 @@ class TestParseMemory:
         return peak, len(text)
 
     def test_peak_is_a_small_multiple_of_the_text(self):
-        # 4144 rows of 700 small clusters peak near 1.77x the text's length:
-        # 2.15x while every cluster kept its map of individual ids to the
-        # end, 2.57x when every row was a list and each individual a tuple key
+        # 4144 rows of 700 small clusters peak near 1.62x the text's length:
+        # 1.77x with a str object per id, 2.15x while every cluster kept its
+        # map of individual ids to the end, 2.57x when every row was a list
+        # and each individual a tuple key
         peak, size = self.parse_peak(3, 700)
-        assert peak < 2.1 * size
+        assert peak < 1.9 * size
 
     def test_peak_on_a_long_grid(self):
         # the per-individual arrays grow with the individuals, not the rows:
@@ -714,11 +757,12 @@ class TestParseMemory:
 
     def test_peak_with_short_rows_in_large_clusters(self):
         # short rows make many cells per character of text: 9026 rows of 30
-        # clusters of 40-80 on 5 times, without covariates, peak near 1.23x
-        # the text's length (1.43x while every cluster kept its map of
-        # individual ids, 2.64x when every row was a list)
+        # clusters of 40-80 on 5 times, without covariates, peak near 1.07x
+        # the text's length (1.23x with a str object per id, 1.43x while
+        # every cluster kept its map of individual ids, 2.64x when every row
+        # was a list)
         peak, size = self.parse_peak(5, 30, DesignKind.II, tuple(range(40, 81)), ((), ()))
-        assert peak < 1.5 * size
+        assert peak < 1.35 * size
 
 
 ID_COLUMNS = ("cluster_ids", "individual_ids", "pathways")
@@ -786,6 +830,129 @@ class TestRecordRoute:
         assert [ind.y for cl in final.clusters for ind in cl.individuals] == [
             ind.y[-1:] for cl in ds.clusters for ind in cl.individuals
         ]
+
+
+# ids that are prefixes of each other, and of one, two and four bytes a character
+ODD_CLUSTER_IDS = ("c1", "c10", "c100", "c2", "é", "日本", "日", "🙂")
+ODD_PERSON_IDS = ("p", "p1", "p10", "ü", "🙂x", "🙂")
+
+
+def odd_id_dataset(design, grid, rng):
+    """Records with ODD_*_IDS, in shuffled order, and the cluster and
+    individual ids in canonical order."""
+    clusters, people_of = [], {}
+    for k, cid in enumerate(ODD_CLUSTER_IDS):
+        people = people_of[cid] = ODD_PERSON_IDS[: 1 + k % len(ODD_PERSON_IDS)]
+        cl = make_cluster(cid, 1, 0, -1, rng.normal(size=(len(people), grid.n_times)), x_cluster=(k,),
+                          x_indiv=rng.normal(size=(len(people), 1)))
+        people = [replace(ind, individual_id=iid) for ind, iid in zip(cl.individuals, people)]
+        clusters.append(replace(cl, individuals=tuple(people[j] for j in rng.permutation(len(people)))))
+    records = make_dataset([clusters[i] for i in rng.permutation(len(clusters))], design, grid, ("u",), ("v",))
+    cids = tuple(sorted(ODD_CLUSTER_IDS))
+    iids = tuple(iid for cid in cids for iid in sorted(people_of[cid]))
+    return records, cids, iids
+
+
+def datasets_by_route(design, grid):
+    records, _, _ = odd_id_dataset(design, grid, np.random.default_rng(12))
+    parsed = parse_long_table(serialize_long_table(records), schema_for(
+        design, grid, cluster_covariates=("u",), individual_covariates=("v",)))
+    return {"records": records, "parsed": parsed, "final_time": parsed.final_time()}
+
+
+class TestIdColumns:
+    """A dataset holds each id column as one string and offsets; the tuples
+    of ids are made on first use, as the public API has them."""
+
+    def test_ids_round_trip_on_every_route(self, design2, grid012):
+        records, cids, iids = odd_id_dataset(design2, grid012, np.random.default_rng(11))
+        schema = schema_for(design2, grid012, cluster_covariates=("u",), individual_covariates=("v",))
+        text = serialize_long_table(records)
+        parsed = parse_long_table(text, schema)
+        header, *rows = text.splitlines(keepends=True)
+        shuffled = parse_long_table(header + "".join(rows[::-1]), schema)  # the sorting route
+        for ds in (records, parsed, shuffled, records.final_time(), parsed.final_time()):
+            assert ds.cluster_ids == cids and ds.individual_ids == iids
+            assert type(ds.cluster_ids) is tuple and all(type(i) is str for i in ds.individual_ids)
+            assert [cl.cluster_id for cl in ds.clusters] == list(cids)
+            assert [ind.individual_id for cl in ds.clusters for ind in cl.individuals] == list(iids)
+            assert ds.n_clusters == len(cids)
+        assert parsed == records and shuffled == records
+        empty = make_dataset([], design2, grid012)
+        assert empty.cluster_ids == empty.individual_ids == () and empty.n_clusters == 0
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 512])
+    @pytest.mark.parametrize("people,canonical", [
+        ((0, 1, 2, 3, 4), True),  # individual ids start again in each cluster
+        ((0, 1, 2, 4, 3), False),  # c3's individuals in reverse
+        ((2, 0, 1, 3, 4), False),  # c2 before c1
+    ])
+    def test_canonical_order_is_judged_across_chunk_ends(self, design2, grid012, people, canonical, chunk_rows):
+        # in chunks of 3 rows each individual is a chunk of its own, so each
+        # order is judged between a chunk's first id and the last before it
+        schema = char_schema(design2, grid012)
+        records = TrialDataset(design2, grid012, list(parse_long_table(char_table(), schema).clusters), ("u",), ("v",))
+        text = char_table(rows=[CHAR_ROWS[3 * k + t] for k in people for t in range(3)])
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(data._Ids, "of", wraps=data._Ids.of) as of:
+            got = parse_long_table(text, schema)
+        assert_same_columns(got, records)
+        assert got == records
+        # sorting rebuilds the individual ids, which otherwise come joined
+        assert of.call_count == (1 if canonical else 2)
+
+    @pytest.mark.parametrize("route", ["records", "parsed", "final_time"])
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize("copier", [lambda ds: pickle.loads(pickle.dumps(ds)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy(self, design2, grid012, route, read_first, copier):
+        ds = datasets_by_route(design2, grid012)[route]
+        if read_first:
+            ds.cluster_ids, ds.individual_ids
+        got = copier(ds)
+        assert got is not ds
+        assert ("cluster_ids" in vars(got)) is read_first
+        assert_same_columns(got, ds)
+        for name in ("_cluster_id_column", "_individual_id_column"):
+            assert not getattr(got, name).offsets.flags.writeable, name
+        assert got == ds and got.grid == ds.grid
+        assert validate(got) == validate(ds)
+        assert got.final_time() == ds.final_time()
+
+    def test_pipeline_never_builds_id_tuples(self, grid012):
+        design = SmartDesign.balanced(DesignKind.I)
+        records = random_dataset(np.random.default_rng(13), 120, grid012, design, (1, 2, 3), ("u",), ("v",))
+        ds = parse_long_table(serialize_long_table(records), schema_for(
+            design, grid012, cluster_covariates=("u",), individual_covariates=("v",)))
+        spec = MeanModelSpec.piecewise_linear(design, grid012, ("u", "v"))
+        options = FitOptions(
+            adjustments=AdjustmentOptions.all(), weight_mode=WeightMode.ESTIMATED, stage1_covariates=("u",),
+        )
+        result = fit(ds, spec, WorkingCovSpec(), options)
+        fit_end_of_study(ds, ("u", "v"), t_reference=True)
+        for d, e in itertools.combinations(enumerate_cais(design), 2):
+            for build in (contrast_end_of_study, contrast_second_stage_slope, contrast_auc):
+                wald_test(result, build(spec, d, e))
+        assert not {"cluster_ids", "individual_ids", "clusters"} & set(vars(ds))
+
+    def test_parsed_dataset_keeps_ids_compact(self, grid012):
+        # 2000 small clusters keep about 16 bytes an id above their arrays:
+        # 8 of offset and the id's 4-7 characters, where a str object alone
+        # takes 49 bytes and a tuple slot 8
+        design = SmartDesign.balanced(DesignKind.I)
+        records = random_dataset(np.random.default_rng(14), 2000, grid012, design, (1, 2, 3, 4), ("u",), ("v",))
+        text = serialize_long_table(records)
+        schema = schema_for(design, grid012, cluster_covariates=("u",), individual_covariates=("v",))
+        tracemalloc.start()
+        try:
+            ds = parse_long_table(text, schema)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(ds, name).nbytes for name in ARRAY_COLUMNS)
+        n_ids = ds.n_clusters + len(ds.y)
+        assert n_ids > 6000
+        assert kept - arrays < 24 * n_ids
 
 
 class TestTimeGrid:
