@@ -20,11 +20,13 @@ individual and time), or from :class:`ClusterRecord` and
 (``ds.clusters``).  Records can hold what columns cannot, such as an outcome
 vector of the wrong length; the report lists such faults as violations.
 :func:`parse_long_table` reads text a chunk of lines at a time and checks it
-column-wise: a chunk of plain lines is split into columns with one
-``str.split``, one string per cell and nothing per row, and ``csv.reader``
-reads the rest.  Per-individual arrays are reserved from the line count, and
-rows written in canonical order, as :func:`serialize_long_table` writes
-them, fill them in place, so the dataset takes them without a sort or copy.
+column-wise, one mask per row check; the first failing row's error is read
+from the values the chunk converted.  A chunk of plain lines is split into
+columns with one ``str.split``, one string per cell and nothing per row, and
+``csv.reader`` reads the rest.  Per-individual arrays are reserved from the
+line count, and rows written in canonical order, as
+:func:`serialize_long_table` writes them, fill them in place, so the dataset
+takes them without a sort or copy.
 On such rows the parser also keeps a map of individual ids only for the
 clusters a chunk reads: every other cluster's individuals are a run of
 slots, whose ids are read back where the cluster is met again.  A chunk's
@@ -51,7 +53,6 @@ from .errors import (
     BadTreatmentCode,
     InconsistentCluster,
     MissingCell,
-    SmartlongError,
     UnknownTime,
 )
 
@@ -454,46 +455,6 @@ class TableSchema:
 _ABSENT = ("", "NA")
 
 
-def _decode_treatment(raw: str, codes: Mapping[str, int], allowed: Tuple[int, ...], what: str, where: str) -> int:
-    raw = raw.strip()
-    if raw not in codes:
-        raise BadTreatmentCode(f"{where}: unknown {what} code {raw!r}")
-    value = codes[raw]
-    if value not in allowed:
-        raise BadTreatmentCode(f"{where}: {what} code {raw!r} maps outside {allowed}")
-    return value
-
-
-def _decode_optional_treatment(raw: str, codes: Mapping[str, int], what: str, where: str) -> Optional[int]:
-    if raw.strip() in _ABSENT:
-        return None
-    return _decode_treatment(raw, codes, (-1, 1), what, where)
-
-
-def _match_time(value: float, grid: TimeGrid, where: str) -> int:
-    # exact matching against the grid, no interpolation
-    for k, t in enumerate(grid.times):
-        if value == t:
-            return k
-    raise UnknownTime(f"{where}: time {value} is not on the grid {grid.times}")
-
-
-def _parse_covariates(
-    row: Sequence[str], col_index: Mapping[str, int], names: Sequence[str], where: str
-) -> Tuple[float, ...]:
-    values = []
-    for name in names:
-        raw = row[col_index[name]].strip()
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise MissingCell(f"{where}: covariate {name!r} is {raw!r}, not a finite number")
-        values.append(value)
-    return tuple(values)
-
-
 # lines read and checked together: enough to amortize the per-chunk NumPy
 # calls, few enough that a chunk's cells stay small next to the builder's
 # per-individual arrays.  Chunks are bounded by lines, never by characters:
@@ -632,14 +593,14 @@ def _exact(array: np.ndarray, rows: int) -> np.ndarray:
     return array if len(array) == rows else array[:rows].copy()
 
 
-def _first_seen(slots: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _first_seen(slots: np.ndarray, n: int) -> Tuple[np.ndarray, int]:
     """For slots handed out in order of first appearance, ``n`` of them
-    before ``slots``: where a slot is new, and how many slots there are
-    before each entry (and, last, after every entry)."""
-    before = np.empty(len(slots) + 1, dtype=np.intp)
+    before ``slots``: where a slot is new, and how many slots there are after
+    every entry."""
+    before = np.empty(len(slots) + 1, dtype=np.intp)  # slots before each entry
     before[0] = n
     np.maximum.accumulate(np.maximum(slots + 1, n), out=before[1:])
-    return slots >= before[:-1], before
+    return slots >= before[:-1], int(before[-1])
 
 
 def _descents(values: Sequence) -> List[int]:
@@ -754,8 +715,9 @@ class _ColumnBuilder:
     follow the clusters and individuals, not the rows; the per-individual
     arrays start with room for ``people`` individuals, where their number
     can be foreseen.  Rows arrive as lists (:meth:`add_rows`) or as columns
-    (:meth:`add_columns`), and either raises on the earliest failing row
-    with :meth:`_row_error`'s error, the only source of row messages.
+    (:meth:`add_columns`), and either raises on the earliest failing row.
+    Each row check is one vectorized mask over a chunk; the failing row's
+    error is read from the values the chunk converted, with no second parse.
     """
 
     def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int], people: int) -> None:
@@ -763,6 +725,7 @@ class _ColumnBuilder:
         self.n_fields = n_fields
         self.col = col_index
         self.n_times = schema.grid.n_times
+        self.grid_index = {t: k for k, t in enumerate(schema.grid.times)}  # matched exactly
         self.n_clusters = self.n_people = 0
         # a new id takes the next slot as it is looked up
         self.cluster_of: Dict[str, int] = defaultdict(itertools.count().__next__)
@@ -812,27 +775,20 @@ class _ColumnBuilder:
         """Store the rows of ``columns``, the rows on ``lines``, until the
         first failing one, or else ``wrong_length``, the row on the line
         after them, which has the wrong number of fields; and raise its error."""
-        m = len(cids)
-        fault, known = self._add_columns(columns, cids) if m else (0, (self.n_clusters, self.n_people))
-        if fault < m:
-            row = [column[fault] for column in columns]
-        elif wrong_length is not None:
-            row = wrong_length
-        else:
-            return
-        error = self._row_error(lines[fault], row, *known)
-        if error is None:
-            raise RuntimeError(f"line {lines[fault]} was flagged but passes every row check")
-        raise error
+        if cids:
+            self._add_columns(lines, columns, cids)
+        if wrong_length is not None:
+            raise InconsistentCluster(
+                f"line {lines[len(cids)]}: expected {self.n_fields} fields, got {len(wrong_length)}"
+            )
 
-    def _add_columns(self, columns: Sequence[Sequence[str]], cids: List[str]) -> Tuple[int, Tuple[int, int]]:
-        """Convert and check rows that have the right number of fields, given
-        their stripped cluster ids.
+    def _add_columns(self, lines: Sequence[int], columns: Sequence[Sequence[str]], cids: List[str]) -> None:
+        """Convert, check and store rows that have the right number of fields,
+        given their stripped cluster ids and their line numbers.
 
-        Returns the position of the first row failing a check (``len(cids)``
-        if none) and the numbers of clusters and individuals introduced before
-        it.  Outcomes are stored up to that row, first-row references for
-        every cluster and individual the rows introduce.
+        Outcomes are stored up to the first row failing a check, first-row
+        references for every cluster and individual the rows introduce; then
+        that row's error is raised, read from the values converted here.
         """
         schema, col, grid = self.schema, self.col, self.schema.grid
         m = len(cids)
@@ -843,14 +799,9 @@ class _ColumnBuilder:
         times = {}
         for raw in set(columns[col["time"]]):
             try:
-                t = float(raw)
+                times[raw] = self.grid_index.get(float(raw), _OFF_GRID_TIME)
             except ValueError:
                 times[raw] = _NON_NUMERIC_TIME
-                continue
-            try:
-                times[raw] = _match_time(t, grid, "")
-            except UnknownTime:
-                times[raw] = _OFF_GRID_TIME
         k = np.fromiter(map(times.__getitem__, columns[col["time"]]), np.intp, m)
         codes = np.zeros((m, 4), dtype=np.int8)  # a2r stays absent outside design I
         for j, name in enumerate(Pathway._fields):
@@ -862,13 +813,13 @@ class _ColumnBuilder:
         # each row's cluster and individual slot
         c_slots = list(map(self.cluster_of.__getitem__, cids))
         c = np.array(c_slots, dtype=np.intp)
-        new_c, clusters_before = _first_seen(c, self.n_clusters)
-        self.n_clusters = int(clusters_before[-1])
+        new_c, n_clusters = _first_seen(c, self.n_clusters)
         self.cluster_ids.extend(itertools.compress(cids, new_c))
-        self.people_of.open(int(clusters_before[0]), self.n_clusters)
+        self.people_of.open(self.n_clusters, n_clusters)
+        self.n_clusters = n_clusters
         p = np.fromiter(map(operator.getitem, map(self.people_of.__getitem__, c_slots), iids), np.intp, m)
-        new_p, people_before = _first_seen(p, self.n_people)
-        self.n_people = int(people_before[-1])
+        new_p, n_people = _first_seen(p, self.n_people)
+        start, self.n_people = self.n_people, n_people
         for name in ("codes", "xc"):
             setattr(self, name, _grown(getattr(self, name), self.n_clusters))
         for name in ("owner", "xi", "y", "filled"):
@@ -877,7 +828,7 @@ class _ColumnBuilder:
         self.xc[c[new_c]] = xc[new_c]
         self.owner[p[new_p]] = c[new_p]
         self.xi[p[new_p]] = xi[new_p]
-        self.people_of.settle(self.owner, int(people_before[0]), self.n_people, self.n_clusters, c_slots[-1])
+        self.people_of.settle(self.owner, start, self.n_people, self.n_clusters, c_slots[-1])
         self._add_individual_ids(list(itertools.compress(iids, new_p)))
 
         # the key of an off-grid row is unique, so it never counts as a duplicate
@@ -886,7 +837,7 @@ class _ColumnBuilder:
         order = np.argsort(key, kind="stable")
         repeated = np.zeros(m, dtype=bool)
         repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
-        k_safe = np.where(on_grid, k, 0)
+        duplicate = on_grid & (self.filled[p, np.where(on_grid, k, 0)] | repeated)
 
         # an absent outcome, "" or "NA", is unreadable
         failed = (
@@ -894,13 +845,41 @@ class _ColumnBuilder:
             | (codes == _BAD_CODE).any(axis=1)
             | ~np.isfinite(xc).all(axis=1) | ~np.isfinite(xi).all(axis=1)
             | (self.codes[c] != codes).any(axis=1) | (self.xc[c] != xc).any(axis=1)
-            | (on_grid & (self.filled[p, k_safe] | repeated))
+            | duplicate
             | (self.xi[p] != xi).any(axis=1)
         )
         fault = int(np.argmax(failed)) if failed.any() else m
         self.y[p[:fault], k[:fault]] = y[:fault]
         self.filled[p[:fault], k[:fault]] = True
-        return fault, (int(clusters_before[fault]), int(people_before[fault]))
+        if fault == m:
+            return
+
+        # the failing row's first failing check, in the order of failed
+        where, cid, iid = f"line {lines[fault]}", cids[fault], iids[fault]
+        if raw_y[fault] in _ABSENT:
+            raise MissingCell(f"{where}: missing outcome for cluster {cid!r}")
+        if y_unreadable[fault] or k[fault] == _NON_NUMERIC_TIME:
+            raise MissingCell(f"{where}: non-numeric outcome or time")
+        if not math.isfinite(y[fault]):
+            raise MissingCell(f"{where}: outcome is {raw_y[fault]!r}, not a finite number")
+        t = float(columns[col["time"]][fault])
+        if k[fault] == _OFF_GRID_TIME:
+            raise UnknownTime(f"{where}: time {t} is not on the grid {grid.times}")
+        for name, code in zip(Pathway._fields, codes[fault].tolist()):
+            if code == _BAD_CODE:
+                self._decode(name, columns[col[name]][fault], where)  # raises BadTreatmentCode
+        covariates = (*schema.cluster_covariates, *schema.individual_covariates)
+        for name, value in zip(covariates, [*xc[fault].tolist(), *xi[fault].tolist()]):
+            if not math.isfinite(value):
+                raw = columns[col[name]][fault].strip()
+                raise MissingCell(f"{where}: covariate {name!r} is {raw!r}, not a finite number")
+        if (self.codes[c[fault]] != codes[fault]).any():
+            raise InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on treatment/response")
+        if (self.xc[c[fault]] != xc[fault]).any():
+            raise InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on cluster covariates")
+        if duplicate[fault]:
+            raise InconsistentCluster(f"{where}: duplicate time {t} for individual {iid!r} in cluster {cid!r}")
+        raise InconsistentCluster(f"{where}: individual {iid!r} rows disagree on covariates")
 
     def _add_individual_ids(self, iids: List[str]) -> None:
         """Append the ids of a chunk's new individuals, whose owners are
@@ -916,63 +895,18 @@ class _ColumnBuilder:
         ids.extend(iids)
 
     def _decode(self, name: str, raw: str, where: str) -> Optional[int]:
-        """The pathway entry ``name`` coded in ``raw``; raises BadTreatmentCode."""
-        schema = self.schema
-        if name == "a1":
-            return _decode_treatment(raw, schema.a1_codes, (-1, 1), name, where)
-        if name == "r":
-            return _decode_treatment(raw, schema.r_codes, (0, 1), name, where)
-        return _decode_optional_treatment(raw, schema.a2_codes, name, where)
-
-    def _row_error(
-        self, line: int, row: Sequence[str], clusters_before: int, people_before: int
-    ) -> Optional[SmartlongError]:
-        """The error of the first check ``row`` fails, given the rows before it,
-        which introduced the clusters and individuals of the slots below
-        ``clusters_before`` and ``people_before``."""
-        if len(row) != self.n_fields:
-            return InconsistentCluster(f"line {line}: expected {self.n_fields} fields, got {len(row)}")
-        schema, col = self.schema, self.col
-        where = f"line {line}"
-        cid = row[col["cluster_id"]].strip()
-        iid = row[col["individual_id"]].strip()
-        raw_y = row[col["y"]].strip()
-        try:
-            if raw_y in _ABSENT:
-                raise MissingCell(f"{where}: missing outcome for cluster {cid!r}")
-            try:
-                y = float(raw_y)
-                t = float(row[col["time"]])
-            except ValueError as exc:
-                raise MissingCell(f"{where}: non-numeric outcome or time") from exc
-            if not math.isfinite(y):
-                raise MissingCell(f"{where}: outcome is {raw_y!r}, not a finite number")
-            k = _match_time(t, schema.grid, where)
-            pathway = [
-                self._decode(name, row[col[name]], where) if name in col else None for name in Pathway._fields
-            ]
-            xc = _parse_covariates(row, col, schema.cluster_covariates, where)
-            xi = _parse_covariates(row, col, schema.individual_covariates, where)
-        except SmartlongError as exc:
-            return exc
-
-        # .get, unlike [], hands out no slot
-        c = self.cluster_of.get(cid, clusters_before)
-        if c < clusters_before:
-            if self.codes[c].tolist() != list(map(_code, pathway)):
-                return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on treatment/response")
-            if tuple(self.xc[c].tolist()) != xc:
-                return InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on cluster covariates")
-        # an individual met before belongs to a cluster met before
-        p = self.people_of[c].get(iid, people_before) if c < clusters_before else people_before
-        if p < people_before:
-            if self.filled[p, k]:
-                return InconsistentCluster(
-                    f"{where}: duplicate time {t} for individual {iid!r} in cluster {cid!r}"
-                )
-            if tuple(self.xi[p].tolist()) != xi:
-                return InconsistentCluster(f"{where}: individual {iid!r} rows disagree on covariates")
-        return None
+        """The pathway entry ``name`` coded in ``raw``, None for an absent
+        second-stage entry; raises BadTreatmentCode."""
+        schema, raw = self.schema, raw.strip()
+        if name in ("a2nr", "a2r") and raw in _ABSENT:
+            return None
+        codes = {"a1": schema.a1_codes, "r": schema.r_codes}.get(name, schema.a2_codes)
+        allowed = (0, 1) if name == "r" else (-1, 1)
+        if raw not in codes:
+            raise BadTreatmentCode(f"{where}: unknown {name} code {raw!r}")
+        if codes[raw] not in allowed:
+            raise BadTreatmentCode(f"{where}: {name} code {raw!r} maps outside {allowed}")
+        return codes[raw]
 
     def dataset(self) -> TrialDataset:
         """The canonical-order dataset, once every row has been added.
@@ -982,6 +916,7 @@ class _ColumnBuilder:
         the dataset takes the builder's arrays and ids as they are; otherwise
         they are sorted into place.
         """
+        owners_in_order = self.people_of.in_order
         del self.cluster_of, self.people_of  # no id is looked up after the last row
         schema, grid = self.schema, self.schema.grid
         n_clusters, n_people = self.n_clusters, self.n_people
@@ -994,7 +929,7 @@ class _ColumnBuilder:
             j = min(incomplete, key=lambda j: (cids[owner[j]], iids[j]))
             missing = [grid.times[k] for k in np.flatnonzero(~self.filled[j]).tolist()]
             raise MissingCell(f"cluster {cids[owner[j]]!r} individual {iids[j]!r}: missing outcomes at times {missing}")
-        if self.people_in_order and not _descents(cids) and (owner[1:] >= owner[:-1]).all():
+        if owners_in_order and self.people_in_order and not _descents(cids):
             codes, x_cluster = _exact(self.codes, n_clusters), _exact(self.xc, n_clusters)
             x_individual, y = _exact(self.xi, n_people), _exact(self.y, n_people)
             sizes = np.bincount(owner, minlength=n_clusters)
@@ -1036,12 +971,22 @@ def _add_rows(builder: _ColumnBuilder, line: int, reader: Iterator[List[str]]) -
         line += len(rows)
 
 
+def _header_index(header: List[str], name: str, what: str) -> int:
+    """The position of the column ``name`` in ``header``; raises
+    MissingCell, naming the column as ``what``, unless it is there once."""
+    if name not in header:
+        raise MissingCell(f"{what} missing from header")
+    if header.count(name) > 1:
+        raise MissingCell(f"{what} appears more than once in the header")
+    return header.index(name)
+
+
 def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
     """Parse a delimited long-format table into a :class:`TrialDataset`.
 
-    Comma and tab delimiters are accepted; a header row is required.  Rows
-    belonging to one cluster must agree on treatment, response, and
-    cluster-level covariates.  Every individual must contribute exactly one
+    Comma and tab delimiters are accepted; a header row is required, and
+    must name each column the schema reads once.  Rows belonging to one
+    cluster must agree on treatment, response, and cluster-level covariates.  Every individual must contribute exactly one
     complete outcome per grid time.  The earliest failing row raises; after
     all rows, missing outcomes and then the first validation violation do.
 
@@ -1078,13 +1023,9 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
     col_index: dict[str, int] = {}
     for logical in needed:
         name = cols.get(logical, logical)
-        if name not in header:
-            raise MissingCell(f"column {name!r} (for {logical!r}) missing from header")
-        col_index[logical] = header.index(name)
+        col_index[logical] = _header_index(header, name, f"column {name!r} (for {logical!r})")
     for cov in (*schema.cluster_covariates, *schema.individual_covariates):
-        if cov not in header:
-            raise MissingCell(f"covariate column {cov!r} missing from header")
-        col_index[cov] = header.index(cov)
+        col_index[cov] = _header_index(header, cov, f"covariate column {cov!r}")
 
     builder = _ColumnBuilder(schema, len(header), col_index, people)
     line = 2

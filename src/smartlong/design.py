@@ -10,6 +10,7 @@ second randomization:
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Tuple
@@ -31,10 +32,10 @@ class DesignKind(Enum):
     IV = "IV"
 
 
-def _check_sign(value: int, name: str) -> int:
-    if value not in (-1, 1):
+def _check_sign(value: int, name: str) -> None:
+    # an integer of any kind, NumPy's too, but not a bool or a float
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (-1, 1):
         raise ValueError(f"{name} must be -1 or +1, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ class SmartlongError(Exception):
 # --- data ingestion ---
 
 class MissingCell(SmartlongError):
-    """A required column, outcome or covariate value is absent, non-numeric or non-finite."""
+    """A required column is absent or ambiguous, or an outcome or covariate
+    value is absent, non-numeric or non-finite."""
 
 
 class InconsistentCluster(SmartlongError):

@@ -94,9 +94,10 @@ class TestParse:
         with pytest.raises(MissingCell):
             parse_long_table(bad, schema_for(design2, grid012))
 
-    def test_unknown_time(self, design2, grid012):
-        bad = MINIMAL.replace("c1,p1,1,1.5", "c1,p1,0.5,1.5")
-        with pytest.raises(UnknownTime):
+    @pytest.mark.parametrize("value", ["0.5", "nan", "inf"])
+    def test_unknown_time(self, design2, grid012, value):
+        bad = MINIMAL.replace("c1,p1,1,1.5", f"c1,p1,{value},1.5")
+        with pytest.raises(UnknownTime, match=fr"^line 3: time {value} is not on the grid \(0.0, 1.0, 2.0\)$"):
             parse_long_table(bad, schema_for(design2, grid012))
 
     def test_bad_treatment_code(self, design2, grid012):
@@ -162,6 +163,24 @@ class TestParse:
         ds2 = parse_long_table(text, schema_for(design2, grid))
         assert ds2.n_clusters == 94
         assert all(len(ind.y) == 45 for cl in ds2.clusters for ind in cl.individuals)
+
+    def test_time_cells_are_read_as_numbers(self, design2, grid012):
+        schema = schema_for(design2, grid012)
+        text = MINIMAL.replace("c1,p1,0,", "c1,p1,-0,").replace("c1,p1,1,", "c1,p1, 1e0 ,")
+        text = text.replace("c1,p2,1,", "c1,p2,+1.0,")
+        assert parse_long_table(text, schema) == parse_long_table(MINIMAL, schema)
+
+    def test_column_named_twice_in_header(self, design2, grid012):
+        twice = MINIMAL.replace("a2nr\n", "a2nr,y\n").replace("-1\n", "-1,9.0\n")
+        with pytest.raises(MissingCell, match=r"^column 'y' \(for 'y'\) appears more than once in the header$"):
+            parse_long_table(twice, schema_for(design2, grid012))
+        twice = MINIMAL.replace("a2nr\n", "a2nr,u,u\n").replace("-1\n", "-1,0.5,0.5\n")
+        with pytest.raises(MissingCell, match="^covariate column 'u' appears more than once in the header$"):
+            parse_long_table(twice, schema_for(design2, grid012, individual_covariates=("u",)))
+        # a column the schema does not read may repeat
+        assert parse_long_table(twice, schema_for(design2, grid012)) == parse_long_table(
+            MINIMAL, schema_for(design2, grid012)
+        )
 
 
 # A design-II table with a cluster covariate u and an individual covariate v:
@@ -279,6 +298,25 @@ class TestParseCharacterization:
                 continue  # both rewrite the same field
             first = min((a, b), key=lambda name: MUTATIONS[name][0])
             assert raised(char_table([(12, a), (12, b)]), schema) == expected_error(first, 12), (a, b)
+
+    def test_design1_a2r_code(self, grid012):
+        # design I: the responder cluster c2 carries a2r, the others a2nr
+        design1 = SmartDesign.balanced(DesignKind.I)
+        schema = schema_for(design1, grid012, cluster_covariates=("u",), individual_covariates=("v",))
+        rows = [row[:7] + ["1" if row[5] == "1" else "NA"] + row[7:] for row in CHAR_ROWS]
+        header = CHAR_HEADER.replace("a2nr", "a2nr,a2r")
+        assert parse_long_table(char_table(rows=rows, header=header), schema).n_clusters == 3
+
+        def faulty(**cells):
+            mutated = [list(row) for row in rows]
+            for name, value in cells.items():
+                mutated[9 - 2][header.split(",").index(name)] = value
+            return char_table(rows=mutated, header=header)
+
+        a2r_fault = (BadTreatmentCode, "line 9: unknown a2r code '7'")
+        assert raised(faulty(a2r="7"), schema) == a2r_fault
+        assert raised(faulty(a2r="7", u="inf"), schema) == a2r_fault
+        assert raised(faulty(a2r="7", a2nr="7"), schema) == (BadTreatmentCode, "line 9: unknown a2nr code '7'")
 
     def test_far_apart_lines_of_a_long_shuffled_table(self, design2, grid012):
         # references (a cluster's or individual's first row) lie hundreds of

@@ -162,6 +162,20 @@ class TestWeights:
         assert abs(masses.mean() - len(cais)) < 3 * se + 1e-12
 
 
+class TestEmbeddedCai:
+    @pytest.mark.parametrize("sign", [1.0, True])
+    def test_rejects_signs_that_are_not_integers(self, sign):
+        with pytest.raises(ValueError, match="a1 must be -1 or \\+1"):
+            EmbeddedCai(sign)
+        with pytest.raises(ValueError, match="a2nr must be -1 or \\+1"):
+            EmbeddedCai(1, None, sign)
+
+    def test_numpy_integers_are_signs(self):
+        cai = EmbeddedCai(np.int64(1), None, np.int64(-1))
+        assert cai == EmbeddedCai(1, None, -1)
+        assert str(cai) == "(+1,-1)"
+
+
 class TestSmartDesignValidation:
     def test_rejects_degenerate_probability(self):
         with pytest.raises(ValueError):
