@@ -38,7 +38,6 @@ from .workingcov import (
     AlphaEstimate,
     BetweenCorr,
     CorrCai,
-    ResidualGroup,
     ResidualGrams,
     VarianceCai,
     VarianceTime,

@@ -83,6 +83,8 @@ class TimeGrid:
         object.__setattr__(self, "times", times)
         if not times:
             raise ValueError("grid needs at least one measurement time")
+        if not all(map(math.isfinite, times + (self.knot,))):
+            raise ValueError(f"measurement times and knot must be finite, got {times} and knot {self.knot}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("measurement times must be strictly increasing")
         if not (times[0] <= self.knot < times[-1] or times == (self.knot,)):

@@ -614,7 +614,8 @@ def fit(
 ) -> FitResult:
     """Alternate theta solves with working-covariance estimation to a root.
 
-    The iteration starts from an identity working covariance, stops when the
+    ``mean_spec`` must be built for ``ds``'s design kind and time grid.  The
+    iteration starts from an identity working covariance, stops when the
     sup-norm change in theta falls below ``options.tolerance``, and returns
     the last iterate with ``converged=False`` after ``max_iter`` sweeps.
     Either way the returned theta is the exact root under the working
@@ -633,6 +634,11 @@ def fit(
     is assembled once, from the final theta.
     """
     _require_valid(ds)
+    if mean_spec.grid != ds.grid or mean_spec.design.kind is not ds.design.kind:
+        raise ValueError(
+            f"mean model is built for design {mean_spec.design.kind.value} on {mean_spec.grid}, "
+            f"the data are design {ds.design.kind.value} on {ds.grid}"
+        )
     if options.adjustments.t_reference and ds.n_clusters <= mean_spec.n_params:
         raise InsufficientData(
             f"t reference needs more clusters than parameters: N = {ds.n_clusters}, p = {mean_spec.n_params}"

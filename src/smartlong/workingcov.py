@@ -5,12 +5,11 @@ is diagonal (marginal variances, replicated across individuals) and ``P`` is
 a correlation matrix with within-person blocks ``W`` on the diagonal and a
 common between-person block ``B`` elsewhere.  Every supported structure is
 therefore block exchangeable, V = I_n (x) A' + J_n (x) B' with
-A' = S^1/2 (W - B) S^1/2 and B' = S^1/2 B S^1/2: :func:`cluster_blocks`
-returns its (T+1) x (T+1) blocks and :func:`block_stack` holds the single
-positive-definiteness rule, judged on spec(A') and spec(A' + n B'), which
-together are V's spectrum, for every regime and cluster size in one call.
-The estimator inverts V in closed form from those blocks; :func:`build_V`
-assembles the dense matrix as a reference.
+A' = S^1/2 (W - B) S^1/2 and B' = S^1/2 B S^1/2.  The estimator inverts V in
+closed form from those blocks, which :func:`block_stack` forms for every
+regime and cluster size in one call, judging positive definiteness on
+spec(A') and spec(A' + n B'), together V's spectrum.  :func:`build_V`, a
+reference apart from that path, assembles one cluster's dense V.
 
 An :class:`AlphaEstimate` holds the parameters as arrays with one row per
 regime, in :func:`~smartlong.design.enumerate_cais` order: the variances
@@ -48,12 +47,10 @@ __all__ = [
     "CorrCai",
     "WorkingCovSpec",
     "AlphaEstimate",
-    "ResidualGroup",
     "ResidualGrams",
     "estimate_alpha",
     "build_V",
     "block_stack",
-    "cluster_blocks",
 ]
 
 _CLIP = 1.0 - 1e-8
@@ -152,32 +149,6 @@ class AlphaEstimate:
 
 
 @dataclass(frozen=True)
-class ResidualGroup:
-    """Residuals of the clusters consistent with one regime, one row per
-    individual: cluster ``i`` owns the next ``sizes[i]`` rows of ``eps``."""
-
-    cai: EmbeddedCai
-    weights: np.ndarray  # (m,)
-    sizes: np.ndarray    # (m,)
-    eps: np.ndarray      # (rows, T+1)
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        n = np.asarray(self.sizes, dtype=np.intp)
-        e = np.asarray(self.eps, dtype=float)
-        if (
-            e.ndim != 2 or w.ndim != 1 or n.shape != w.shape or w.size == 0
-            or n.min() < 1 or n.sum() != e.shape[0]
-        ):
-            raise ValueError(
-                "eps must be (rows, T+1), with weights (m,) and positive sizes (m,) summing to rows"
-            )
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "sizes", n)
-        object.__setattr__(self, "eps", e)
-
-
-@dataclass(frozen=True)
 class ResidualGrams:
     """Weighted second moments of residuals, one row per regime of ``cais``.
 
@@ -195,44 +166,20 @@ class ResidualGrams:
     pairs: np.ndarray
     scale: np.ndarray
 
-    @classmethod
-    def from_groups(cls, groups: Sequence[ResidualGroup], cais: Sequence[EmbeddedCai]) -> "ResidualGrams":
-        """The Grams of row-level residuals.  Residuals carry no outcome to
-        judge them against, so ``scale`` is zero: only an exact zero variance
-        is degenerate."""
-        if not groups:
-            raise InsufficientData("no residuals to estimate from")
-        n_times = groups[0].eps.shape[1]
-        index = {d: k for k, d in enumerate(cais)}
-        rows = np.zeros((len(cais), n_times, n_times))
-        clusters = np.zeros_like(rows)
-        people = np.zeros(len(cais))
-        pairs = np.zeros(len(cais))
-        for g in groups:
-            if g.cai not in index:
-                raise InsufficientData(f"residuals present for unexpected regime {g.cai}")
-            k = index[g.cai]
-            col = np.add.reduceat(g.eps, np.cumsum(g.sizes) - g.sizes)
-            rows[k] += (np.repeat(g.weights, g.sizes)[:, None] * g.eps).T @ g.eps
-            clusters[k] += (g.weights[:, None] * col).T @ col
-            people[k] += g.weights @ g.sizes
-            pairs[k] += g.weights @ (g.sizes * (g.sizes - 1.0))
-        return cls(rows, clusters, people, pairs, np.zeros((len(cais), n_times)))
-
 
 def estimate_alpha(
-    residuals: Union[Sequence[ResidualGroup], ResidualGrams],
+    grams: ResidualGrams,
     spec: WorkingCovSpec,
     cais: Sequence[EmbeddedCai],
 ) -> AlphaEstimate:
     """Weighted moment estimates of all parameters the spec demands.
 
-    Every moment is read from the residuals' weighted Grams (see
-    :class:`ResidualGrams`; built here when given ``ResidualGroup`` rows),
-    per regime or summed over the regimes the spec pools, so the estimate
-    costs O(regimes x (T+1)^2) however many residuals there are.  sigma^2 is
-    the row Gram's diagonal over w n.  With Z_r and Z_c the row and
-    cluster-sum Grams standardized by the per-regime, per-time variances:
+    Every moment is read from the residuals' weighted Grams ``grams`` (see
+    :class:`ResidualGrams`), per regime or summed over the regimes the spec
+    pools, so the estimate costs O(regimes x (T+1)^2) however many residuals
+    there are.  sigma^2 is the row Gram's diagonal over w n.  With Z_r and
+    Z_c the row and cluster-sum Grams standardized by the per-regime,
+    per-time variances:
     AR(1) reads the superdiagonal of Z_r, exchangeable within the sum of Z_r
     less its trace, unstructured within the upper triangle of Z_r,
     exchangeable between the sum of Z_c - Z_r and unstructured between the
@@ -246,29 +193,28 @@ def estimate_alpha(
     the spec does not pool, or pools only from variances at their floor)
     beside one that is not.
     """
-    g = residuals if isinstance(residuals, ResidualGrams) else ResidualGrams.from_groups(residuals, cais)
-    R, n_times = len(cais), g.rows.shape[-1]
+    R, n_times = len(cais), grams.rows.shape[-1]
     T = n_times - 1
-    if g.rows.shape[0] != R:
-        raise ValueError(f"residual moments of {g.rows.shape[0]} regimes for {R} regimes")
-    for d, den in zip(cais, g.people):
+    if grams.rows.shape[0] != R:
+        raise ValueError(f"residual moments of {grams.rows.shape[0]} regimes for {R} regimes")
+    for d, den in zip(cais, grams.people):
         if den == 0.0:
             raise InsufficientData(f"no residuals inform variance cells for regime {d}")
     # a variance within rounding error of its cell's mean square is no
     # variance: it cannot standardize a residual, and it is raised to that
     # floor, which also discards the sign of a Gram difference that cancels
-    s2_num = np.diagonal(g.rows, axis1=1, axis2=2)
-    floor = (_ROUNDING_ULPS * np.finfo(float).eps) ** 2 * g.scale * g.people[:, None]
+    s2_num = np.diagonal(grams.rows, axis1=1, axis2=2)
+    floor = (_ROUNDING_ULPS * np.finfo(float).eps) ** 2 * grams.scale * grams.people[:, None]
     degenerate = s2_num <= floor
     s2_num = np.maximum(s2_num, floor)
     # correlation estimators standardize by these, whatever the variance pooling
-    s2_std = s2_num / g.people[:, None]
+    s2_std = s2_num / grams.people[:, None]
 
     # marginal variances at the requested pooling level
     if spec.variance_cai is VarianceCai.HETEROGENEOUS:
         sigma2 = s2_std
     else:
-        sigma2 = np.repeat(s2_num.sum(axis=0, keepdims=True) / g.people.sum(), R, axis=0)
+        sigma2 = np.repeat(s2_num.sum(axis=0, keepdims=True) / grams.people.sum(), R, axis=0)
     if spec.variance_time is VarianceTime.HOMOSCEDASTIC:
         sigma2 = np.repeat(sigma2.mean(axis=1, keepdims=True), n_times, axis=1)
 
@@ -300,9 +246,9 @@ def estimate_alpha(
 
     s = np.sqrt(s2_std)
     scale = s[:, :, None] * s[:, None, :]
-    z_rows = g.rows / scale
-    z_pairs = g.clusters / scale - z_rows  # products of two different people only
-    people, pairs = g.people, g.pairs
+    z_rows = grams.rows / scale
+    z_pairs = grams.clusters / scale - z_rows  # products of two different people only
+    people, pairs = grams.people, grams.pairs
     het_corr = spec.corr_cai is CorrCai.HETEROGENEOUS
     if not het_corr:
         z_rows, z_pairs = z_rows.sum(axis=0, keepdims=True), z_pairs.sum(axis=0, keepdims=True)
@@ -397,21 +343,6 @@ def block_stack(
     return W, B, stack
 
 
-def cluster_blocks(
-    alpha: AlphaEstimate,
-    d: EmbeddedCai,
-    sizes: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Blocks W' and B' of the V of a cluster of each size in ``sizes``
-    under ``d``, judged by :func:`block_stack`'s positive-definiteness rule
-    in one eigenvalue call, O(distinct sizes x (T+1)^3)."""
-    n = np.unique(np.asarray(sizes, dtype=int))
-    if n.size == 0 or n[0] < 1:
-        raise ValueError("cluster sizes must be positive")
-    W, B, _ = block_stack(alpha, [alpha.cais.index(d)], n[None])
-    return W[0], B[0]
-
-
 def build_V(
     spec: WorkingCovSpec,
     alpha: AlphaEstimate,
@@ -421,14 +352,29 @@ def build_V(
 ) -> np.ndarray:
     """Dense working covariance for one cluster of ``n`` individuals under ``d``.
 
-    The estimator never forms it (see :func:`cluster_blocks`); it is the
-    reference the closed-form inverse is tested against.  ``alpha`` already
-    holds the structure ``spec`` asked for; ``grid`` (a :class:`TimeGrid`, or
-    a bare count of measurement times) must match its number of times.
+    A reference the estimator never forms, sharing no code with it: entry
+    (i, l), (j, m) is s_l s_m W_lm for i = j and s_l s_m B_lm otherwise, s the
+    square roots of ``d``'s variances, and V's own eigenvalues are judged by
+    :func:`block_stack`'s rule.  ``spec`` is not read (``alpha`` holds the
+    structure it asked for); ``grid`` (a :class:`TimeGrid`, or a bare count of
+    measurement times) must match the estimate's number of times.
     """
     n_times = grid if isinstance(grid, int) else grid.n_times
     if n_times != alpha.n_times:
         raise ValueError(f"grid has {n_times} times, the estimate {alpha.n_times}")
-    W, B = cluster_blocks(alpha, d, (n,))
-    eye = np.eye(n)
-    return np.kron(eye, W) + np.kron(np.ones((n, n)) - eye, B)
+    if n < 1:
+        raise ValueError(f"cluster size must be positive, got {n}")
+    k = alpha.cais.index(d)
+    s = np.sqrt(alpha.sigma2[k])
+    scale = s[:, None] * s[None, :]
+    # indexed (i, l, j, m): person i at time l against person j at time m
+    same_person = np.eye(n, dtype=bool)[:, None, :, None]
+    V = np.where(same_person, (scale * alpha.within[k])[:, None, :], (scale * alpha.between[k])[:, None, :])
+    V = V.reshape(n * n_times, n * n_times)
+    eig = np.linalg.eigvalsh(V)
+    if eig[0] <= 1e-10 * max(eig[-1], 0.0):
+        raise NotPositiveDefinite(
+            f"working covariance for regime {d}, cluster size {n} is not "
+            f"positive definite (eigenvalue range [{eig[0]:.3e}, {eig[-1]:.3e}])"
+        )
+    return V

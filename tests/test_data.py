@@ -998,6 +998,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(times=(0.0, 0.0, 1.0), knot=0.0)
 
+    @pytest.mark.parametrize(
+        "times,knot", [((0.0, math.nan, 2.0), 0.5), ((0.0, 1.0, math.inf), 0.5), ((math.nan,), math.nan)]
+    )
+    def test_rejects_nonfinite(self, times, knot):
+        # NaN fails every ordering test, so only a finiteness check catches it
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeGrid(times=times, knot=knot)
+
     def test_rejects_knot_outside(self):
         with pytest.raises(ValueError):
             TimeGrid(times=(0.0, 1.0), knot=1.0)  # knot must precede the last time

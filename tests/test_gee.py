@@ -18,7 +18,6 @@ from smartlong import (
     EmbeddedCai,
     FitOptions,
     MeanModelSpec,
-    ResidualGroup,
     SmartDesign,
     ThetaEstimate,
     TimeGrid,
@@ -50,11 +49,12 @@ from smartlong.errors import (
     ZeroVariance,
 )
 from smartlong.gee import _assemble, _Workspace
-from smartlong.workingcov import cluster_blocks
+from smartlong.workingcov import block_stack
 
 from conftest import (
     make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
 )
+from oracles import row_grams, unchecked_V
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
@@ -264,6 +264,19 @@ class TestFit:
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
         with pytest.raises(InsufficientData):
             fit(ds, spec, IID)
+
+    @pytest.mark.parametrize("other", ["stretched-grid", "four-time-grid", "design-III"])
+    def test_mean_model_for_another_grid_or_design_rejected(self, design2, grid012, other):
+        # unchecked, each would fit with wrong slopes or fail inside NumPy
+        rng = np.random.default_rng(21)
+        ds = random_design2_dataset(rng, 30, grid012, design2)
+        design, grid = {
+            "stretched-grid": (design2, TimeGrid((0.0, 2.0, 4.0), knot=2.0)),
+            "four-time-grid": (design2, TimeGrid((0.0, 1.0, 2.0, 3.0), knot=1.0)),
+            "design-III": (SmartDesign.balanced(DesignKind.III), grid012),
+        }[other]
+        with pytest.raises(ValueError, match="mean model is built for design"):
+            fit(ds, MeanModelSpec.piecewise_linear(design, grid), IID)
 
     def test_nonfinite_covariate_rejected_before_solving(self, design2, grid012):
         rng = np.random.default_rng(20)
@@ -945,18 +958,6 @@ def random_alpha(rng, spec, cais, n_times, rho_b=None):
     return AlphaEstimate(tuple(cais), sigma2, [W for W, _ in rows], [B for _, B in rows])
 
 
-def unchecked_V(alpha, d, n):
-    """A cluster's V assembled entry by entry, with no definiteness check."""
-    k = alpha.cais.index(d)
-    n_times = alpha.n_times
-    s = np.sqrt(alpha.sigma2[k])
-    V = np.empty((n * n_times, n * n_times))
-    for i, j, l, m in itertools.product(range(n), range(n), range(n_times), range(n_times)):
-        corr = alpha.within[k, l, m] if i == j else alpha.between[k, l, m]
-        V[i * n_times + l, j * n_times + m] = s[l] * s[m] * corr
-    return V
-
-
 STRUCTURES = list(itertools.product(WithinCorr, BetweenCorr, CorrCai))
 
 
@@ -996,13 +997,16 @@ class TestClosedFormInverse:
             alpha = random_alpha(rng, spec, ws.cais, n_times, rho_b)
             dense = {}
             for key in {(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}:
-                eig = np.linalg.eigvalsh(unchecked_V(alpha, *key))
+                V = unchecked_V(alpha, *key)
+                eig = np.linalg.eigvalsh(V)
                 if eig[0] <= 1e-10 * max(eig[-1], 0.0):
                     with pytest.raises(NotPositiveDefinite):
                         build_V(spec, alpha, key[0], key[1], grid)
                     dense[key] = None
                 else:
-                    dense[key] = cho_factor(build_V(spec, alpha, key[0], key[1], grid))
+                    # the library's dense reference is the same entry-by-entry V
+                    assert np.array_equal(build_V(spec, alpha, key[0], key[1], grid), V)
+                    dense[key] = cho_factor(V)
             if any(f is None for f in dense.values()):
                 raised += 1
                 with pytest.raises(NotPositiveDefinite):
@@ -1124,7 +1128,7 @@ class TestClosedFormInverse:
         assert calls == {"eigvalsh": 1, "inv": 1}
         # the same inverse as each regime's blocks judged and inverted alone
         for r, s in zip(ws.regimes, factors):
-            W, B = cluster_blocks(alpha, r.cai, r.distinct)
+            (W,), (B,), _ = block_stack(alpha, [alpha.cais.index(r.cai)], r.distinct[None])
             np.testing.assert_array_equal(s[0], np.linalg.inv(W - B) if r.distinct[-1] > 1 else 0.0)
             for n, c in zip(r.distinct, s[1:]):
                 np.testing.assert_array_equal(c, (np.linalg.inv(W + (n - 1) * B) - s[0]) / n)
@@ -1158,11 +1162,11 @@ VARIANCE_POOLING = [
 
 
 def row_residual_groups(ws, theta):
-    """One :class:`ResidualGroup` per regime of residual rows y - D theta,
-    each formed from the regime's outcome and covariate rows."""
+    """One :func:`~oracles.row_grams` group per regime of residual rows
+    y - D theta, each formed from the regime's outcome and covariate rows."""
     n_gamma = ws.mean_spec.n_gamma
     return [
-        ResidualGroup(
+        (
             r.cai, ws.weights[r.cluster_pos], r.sizes,
             y - r.gamma @ theta[:n_gamma] - (x @ theta[n_gamma:])[:, None],
         )
@@ -1206,10 +1210,11 @@ class TestResidualGrams:
             theta_0 = ws.solve(ws.identity())[0]
             theta = theta_0 + np.random.default_rng(42).normal(scale=0.3, size=theta_0.size)
             at_anchor = estimate_alpha(ws.residual_grams(theta_0), spec, ws.cais)
-            assert_same_alpha(at_anchor, estimate_alpha(row_residual_groups(ws, theta_0), spec, ws.cais), 1e-15)
+            rows_at_anchor = row_grams(row_residual_groups(ws, theta_0), ws.cais)
+            assert_same_alpha(at_anchor, estimate_alpha(rows_at_anchor, spec, ws.cais), 1e-15)
             estimates.append((
                 estimate_alpha(ws.residual_grams(theta), spec, ws.cais),
-                estimate_alpha(row_residual_groups(ws, theta), spec, ws.cais),
+                estimate_alpha(row_grams(row_residual_groups(ws, theta), ws.cais), spec, ws.cais),
             ))
         plain, (got, want) = estimates
         assert_same_alpha(*plain, 1e-12)

@@ -10,7 +10,6 @@ from smartlong import (
     BetweenCorr,
     CorrCai,
     EmbeddedCai,
-    ResidualGroup,
     VarianceCai,
     VarianceTime,
     WithinCorr,
@@ -20,7 +19,9 @@ from smartlong import (
     workingcov,
 )
 from smartlong.errors import DegenerateVariance, InsufficientData, NotPositiveDefinite
-from smartlong.workingcov import cluster_blocks
+from smartlong.workingcov import block_stack
+
+from oracles import row_grams
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
@@ -32,13 +33,13 @@ POOLED = "pooled"
 
 
 def residual_groups(entries):
-    """One :class:`ResidualGroup` per regime from per-(cluster, regime)
-    triples ``(cai, weight, eps[n, T+1])``, clusters in entry order."""
+    """One :func:`~oracles.row_grams` group per regime from per-(cluster,
+    regime) triples ``(cai, weight, eps[n, T+1])``, clusters in entry order."""
     by_regime = {}
     for cai, w, eps in entries:
         by_regime.setdefault(cai, []).append((w, np.asarray(eps, dtype=float)))
     return [
-        ResidualGroup(
+        (
             cai,
             [w for w, _ in members],
             [len(e) for _, e in members],
@@ -252,7 +253,7 @@ class TestEstimateAlpha:
         spec = WorkingCovSpec(
             within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         np.testing.assert_array_equal(alpha.within, [np.eye(3)])
         np.testing.assert_array_equal(alpha.between, np.zeros((1, 3, 3)))
         # Table A2 weighted mean of squared residuals
@@ -264,7 +265,7 @@ class TestEstimateAlpha:
             within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
         entries = [(D11, 4.0, np.array([[1.0, 1.0]]))]
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         assert alpha.sigma2[0] == pytest.approx([1.0, 1.0])
         assert alpha.within[0, 0, 1] == pytest.approx(1.0)  # weights cancel
 
@@ -276,7 +277,7 @@ class TestEstimateAlpha:
             (D11, 1.0, np.array([[1.0], [1.0]])),
             (D11, 1.0, np.array([[1.0], [-1.0]])),
         ]
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         assert alpha.sigma2[0, 0] == pytest.approx(1.0)
         assert alpha.between[0, 0, 0] == pytest.approx(0.0)
 
@@ -286,7 +287,7 @@ class TestEstimateAlpha:
         )
         # residual series (1, 2, 4): lag-1 standardized products are all 1
         entries = [(D11, 1.0, np.array([[1.0, 2.0, 4.0]]))]
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         assert alpha.within[0, 0, 1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("within", [WithinCorr.AR1, WithinCorr.EXCHANGEABLE, WithinCorr.UNSTRUCTURED])
@@ -300,7 +301,7 @@ class TestEstimateAlpha:
         cais = [D11, D1M]
         entries = random_entries(rng, cais)
         spec = WorkingCovSpec(variance_time, variance_cai, within, between, corr_cai)
-        alpha = estimate_alpha(residual_groups(entries), spec, cais)
+        alpha = estimate_alpha(row_grams(residual_groups(entries), cais), spec, cais)
         sigma2, W, B = expanded(naive_alpha(entries, spec, cais), spec, cais, 3)
         assert alpha.sigma2 == pytest.approx(sigma2)
         assert alpha.within == pytest.approx(W)
@@ -319,9 +320,9 @@ class TestEstimateAlpha:
         cais = [D11, D1M]
         entries = random_entries(rng, cais)
         spec = WorkingCovSpec(within_corr=WithinCorr.EXCHANGEABLE, between_corr=BetweenCorr.EXCHANGEABLE, **HET)
-        a1 = estimate_alpha(residual_groups(entries), spec, cais)
+        a1 = estimate_alpha(row_grams(residual_groups(entries), cais), spec, cais)
         scaled = [(c, 7.5 * w, e) for c, w, e in entries]
-        a2 = estimate_alpha(residual_groups(scaled), spec, cais)
+        a2 = estimate_alpha(row_grams(residual_groups(scaled), cais), spec, cais)
         for name in ("sigma2", "within", "between"):
             assert getattr(a1, name) == pytest.approx(getattr(a2, name))
 
@@ -334,7 +335,7 @@ class TestEstimateAlpha:
             (D11, 1.0, rng.normal(size=(1, 2))),  # singleton: no pairs
             (D11, 1.0, rng.normal(size=(3, 2))),
         ]
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         _, _, B = expanded(naive_alpha(entries, spec, [D11]), spec, [D11], 2)
         assert alpha.between == pytest.approx(B)
 
@@ -344,33 +345,34 @@ class TestEstimateAlpha:
         )
         entries = [(D11, 1.0, np.ones((1, 2)))]  # singletons only
         with pytest.raises(InsufficientData):
-            estimate_alpha(residual_groups(entries), spec, [D11])
+            estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
 
     def test_insufficient_data_for_missing_regime(self):
         spec = WorkingCovSpec(within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET)
         entries = [(D11, 1.0, np.ones((2, 2)))]
         with pytest.raises(InsufficientData):
-            estimate_alpha(residual_groups(entries), spec, [D11, D1M])
+            estimate_alpha(row_grams(residual_groups(entries), [D11, D1M]), spec, [D11, D1M])
 
     def test_degenerate_variance(self):
         spec = WorkingCovSpec(within_corr=WithinCorr.EXCHANGEABLE, between_corr=BetweenCorr.INDEPENDENT, **HET)
         entries = [(D11, 1.0, np.zeros((2, 3)))]
         with pytest.raises(DegenerateVariance):
-            estimate_alpha(residual_groups(entries), spec, [D11])
+            estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
 
     def test_degenerate_variance_without_correlations(self):
         spec = WorkingCovSpec(within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET)
         eps = np.array([[1.0, 0.0], [2.0, 0.0]])  # no variance at time 1
         with pytest.raises(DegenerateVariance, match="at time index 1; the working covariance"):
-            estimate_alpha(residual_groups([(D11, 1.0, eps)]), spec, [D11])
+            estimate_alpha(row_grams(residual_groups([(D11, 1.0, eps)]), [D11]), spec, [D11])
         # every variance of V at its floor: V is a multiple of the identity
-        estimate_alpha(residual_groups([(D11, 1.0, np.zeros((2, 2)))]), spec, [D11])
+        estimate_alpha(row_grams(residual_groups([(D11, 1.0, np.zeros((2, 2)))]), [D11]), spec, [D11])
         # pooled with a regime whose variance at time 1 is real
         pooled = WorkingCovSpec(
             variance_cai=VarianceCai.HOMOGENEOUS, within_corr=WithinCorr.INDEPENDENT,
             between_corr=BetweenCorr.INDEPENDENT,
         )
-        estimate_alpha(residual_groups([(D11, 1.0, eps), (D1M, 1.0, np.ones((2, 2)))]), pooled, [D11, D1M])
+        groups = residual_groups([(D11, 1.0, eps), (D1M, 1.0, np.ones((2, 2)))])
+        estimate_alpha(row_grams(groups, [D11, D1M]), pooled, [D11, D1M])
 
     def test_pooled_variance_over_cai(self):
         spec = WorkingCovSpec(
@@ -383,13 +385,13 @@ class TestEstimateAlpha:
             (D11, 2.0, np.array([[1.0, 2.0]])),
             (D1M, 1.0, np.array([[2.0, 0.0], [2.0, 0.0]])),
         ]
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11, D1M])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11, D1M]), spec, [D11, D1M])
         # Table A2 pooled: sum_d sums in numerator and denominator, one row per regime
         pooled = [(2 * 1 + 1 * 8) / (2 + 2), (2 * 4 + 0) / 4]
         assert alpha.sigma2 == pytest.approx(np.array([pooled, pooled]))
 
 
-class TestClusterBlocks:
+class TestBlockStack:
     @pytest.mark.parametrize("n_times", [1, 2, 4])
     @pytest.mark.parametrize("pooled", [False, True], ids=["variance-per-cell", "variance-pooled"])
     @pytest.mark.parametrize("within,between,corr_cai", list(itertools.product(WithinCorr, BetweenCorr, CorrCai)))
@@ -402,7 +404,7 @@ class TestClusterBlocks:
         compared = 0
         for kind in ("random", "negative", "extreme"):
             entries = exact_entries(rng, cais, n_times, kind)
-            alpha = estimate_alpha(residual_groups(entries), spec, cais)
+            alpha = estimate_alpha(row_grams(residual_groups(entries), cais), spec, cais)
             params = naive_alpha(entries, spec, cais)
             for d in cais:
                 s2, W, B = oracle_blocks(spec, params, d, n_times)
@@ -411,11 +413,11 @@ class TestClusterBlocks:
                 eig = np.linalg.eigvalsh(W)
                 if eig[0] <= 1e-10 * max(eig[-1], 0.0):
                     with pytest.raises(NotPositiveDefinite):
-                        cluster_blocks(alpha, d, (1,))
+                        block_stack(alpha, [alpha.cais.index(d)], [[1]])
                     continue
-                got_W, got_B = cluster_blocks(alpha, d, (1,))
-                np.testing.assert_array_equal(got_W, W)
-                np.testing.assert_array_equal(got_B, B)
+                got_W, got_B, _ = block_stack(alpha, [alpha.cais.index(d)], [[1]])
+                np.testing.assert_array_equal(got_W[0], W)
+                np.testing.assert_array_equal(got_B[0], B)
                 compared += 1
             ratios = [*params[1].values(), *params[2].values()]
             assert alpha.clipped == any(abs(v) > CLIP for v in ratios)
@@ -506,7 +508,7 @@ class TestBuildV:
         )
         # four alternating series and one constant over unit variances
         entries = [(D11, 1.0, np.array([[1.0, -1.0, 1.0]]))] * 4 + [(D11, 1.0, np.ones((1, 3)))]
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         rho = (4 * -2 + 2) / (5 * 2)
         V = build_V(spec, alpha, D11, 2, grid012)
         for l in range(3):
@@ -520,7 +522,7 @@ class TestBuildV:
         spec = WorkingCovSpec(
             within_corr=WithinCorr.INDEPENDENT, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         V = build_V(spec, alpha, D11, 2, grid012)
         np.testing.assert_allclose(V, np.diag(np.diag(V)))
 
@@ -548,7 +550,7 @@ class TestBuildV:
             within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.INDEPENDENT, **HET
         )
         entries = [(D11, 4.0, np.array([[1.0, 1.0]]))]
-        alpha = estimate_alpha(residual_groups(entries), spec, [D11])
+        alpha = estimate_alpha(row_grams(residual_groups(entries), [D11]), spec, [D11])
         assert alpha.within[0, 0, 1] == alpha.within[0, 1, 0] == 1.0 - 1e-8
         assert alpha.clipped
         V = build_V(spec, alpha, D11, 1, 2)
