@@ -140,9 +140,7 @@ def _sort_key(cai: EmbeddedCai) -> Tuple[int, int, int]:
     return (rank[cai.a1], rank[cai.a2r], rank[cai.a2nr])
 
 
-def enumerate_cais(design: SmartDesign) -> list[EmbeddedCai]:
-    """Complete set of embedded regimes, in canonical order."""
-    kind = design.kind
+def _embedded(kind: DesignKind) -> Tuple[EmbeddedCai, ...]:
     if kind is DesignKind.I:
         cais = [
             EmbeddedCai(a1, a2r, a2nr)
@@ -156,7 +154,16 @@ def enumerate_cais(design: SmartDesign) -> list[EmbeddedCai]:
         cais = [EmbeddedCai(1, None, 1), EmbeddedCai(1, None, -1), EmbeddedCai(-1, None, None)]
     else:  # IV: unconditional a2 stored in the a2nr slot
         cais = [EmbeddedCai(a1, None, a2) for a1 in (1, -1) for a2 in (1, -1)]
-    return sorted(cais, key=_sort_key)
+    return tuple(sorted(cais, key=_sort_key))
+
+
+# the regimes depend on the design kind alone: built once, at import
+_CAIS = {kind: _embedded(kind) for kind in DesignKind}
+
+
+def enumerate_cais(design: SmartDesign) -> list[EmbeddedCai]:
+    """Complete set of embedded regimes, in canonical order (a new list)."""
+    return list(_CAIS[design.kind])
 
 
 def consistency_indicator(cluster, d: EmbeddedCai, design: SmartDesign) -> int:

@@ -5,16 +5,16 @@ The estimator solves, for linear-in-theta mean models,
     0 = sum_i sum_d I_i(d) W_i D_i(d)' V_d^{-1} (Y_i - D_i(d) theta),
 
 alternating between theta solves and moment estimation of the working
-covariance parameters until the theta iterates stabilize.  Variance
-estimates are of sandwich form J^{-1} Q J^{-1} / N and remain valid under
-working covariance misspecification.
+covariance parameters, with Anderson mixing of the theta iterates, until
+they stabilize.  Variance estimates are of sandwich form J^{-1} Q J^{-1} / N
+and remain valid under working covariance misspecification.
 
 Every cluster's working covariance is block exchangeable,
 V = I_n (x) A' + J_n (x) B' with (T+1) x (T+1) blocks, so its inverse is
 I_n (x) A'^{-1} + J_n (x) C with C = (A_n'^{-1} - A'^{-1}) / n and
 A_n' = A' + n B'.  The engine forms neither V nor the design D nor V^{-1} D.
 It factorizes A' per regime and A_n' per distinct cluster size, every
-regime's blocks in one stacked eigenvalue call and one stacked inverse.
+regime's blocks in one stacked Cholesky certificate and one stacked inverse.
 Individual j's design is D_j = [Gamma_d | 1 x_j'], so with G = [Gamma_d | 1],
 D'V^{-1} D and D'V^{-1} y are sums of G'SG and G'S for S = A'^{-1} and each
 C, weighted by moments of the covariates and outcomes built once per
@@ -74,6 +74,7 @@ from .errors import (
     InsufficientData,
     RankDeficient,
     Separation,
+    SmartlongError,
     ZeroVariance,
 )
 from .meanmodel import ContrastVector, MeanModelSpec, ThetaEstimate, make_saturated_basis
@@ -105,6 +106,8 @@ __all__ = [
 ]
 
 _MAX_COND = 1e12
+# differences of past iterates that the Anderson mixing of the theta map uses
+_ANDERSON_DEPTH = 3
 # a contrast SE within this many units of float resolution of the estimate's
 # own rounding error cannot be told apart from zero
 _ZERO_SE_ULPS = 1e3
@@ -324,28 +327,29 @@ class _Workspace:
             pos = np.flatnonzero(member)
             if pos.size == 0:
                 raise InsufficientData(f"no cluster is consistent with embedded regime {d}")
-            gamma = np.stack([spec.basis.gamma_row(t, d) for t in spec.grid.times])
+            gamma = spec.basis.gamma_rows(spec.grid.times, d)
             n = sizes[pos]
             distinct = np.unique(n)
             r = _Regime(d, pos, np.column_stack((gamma, np.ones(len(gamma)))), distinct, sizes, x_sum)
             xs, ys = self.regime_rows(r)
             w = self.weights[pos]
             w_rows = np.repeat(w, n)
-            # moments of z against (z, Y): over rows, then per distinct size
-            z_rows = np.column_stack((np.ones(len(xs)), xs))
-            wz_rows = w_rows[:, None] * z_rows
-            z_clusters = np.column_stack((n, r.x_sum))
-            m = np.zeros((1 + distinct.size, 1 + q, 1 + q + n_times))
-            m[0, :, : 1 + q] = wz_rows.T @ z_rows
-            m[0, :, 1 + q :] = wz_rows.T @ ys
-            wz_clusters = (w[:, None] * z_clusters)[:, :, None]
-            size_idx = r.size_idx
-            np.add.at(m[1:, :, : 1 + q], size_idx, wz_clusters * z_clusters[:, None, :])
-            np.add.at(m[1:, :, 1 + q :], size_idx, wz_clusters * np.add.reduceat(ys, np.cumsum(n) - n)[:, None, :])
-            moments.append(m)
             people.append(w @ n)
             pairs.append(w @ (n * (n - 1.0)))
             y_square.append(w_rows @ ys**2 / people[-1])
+            # moments of z against (z, Y): over rows, then per distinct size
+            zy_rows = np.column_stack((np.ones(len(xs)), xs, ys))
+            del xs, ys  # each array is dropped once read, to keep the peak low
+            m = np.empty((1 + distinct.size, 1 + q, 1 + q + n_times))
+            m[0] = (w_rows[:, None] * zy_rows[:, : 1 + q]).T @ zy_rows
+            y_sums = np.add.reduceat(zy_rows[:, 1 + q :], np.cumsum(n) - n)
+            del zy_rows, w_rows
+            zy = np.column_stack((n, r.x_sum, y_sums))
+            # each cluster's weighted z in its size's slot: one product sums every slot
+            wz_slots = np.zeros((len(w), distinct.size, 1 + q))
+            wz_slots[np.arange(len(w)), r.size_idx] = w[:, None] * zy[:, : 1 + q]
+            m[1:] = (wz_slots.reshape(len(w), -1).T @ zy).reshape(m[1:].shape)
+            moments.append(m)
             self.regimes.append(r)
         R = len(self.regimes)
         k_max = max(r.distinct.size for r in self.regimes)
@@ -543,14 +547,15 @@ class _Workspace:
         that a cluster of n people has V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n;
         padding slots are zero.
 
-        Every regime's blocks are judged by one stacked eigenvalue call (see
-        :func:`block_stack`) and inverted by one stacked inverse, whatever
-        the number of regimes.  A regime of singletons only may have a
-        singular A'; its A'^{-1} is taken as 0, so that C_1 = A_1'^{-1} is the
-        whole inverse.
+        Every regime's blocks are judged and inverted by :func:`block_stack`
+        in one stacked call each, whatever the number of regimes: a Cholesky
+        factorization and the inverse certify positive definiteness, with an
+        eigenvalue call only where that certificate cannot decide.  A regime
+        of singletons only may have a singular A'; its A'^{-1} is taken as 0,
+        so that C_1 = A_1'^{-1} is the whole inverse.
         """
         n = self._distinct
-        factors = np.linalg.inv(block_stack(alpha, [alpha.cais.index(r.cai) for r in self.regimes], n)[2])
+        factors = block_stack(alpha, [alpha.cais.index(r.cai) for r in self.regimes], n)[2]
         factors[n.max(axis=1) <= 1, 0] = 0.0
         factors[:, 1:] -= factors[:, :1]
         factors[:, 1:] /= np.maximum(n, 1)[..., None, None]
@@ -615,11 +620,19 @@ def fit(
     """Alternate theta solves with working-covariance estimation to a root.
 
     ``mean_spec`` must be built for ``ds``'s design kind and time grid.  The
-    iteration starts from an identity working covariance, stops when the
-    sup-norm change in theta falls below ``options.tolerance``, and returns
-    the last iterate with ``converged=False`` after ``max_iter`` sweeps.
-    Either way the returned theta is the exact root under the working
-    covariance it was solved with; ``tolerance=math.inf`` accepts the
+    iteration starts from the solve under an identity working covariance and
+    iterates the map g(theta) = solve(factorize(estimate_alpha(theta))) with
+    Anderson mixing of depth 3: each next theta combines the last images of
+    g so as to make the steps g(theta) - theta least squares small.  It stops
+    when the sup-norm step max|g(theta) - theta| falls below
+    ``options.tolerance`` and returns the image g(theta), or returns the last
+    image with ``converged=False`` after ``max_iter`` evaluations of g.
+    ``iterations`` counts the evaluations of g (sweeps), a failed one
+    included.  Where g fails at a mixed theta (its working covariance is not
+    positive definite, say), the iteration restarts from the last image with
+    no history; where it fails at an image, the error propagates.  Either
+    way the returned theta is the exact root under the working covariance
+    it was solved with; ``tolerance=math.inf`` accepts the
     identity-covariance initializer with no iterations.
 
     Then ``options.adjustments`` apply: ``enforce_nonneg_corr`` clamps
@@ -660,24 +673,7 @@ def fit(
     if options.tolerance == math.inf:
         iterations, converged, max_delta = 0, True, 0.0
     else:
-        iterations, converged, max_delta = 0, False, math.inf
-        for k in range(1, options.max_iter + 1):
-            factors = ws.factorize(alpha)
-            theta_new, A, b = ws.solve(factors)
-            max_delta = float(np.abs(theta_new - theta).max())
-            iterations = k
-            theta = theta_new
-            if max_delta < options.tolerance:
-                converged = True
-                break
-            if k < options.max_iter:
-                alpha = estimate_alpha(ws.residual_grams(theta), cov_spec, ws.cais)
-        if not converged:
-            warnings.warn(
-                f"fit did not converge in {options.max_iter} iterations "
-                f"(last delta {max_delta:.3e})",
-                RuntimeWarning,
-            )
+        (theta, A, b, factors, alpha), iterations, converged, max_delta = _root(ws, theta, alpha, cov_spec, options)
 
     adjustments = options.adjustments
     if adjustments.enforce_nonneg_corr:
@@ -710,6 +706,59 @@ def fit(
         mean_spec=mean_spec,
         cov_spec=cov_spec,
     )
+
+
+def _root(
+    ws: _Workspace, x: np.ndarray, alpha: AlphaEstimate, cov_spec: WorkingCovSpec, options: FitOptions
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, AlphaEstimate], int, bool, float]:
+    """Iterate the theta map g from ``x``, whose estimate ``alpha`` is given,
+    to its fixed point, with Anderson mixing (Walker & Ni, SIAM J. Numer.
+    Anal. 2011).
+
+    g(x) = solve(factorize(estimate_alpha(residual_grams(x)))).  After each
+    evaluation the next point extrapolates from the last (at most
+    ``_ANDERSON_DEPTH + 1``) pairs (x, g(x)): with dF and dG the differences
+    of successive residuals f = g(x) - x and images, the weights w minimize
+    |f - dF w| in least squares and the next point is g(x) - dG w.  With one
+    pair, it is g(x).  It stops when max|f| < ``options.tolerance`` or after
+    ``options.max_iter`` evaluations, and returns the last image g(x) with
+    the (A, b), factors and alpha it was solved from, the number of
+    evaluations, whether it converged, and that last max|f|.  Where g
+    raises at an extrapolated point, the iteration restarts, with no history,
+    from the last image; where it raises at an image (or at ``x``), the
+    error propagates.  The history is local, so it is gone on return.
+    """
+    image = None  # the last g(x), with what it was solved from
+    xs: List[np.ndarray] = []  # the last points x and their images g(x), oldest first
+    gxs: List[np.ndarray] = []
+    extrapolated, max_delta = False, math.inf
+    for k in range(1, options.max_iter + 1):
+        try:
+            if alpha is None:
+                alpha = estimate_alpha(ws.residual_grams(x), cov_spec, ws.cais)
+            factors = ws.factorize(alpha)
+            gx, A, b = ws.solve(factors)
+        except SmartlongError:
+            if not extrapolated:
+                raise
+            x, xs, gxs, extrapolated, alpha = image[0], [], [], False, None
+            continue
+        image, alpha = (gx, A, b, factors, alpha), None
+        max_delta = float(np.abs(gx - x).max())
+        if max_delta < options.tolerance:
+            return image, k, True, max_delta
+        xs, gxs = xs[-_ANDERSON_DEPTH:] + [x], gxs[-_ANDERSON_DEPTH:] + [gx]
+        x, extrapolated = gx, len(xs) > 1
+        if extrapolated:
+            G = np.array(gxs)
+            F = G - np.array(xs)
+            weights = np.linalg.lstsq(np.diff(F, axis=0).T, F[-1], rcond=None)[0]
+            x = gx - weights @ np.diff(G, axis=0)
+    warnings.warn(
+        f"fit did not converge in {options.max_iter} iterations (last delta {max_delta:.3e})",
+        RuntimeWarning,
+    )
+    return image, options.max_iter, False, max_delta
 
 
 def _assemble(

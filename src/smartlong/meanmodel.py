@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import ClusterRecord, TimeGrid, TrialDataset, _name_tuple
-from .design import DesignKind, EmbeddedCai, SmartDesign, enumerate_cais
+from .design import _CAIS, DesignKind, EmbeddedCai, SmartDesign, enumerate_cais
 from .errors import NonIntegrableBasis, TimeOutOfRange, UnknownCai
 
 __all__ = [
@@ -69,6 +69,10 @@ class TrajectoryBasis:
     def gamma_row(self, t: float, d: EmbeddedCai) -> np.ndarray:
         raise NotImplementedError
 
+    def gamma_rows(self, times: Sequence[float], d: EmbeddedCai) -> np.ndarray:
+        """(len(times), n_gamma): :meth:`gamma_row` at each of ``times``."""
+        return np.stack([self.gamma_row(t, d) for t in times])
+
     def gamma_integrals(self, d: EmbeddedCai) -> np.ndarray:
         """Integral of each gamma coefficient over the full grid span."""
         raise NotImplementedError
@@ -107,6 +111,20 @@ class AnchoredKnotBasis(TrajectoryBasis):
         u = self._s(t) - self._s(knot) if t > knot else 0.0
         mults = _second_stage_multipliers(self.kind, d)
         return np.array([1.0, b, d.a1 * b, *(m * u for m in mults)])
+
+    def gamma_rows(self, times: Sequence[float], d: EmbeddedCai) -> np.ndarray:
+        # gamma_row at every time at once, the same floating-point operations
+        t = np.asarray(times, dtype=float)
+        knot = self.grid.knot
+        s = np.sqrt(t) if self.transform == "sqrt" else t
+        b = np.minimum(s, self._s(knot))  # s is increasing: s(min(t, knot))
+        rows = np.empty((len(t), self.n_gamma))
+        rows[:, 0] = 1.0
+        rows[:, 1] = b
+        rows[:, 2] = d.a1 * b
+        u = np.where(t > knot, s - self._s(knot), 0.0)
+        rows[:, 3:] = u[:, None] * np.array(_second_stage_multipliers(self.kind, d), dtype=float)
+        return rows
 
     def gamma_integrals(self, d: EmbeddedCai) -> np.ndarray:
         t0, t_end = self.grid.times[0], self.grid.t_end
@@ -157,7 +175,11 @@ class CustomBasis(TrajectoryBasis):
 
 @dataclass(frozen=True)
 class MeanModelSpec:
-    """A trajectory basis plus linear baseline-covariate adjustment terms."""
+    """A trajectory basis plus linear baseline-covariate adjustment terms.
+
+    The basis must be built on ``grid`` and, where it names a design kind,
+    for ``design``'s kind: :class:`ValueError` otherwise.
+    """
 
     basis: TrajectoryBasis
     design: SmartDesign
@@ -167,6 +189,14 @@ class MeanModelSpec:
     def __post_init__(self) -> None:
         # every constructor passes through here, the classmethods included
         object.__setattr__(self, "covariate_terms", _name_tuple(self.covariate_terms, "covariate_terms"))
+        grid = getattr(self.basis, "grid", self.grid)
+        if grid != self.grid:
+            raise ValueError(f"the basis is built on {grid}, the mean model on {self.grid}")
+        kind = getattr(self.basis, "kind", self.design.kind)
+        if kind is not self.design.kind:
+            raise ValueError(
+                f"the basis is built for design {kind.value}, the mean model for design {self.design.kind.value}"
+            )
 
     @classmethod
     def piecewise_linear(
@@ -208,7 +238,7 @@ class MeanModelSpec:
         return enumerate_cais(self.design)
 
     def require_cai(self, d: EmbeddedCai) -> None:
-        if d not in self.cais():
+        if d not in _CAIS[self.design.kind]:
             raise UnknownCai(f"{d} is not embedded in design {self.design.kind.value}")
 
     def require_time(self, t: float) -> None:

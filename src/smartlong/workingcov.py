@@ -305,19 +305,27 @@ def block_stack(
     sizes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 (R', T+1, T+1) of
-    the regimes ``alpha.cais[rows]``, and one stack (R', 1 + k, T+1, T+1) of
-    the blocks whose spectra make up their V's: W' - B' in slot 0 and
-    W' + (n - 1) B' for each regime's distinct cluster sizes ``sizes``
+    the regimes ``alpha.cais[rows]``, and the inverse (R', 1 + k, T+1, T+1)
+    of the stack of blocks whose spectra make up their V's: W' - B' in slot 0
+    and W' + (n - 1) B' for each regime's distinct cluster sizes ``sizes``
     (R', k), ascending and padded with zeros.  A slot with nothing to judge
     (padding, or W' - B' where no cluster has two people) holds the identity,
-    so the whole stack can be inverted in one call.
+    so the whole stack is inverted in one ``np.linalg.inv`` call.
 
     V = I_n (x) (W' - B') + J_n (x) B', so its spectrum is spec(W' - B')
-    repeated n - 1 times together with spec(W' + (n - 1) B').  One stacked
-    eigenvalue call covers every regime and size.  This is the one
-    positive-definiteness rule: :class:`NotPositiveDefinite` when the
+    repeated n - 1 times together with spec(W' + (n - 1) B').  This is the
+    one positive-definiteness rule: :class:`NotPositiveDefinite` when the
     smallest eigenvalue of some V is at most 1e-10 of its largest, naming the
     first failing regime in ``rows`` order and its smallest failing n.
+
+    The rule is certified without eigenvalues where it clearly holds: one
+    stacked Cholesky factorization proves every block S positive definite,
+    and then lambda_max(S) <= tr S and lambda_min(S) >= 1 / tr S^-1, read
+    from the stack and its inverse.  Where, for every V, the smallest such
+    lower bound over its blocks exceeds 1e-9 of the largest upper bound, the
+    rule passes with a tenfold margin for rounding.  Otherwise (a failed
+    factorization or inverse, or a bound too loose to decide) one stacked
+    eigenvalue call judges the rule exactly.
     """
     n = np.asarray(sizes, dtype=int)
     s = np.sqrt(alpha.sigma2[rows])
@@ -328,9 +336,23 @@ def block_stack(
     stack[:, 0] = W - B
     stack[:, 1:] = W[:, None] + (n - 1)[..., None, None] * B[:, None]
     stack[n.max(axis=1, initial=0) <= 1, 0] = stack[:, 1:][n == 0] = np.eye(alpha.n_times)
+    shared = n > 1
+    try:
+        np.linalg.cholesky(stack)
+        # a factorization can pass a block whose inverse still meets an exact zero pivot
+        inverse = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        inverse = None
+    else:
+        # per V, H / L from the traces of its blocks (slot n, and slot 0 where
+        # n > 1); the identity in a padding slot always passes
+        tr_inv = np.trace(inverse, axis1=2, axis2=3)
+        tr = np.trace(stack, axis1=2, axis2=3)
+        bound = np.maximum(tr_inv[:, 1:], shared * tr_inv[:, :1]) * np.maximum(tr[:, 1:], shared * tr[:, :1])
+        if tr_inv.min() > 0.0 and (bound < 1e9).all():
+            return W, B, inverse
     eig = np.linalg.eigvalsh(stack)
     lo, hi = eig[:, 1:, 0], eig[:, 1:, -1]
-    shared = n > 1
     lo = np.where(shared, np.minimum(lo, eig[:, :1, 0]), lo)
     hi = np.where(shared, np.maximum(hi, eig[:, :1, -1]), hi)
     failing = (n > 0) & (lo <= 1e-10 * np.maximum(hi, 0.0))
@@ -340,7 +362,7 @@ def block_stack(
             f"working covariance for regime {alpha.cais[rows[r]]}, cluster size {n[r, i]} is not "
             f"positive definite (eigenvalue range [{lo[r, i]:.3e}, {hi[r, i]:.3e}])"
         )
-    return W, B, stack
+    return W, B, np.linalg.inv(stack) if inverse is None else inverse
 
 
 def build_V(

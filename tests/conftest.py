@@ -128,3 +128,18 @@ def regime_design(regime, x):
     D[..., : gamma.shape[1]] = gamma
     D[..., gamma.shape[1] :] = x[:, None]
     return D.reshape(-1, D.shape[-1])
+
+
+def count_calls(monkeypatch, owner, names):
+    """A dict counting calls of each ``owner.<name>`` from now on; the
+    originals still run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls

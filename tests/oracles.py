@@ -38,3 +38,39 @@ def unchecked_V(alpha, d, n):
         corr = alpha.within[k, l, m] if i == j else alpha.between[k, l, m]
         V[i * n_times + l, j * n_times + m] = s[l] * s[m] * corr
     return V
+
+
+def judged_stack(W, B, sizes):
+    """The stack :func:`~smartlong.workingcov.block_stack` judges, rebuilt
+    block by block from its W' and B' (R, T+1, T+1): W' - B' in slot 0, the
+    identity where no size exceeds one, then W' + (n - 1) B' for each size n
+    of ``sizes`` (R, k), the identity for a zero (padding)."""
+    sizes = np.asarray(sizes)
+    eye = np.eye(W.shape[-1])
+    stack = np.empty((len(W), 1 + sizes.shape[1]) + eye.shape)
+    for r, ns in enumerate(sizes):
+        stack[r, 0] = W[r] - B[r] if ns.max() > 1 else eye
+        for i, n in enumerate(ns):
+            stack[r, 1 + i] = W[r] + (n - 1) * B[r] if n > 0 else eye
+    return stack
+
+
+def eigenvalue_rule_message(alpha, rows, sizes):
+    """The :class:`NotPositiveDefinite` message of the eigenvalue rule judged
+    block by block, or None where every V passes: for the regimes
+    ``alpha.cais[rows]`` in order and their sizes ascending, the first V
+    whose smallest eigenvalue is at most 1e-10 of its largest, V's spectrum
+    being those of W' + (n - 1) B' and, for n > 1, W' - B'."""
+    for k, ns in zip(rows, np.asarray(sizes)):
+        s = np.sqrt(alpha.sigma2[k])
+        W, B = np.outer(s, s) * alpha.within[k], np.outer(s, s) * alpha.between[k]
+        shared = np.linalg.eigvalsh(W - B)
+        for n in ns[ns > 0]:
+            eig = np.linalg.eigvalsh(W + (n - 1) * B)
+            lo, hi = (min(eig[0], shared[0]), max(eig[-1], shared[-1])) if n > 1 else (eig[0], eig[-1])
+            if lo <= 1e-10 * max(hi, 0.0):
+                return (
+                    f"working covariance for regime {alpha.cais[k]}, cluster size {n} is not "
+                    f"positive definite (eigenvalue range [{lo:.3e}, {hi:.3e}])"
+                )
+    return None

@@ -62,6 +62,15 @@ class TestEnumerate:
         d = SmartDesign.balanced(DesignKind.I)
         assert enumerate_cais(d) == enumerate_cais(d)
 
+    def test_each_call_returns_a_new_list(self):
+        d = SmartDesign.balanced(DesignKind.II)
+        first = enumerate_cais(d)
+        first.reverse()
+        first.append(first[0])
+        assert enumerate_cais(d) == [EmbeddedCai(1, None, 1), EmbeddedCai(1, None, -1),
+                                     EmbeddedCai(-1, None, 1), EmbeddedCai(-1, None, -1)]
+        assert enumerate_cais(d) is not enumerate_cais(d)
+
 
 class TestConsistency:
     def test_design2_responder_consistent_with_two(self):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -52,7 +53,7 @@ from smartlong.gee import _assemble, _Workspace
 from smartlong.workingcov import block_stack
 
 from conftest import (
-    make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
+    count_calls, make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
 )
 from oracles import row_grams, unchecked_V
 
@@ -686,20 +687,12 @@ class TestAdjustments:
         rng = np.random.default_rng(13)
         ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        calls = {"factorize": 0, "assemble": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(gee._Workspace, "factorize", counted("factorize", gee._Workspace.factorize))
-        monkeypatch.setattr(gee, "_assemble", counted("assemble", gee._assemble))
+        factorizations = count_calls(monkeypatch, gee._Workspace, ["factorize"])
+        assemblies = count_calls(monkeypatch, gee, ["_assemble"])
         res = fit(ds, spec, EXCH, FitOptions(adjustments=adjustments))
-        assert calls == {
+        assert {**factorizations, **assemblies} == {
             "factorize": res.iterations + adjustments.enforce_nonneg_corr,
-            "assemble": 1,
+            "_assemble": 1,
         }
 
     @pytest.mark.parametrize("tolerance", [1e-8, math.inf], ids=["iterated", "identity"])
@@ -711,18 +704,83 @@ class TestAdjustments:
         rng = np.random.default_rng(13)
         ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3))
         spec = MeanModelSpec.piecewise_linear(design2, grid012)
-        calls = {"solve": 0, "normal_equations": 0}
-        for name in calls:
-            original = getattr(gee._Workspace, name)
-
-            def wrapper(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(gee._Workspace, name, wrapper)
+        calls = count_calls(monkeypatch, gee._Workspace, ["solve", "normal_equations"])
         res = fit(ds, spec, EXCH, FitOptions(tolerance=tolerance, adjustments=adjustments))
         solves = 1 + res.iterations + adjustments.enforce_nonneg_corr
         assert calls == {"solve": solves, "normal_equations": solves}
+
+
+def slow_fit_inputs():
+    """A design-II fit whose plain theta iteration contracts slowly: it stops
+    unconverged after 50 sweeps."""
+    design = SmartDesign.balanced(DesignKind.II)
+    grid = TimeGrid((0.0, 1.0, 2.0, 3.0), knot=1.0)
+    ds = random_dataset(np.random.default_rng(1), 60, grid, design, (1, 2, 3, 5), ("u",), ("w",))
+    spec = MeanModelSpec.piecewise_linear(design, grid, ("u", "w"))
+    cov_spec = WorkingCovSpec(
+        VarianceTime.HETEROSCEDASTIC, VarianceCai.HETEROGENEOUS, WithinCorr.INDEPENDENT,
+        BetweenCorr.UNSTRUCTURED, CorrCai.HETEROGENEOUS,
+    )
+    return ds, spec, cov_spec
+
+
+class TestAndersonMixing:
+    def test_slow_contraction_converges(self):
+        ds, spec, cov_spec = slow_fit_inputs()
+        res = fit(ds, spec, cov_spec)
+        assert res.converged
+        assert res.iterations <= 20
+        assert res.max_delta < 1e-8
+
+    @pytest.mark.parametrize("failing_call", [1, 2, 3, 5])
+    def test_a_failure_restarts_only_at_an_extrapolated_point(self, monkeypatch, failing_call):
+        # the first two evaluations of the theta map are at the identity
+        # solve and at its image; later ones are extrapolated
+        ds, spec, cov_spec = slow_fit_inputs()
+        # both fits near the root, so that where each stops does not show
+        options = FitOptions(tolerance=1e-12)
+        plain = fit(ds, spec, cov_spec, options)
+        original = gee._Workspace.factorize
+        calls = []
+
+        def factorize(ws, alpha):
+            calls.append(alpha)
+            if len(calls) == failing_call:
+                raise NotPositiveDefinite("working covariance for a test")
+            return original(ws, alpha)
+
+        monkeypatch.setattr(gee._Workspace, "factorize", factorize)
+        if failing_call <= 2:
+            with pytest.raises(NotPositiveDefinite, match="working covariance for a test"):
+                fit(ds, spec, cov_spec, options)
+            return
+        res = fit(ds, spec, cov_spec, options)
+        assert res.converged
+        assert res.iterations == len(calls)
+        np.testing.assert_allclose(res.theta.full, plain.theta.full, rtol=1e-8)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 4, 50])
+    def test_iterations_count_evaluations_of_the_theta_map(self, monkeypatch, max_iter):
+        ds, spec, cov_spec = slow_fit_inputs()
+        estimates = count_calls(monkeypatch, gee, ["estimate_alpha"])
+        sweeps = count_calls(monkeypatch, gee._Workspace, ["factorize", "solve"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = fit(ds, spec, cov_spec, FitOptions(max_iter=max_iter))
+        assert res.converged == (max_iter == 50)
+        assert res.converged or res.iterations == max_iter
+        # each evaluation estimates alpha and factorizes; one extrapolated
+        # point of this fit gives an indefinite V, so it solves one time fewer
+        # (besides the identity solve) from the fifth evaluation on
+        assert {**estimates, **sweeps} == {
+            "estimate_alpha": res.iterations, "factorize": res.iterations,
+            "solve": 1 + res.iterations - (res.iterations >= 5),
+        }
+        # the returned theta is the exact root under the factors it was solved
+        # with, an image of the map and not an extrapolated point: |b - A theta|
+        # is rounding error against |A| |theta|
+        A = res.j_hat * res.n_clusters
+        assert res.ee_residual_norm < 1e-12 * np.abs(A).max() * np.abs(res.theta.full).max()
 
 
 class TestFitMemory:
@@ -1107,25 +1165,18 @@ class TestClosedFormInverse:
             assert str(raised.value) == message
 
     @pytest.mark.parametrize("kind,regimes", [(DesignKind.III, 3), (DesignKind.II, 4), (DesignKind.I, 8)])
-    def test_one_eigvalsh_and_one_inv_per_factorize(self, grid012, monkeypatch, kind, regimes):
+    def test_one_cholesky_and_one_inv_per_factorize(self, grid012, monkeypatch, kind, regimes):
         rng = np.random.default_rng(32)
         design = SmartDesign.balanced(kind)
         ds = random_dataset(rng, 120, grid012, design, (1, 2, 3, 4))
         ws = _Workspace(ds, MeanModelSpec.piecewise_linear(design, grid012))
         alpha = random_alpha(rng, UNSTR, ws.cais, 3)
-        calls = {"eigvalsh": 0, "inv": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
-
-            def wrapper(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, wrapper)
+        calls = count_calls(monkeypatch, np.linalg, ["cholesky", "inv", "eigvalsh"])
         factors = ws.factorize(alpha)
         assert len(ws.regimes) == regimes
         assert len({(r.cai, n) for r in ws.regimes for n in r.sizes.tolist()}) > regimes
-        assert calls == {"eigvalsh": 1, "inv": 1}
+        # positive definiteness certified by the factorization: no eigenvalues
+        assert calls == {"cholesky": 1, "inv": 1, "eigvalsh": 0}
         # the same inverse as each regime's blocks judged and inverted alone
         for r, s in zip(ws.regimes, factors):
             (W,), (B,), _ = block_stack(alpha, [alpha.cais.index(r.cai)], r.distinct[None])

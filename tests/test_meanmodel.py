@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +18,7 @@ from smartlong import (
     contrast_second_stage_slope,
     custom_contrast,
     design_row,
+    enumerate_cais,
     make_saturated_basis,
     mu,
     stack_design_matrix,
@@ -66,6 +69,36 @@ class TestSpecConstructors:
         spec = make(design2, grid012, ["age", "sex"])
         assert spec.covariate_terms == ("age", "sex")
         assert spec.param_names[-2:] == ("eta_age", "eta_sex")
+
+    def test_a_basis_for_another_design_kind_is_rejected(self, design2, grid012):
+        # a design III basis has 6 gamma coefficients where design II needs 7
+        with pytest.raises(ValueError, match="the basis is built for design III, the mean model for design II$"):
+            MeanModelSpec(AnchoredKnotBasis(DesignKind.III, grid012), design2, grid012)
+
+    @pytest.mark.parametrize("make_basis", [
+        lambda design, grid: AnchoredKnotBasis(design.kind, grid),
+        lambda design, grid: make_saturated_basis(design, grid),
+    ], ids=["anchored", "custom"])
+    def test_a_basis_on_another_grid_is_rejected(self, design2, grid012, make_basis):
+        other = TimeGrid((0.0, 2.0, 4.0), knot=2.0)
+        message = f"the basis is built on {other}, the mean model on {grid012}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            MeanModelSpec(make_basis(design2, other), design2, grid012)
+
+
+class TestGammaRows:
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    @pytest.mark.parametrize("transform", ["linear", "sqrt"])
+    @pytest.mark.parametrize("times,knot", [
+        ((0.0, 1.0, 2.0), 1.0), ((0.0, 1.0), 0.0), ((0.3, 1.1, 2.9, 7.0, 7.5), 2.9), ((0.0, 0.5, 1.7, 4.0), 1.7),
+    ])
+    def test_anchored_rows_are_gamma_row_at_each_time(self, kind, transform, times, knot):
+        grid = TimeGrid(times, knot=knot)
+        basis = AnchoredKnotBasis(kind, grid, transform)
+        for d in enumerate_cais(SmartDesign.balanced(kind)):
+            want = np.stack([basis.gamma_row(t, d) for t in times])
+            # the same floating-point operations: equal bytes, signs of zero included
+            assert basis.gamma_rows(times, d).tobytes() == want.tobytes()
 
 
 class TestMu:

@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smartlong import (
     AlphaEstimate,
@@ -21,7 +23,8 @@ from smartlong import (
 from smartlong.errors import DegenerateVariance, InsufficientData, NotPositiveDefinite
 from smartlong.workingcov import block_stack
 
-from oracles import row_grams
+from conftest import count_calls
+from oracles import eigenvalue_rule_message, judged_stack, row_grams, unchecked_V
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
@@ -426,6 +429,95 @@ class TestBlockStack:
                 assert alpha.clipped
                 assert np.abs(alpha.between).max() == CLIP
         assert compared >= 4
+
+
+CAIS_I = [
+    EmbeddedCai(a1, a2r, a2nr) for a1 in (1, -1) for a2r in (1, -1) for a2nr in (1, -1)
+]
+
+
+@st.composite
+def block_inputs(draw):
+    """An estimate of one to three regimes, a permutation of them and each
+    one's distinct cluster sizes (padded with zeros).  Per regime W' - B' is
+    drawn with a condition number from 1 to 1e12, or made indefinite or
+    singular, or is a positive definite block at 1e-6 to 1e-11 of the scale
+    of W' + (n - 1) B', with B' = b ((1 - rho) I + rho J)."""
+    n_times = draw(st.integers(1, 4))
+    n_regimes = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma2, within, between, sizes = [], [], [], []
+    for _ in range(n_regimes):
+        kind = draw(st.sampled_from(["definite", "indefinite", "singular", "small shared block"]))
+        lam = 10.0 ** (-draw(st.floats(0.0, 12.0)) * np.linspace(0.0, 1.0, n_times))
+        if kind == "indefinite":
+            lam[-1] = -lam[-1]
+        elif kind == "singular":
+            lam[-1] = 0.0
+        q = np.linalg.qr(rng.normal(size=(n_times, n_times)))[0]
+        shared = 0.49 * (q * lam) @ q.T
+        b = draw(st.floats(-0.49, 0.49))
+        if kind == "small shared block":
+            shared *= draw(st.sampled_from([1e-6, 1e-9, 1e-11]))
+            b = draw(st.floats(0.1, 0.49))
+        rho = draw(st.floats(0.0, 0.9))
+        B = b * ((1.0 - rho) * np.eye(n_times) + rho)
+        within.append((shared + shared.T) / 2.0 + B)
+        between.append(B)
+        sigma2.append(10.0 ** draw(st.floats(-3.0, 3.0)) * rng.uniform(0.5, 2.0, n_times))
+        sizes.append(sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))))
+    padded = np.zeros((n_regimes, max(map(len, sizes))), dtype=int)
+    for row, ns in zip(padded, sizes):
+        row[: len(ns)] = ns
+    alpha = AlphaEstimate(tuple(CAIS_I[:n_regimes]), sigma2, within, between)
+    return alpha, draw(st.permutations(range(n_regimes))), padded
+
+
+class TestBlockStackCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(block_inputs())
+    def test_rejects_exactly_where_the_dense_eigenvalue_rule_does(self, inputs):
+        alpha, rows, sizes = inputs
+        first_failing = None
+        for k, ns in zip(rows, sizes):
+            for n in ns[ns > 0]:
+                eig = np.linalg.eigvalsh(unchecked_V(alpha, alpha.cais[k], int(n)))
+                limit = 1e-10 * max(eig[-1], 0.0)
+                # the block and dense spectra differ by rounding: no verdict within it
+                assume(not abs(eig[0] - limit) <= 1e-3 * abs(limit))
+                if first_failing is None and eig[0] <= limit:
+                    first_failing = (alpha.cais[k], n)
+        if first_failing is None:
+            W, B, inverse = block_stack(alpha, rows, sizes)
+            assert eigenvalue_rule_message(alpha, rows, sizes) is None
+            assert np.array_equal(inverse, np.linalg.inv(judged_stack(W, B, sizes)))
+        else:
+            with pytest.raises(NotPositiveDefinite) as raised:
+                block_stack(alpha, rows, sizes)
+            assert str(raised.value) == eigenvalue_rule_message(alpha, rows, sizes)
+            d, n = first_failing
+            assert str(raised.value).startswith(f"working covariance for regime {d}, cluster size {n} is not")
+
+    @pytest.mark.parametrize("sigma2,passes,linalg_calls", [
+        # lambda_min / lambda_max = 3.2e-10 passes the rule, but bounds from
+        # the traces cannot show it: one eigenvalue call decides
+        ([1.0, 10.0**-9.5], True, {"cholesky": 1, "inv": 1, "eigvalsh": 1}),
+        ([1.0, 1e-11], False, {"cholesky": 1, "inv": 1, "eigvalsh": 1}),
+        ([1.0, 1e-8], True, {"cholesky": 1, "inv": 1, "eigvalsh": 0}),
+        # not numerically positive definite: the factorization fails first
+        ([1.0, 0.0], False, {"cholesky": 1, "inv": 0, "eigvalsh": 1}),
+    ])
+    def test_eigenvalues_only_where_the_certificate_cannot_decide(self, monkeypatch, sigma2, passes, linalg_calls):
+        alpha = one_regime(sigma2)
+        calls = count_calls(monkeypatch, np.linalg, list(linalg_calls))
+        if passes:
+            W, B, inverse = block_stack(alpha, [0], [[1]])
+            monkeypatch.undo()
+            np.testing.assert_array_equal(inverse, np.linalg.inv(judged_stack(W, B, [[1]])))
+        else:
+            with pytest.raises(NotPositiveDefinite, match=r"regime \(\+1,\+1\), cluster size 1 is not positive definite"):
+                block_stack(alpha, [0], [[1]])
+        assert calls == linalg_calls
 
 
 def one_regime(sigma2, within=None, between=None):
