@@ -48,7 +48,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .design import DesignKind, SmartDesign, consistency_indicator, enumerate_cais
+from .design import DesignKind, SmartDesign, _second_stage_slot, consistency_indicator, enumerate_cais
 from .errors import (
     BadTreatmentCode,
     InconsistentCluster,
@@ -1020,7 +1020,7 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
 
     cols = dict(schema.columns)
     needed = ["cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr"]
-    if schema.design.kind is DesignKind.I:
+    if any(d.a2r is not None for d in enumerate_cais(schema.design)):
         needed.append("a2r")
     col_index: dict[str, int] = {}
     for logical in needed:
@@ -1055,7 +1055,7 @@ def serialize_long_table(ds: TrialDataset, delimiter: str = ",") -> str:
     header = [
         "cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr",
     ]
-    include_a2r = ds.design.kind is DesignKind.I
+    include_a2r = any(d.a2r is not None for d in enumerate_cais(ds.design))
     if include_a2r:
         header.append("a2r")
     header.extend(ds.cluster_covariates)
@@ -1110,27 +1110,10 @@ def _pathway_violation(p: Pathway, kind: DesignKind) -> Optional[str]:
         v = getattr(p, name)
         if v is not None and v not in (-1, 1):
             return f"{name} must be -1/+1 or absent, got {v}"
-    if kind is DesignKind.II:
-        if (p.a2nr is None) != (p.r == 1):
-            return "design II: a2nr must be present exactly for non-responders"
-        if p.a2r is not None:
-            return "design II: responders are never re-randomized, a2r must be absent"
-    elif kind is DesignKind.I:
-        if p.r == 1 and (p.a2r is None or p.a2nr is not None):
-            return "design I: responders carry a2r only"
-        if p.r == 0 and (p.a2nr is None or p.a2r is not None):
-            return "design I: non-responders carry a2nr only"
-    elif kind is DesignKind.III:
-        expected = p.r == 0 and p.a1 == 1
-        if (p.a2nr is not None) != expected:
-            return "design III: a2nr present exactly for non-responders of the +1 arm"
-        if p.a2r is not None:
-            return "design III: a2r must be absent"
-    else:  # IV
-        if p.a2nr is None:
-            return "design IV: second-stage treatment (a2nr slot) always present"
-        if p.a2r is not None:
-            return "design IV: a2r slot unused"
+    slot = _second_stage_slot(kind, p.a1, p.r)
+    if any((getattr(p, name) is not None) != (name == slot) for name in ("a2nr", "a2r")):
+        carries = "no second-stage treatment" if slot is None else f"its second-stage treatment in {slot} alone"
+        return f"design {kind.value}: a cluster with a1 = {p.a1:+d}, r = {p.r} carries {carries}"
     return None
 
 

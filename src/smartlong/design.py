@@ -7,9 +7,17 @@ second randomization:
 * design II  - only non-responders are re-randomized (prototypical),
 * design III - only non-responders to the ``a1 = +1`` arm are re-randomized,
 * design IV  - every cluster is re-randomized, response is not used.
+
+A re-randomized ``(a1, r)`` cell writes its second-stage treatment to one
+slot: ``a2r`` for design I responders, ``a2nr`` for every other cell, design
+IV's included.  Every other slot is empty.  This module alone owns that
+rule (``_CELLS`` and ``_second_stage_slot``): the embedded regimes, the
+consistency indicators, the weights and the validation of an observed
+pathway all read it from here.
 """
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -134,6 +142,14 @@ class SmartDesign:
         return self.p_a1 if a1 == 1 else 1.0 - self.p_a1
 
 
+def _second_stage_slot(kind: DesignKind, a1: int, r: int) -> Optional[str]:
+    """The slot holding the second-stage treatment of cell ``(a1, r)``:
+    None where ``kind`` does not re-randomize the cell."""
+    if (a1, r) not in _CELLS[kind]:
+        return None
+    return "a2r" if kind is DesignKind.I and r == 1 else "a2nr"
+
+
 def _sort_key(cai: EmbeddedCai) -> Tuple[int, int, int]:
     # lexicographic with +1 before -1; empty slots order last
     rank = {1: 0, -1: 1, None: 2}
@@ -141,19 +157,12 @@ def _sort_key(cai: EmbeddedCai) -> Tuple[int, int, int]:
 
 
 def _embedded(kind: DesignKind) -> Tuple[EmbeddedCai, ...]:
-    if kind is DesignKind.I:
-        cais = [
-            EmbeddedCai(a1, a2r, a2nr)
-            for a1 in (1, -1)
-            for a2r in (1, -1)
-            for a2nr in (1, -1)
-        ]
-    elif kind is DesignKind.II:
-        cais = [EmbeddedCai(a1, None, a2nr) for a1 in (1, -1) for a2nr in (1, -1)]
-    elif kind is DesignKind.III:
-        cais = [EmbeddedCai(1, None, 1), EmbeddedCai(1, None, -1), EmbeddedCai(-1, None, None)]
-    else:  # IV: unconditional a2 stored in the a2nr slot
-        cais = [EmbeddedCai(a1, None, a2) for a1 in (1, -1) for a2 in (1, -1)]
+    # per a1, one regime per sign combination over the slots its cells use
+    cais = []
+    for a1 in (1, -1):
+        slots = sorted({_second_stage_slot(kind, a1, r) for r in (0, 1)} - {None})
+        signs = itertools.product((1, -1), repeat=len(slots))
+        cais += [EmbeddedCai(a1, **dict(zip(slots, values))) for values in signs]
     return tuple(sorted(cais, key=_sort_key))
 
 
@@ -167,31 +176,24 @@ def enumerate_cais(design: SmartDesign) -> list[EmbeddedCai]:
 
 
 def consistency_indicator(cluster, d: EmbeddedCai, design: SmartDesign) -> int:
-    """1 iff the cluster's observed pathway could have arisen under ``d``."""
+    """1 iff the cluster's observed pathway could have arisen under ``d``:
+    the first-stage treatments agree and, where the cluster's cell is
+    re-randomized, so does the treatment in that cell's slot."""
     if cluster.a1 != d.a1:
         return 0
-    kind = design.kind
-    if kind is DesignKind.II:
-        return 1 if cluster.r == 1 else int(cluster.a2nr == d.a2nr)
-    if kind is DesignKind.I:
-        if cluster.r == 1:
-            return int(cluster.a2r == d.a2r)
-        return int(cluster.a2nr == d.a2nr)
-    if kind is DesignKind.III:
-        if cluster.a1 == -1 or cluster.r == 1:
-            return 1
-        return int(cluster.a2nr == d.a2nr)
-    # IV: single decision path, response ignored
-    return int(cluster.a2nr == d.a2nr)
+    slot = _second_stage_slot(design.kind, cluster.a1, cluster.r)
+    return 1 if slot is None else int(getattr(cluster, slot) == getattr(d, slot))
 
 
 def design_weight(cluster, design: SmartDesign) -> float:
     """Inverse joint randomization probability of the observed pathway.
 
-    Stages at which the cluster was not randomized contribute a factor 1.
+    The second stage contributes the probability of the treatment in the
+    slot of the cluster's cell; a cell that is not re-randomized contributes
+    a factor 1.
     """
     p = design.p_first_stage(cluster.a1)
-    if design.rerandomizes(cluster.a1, cluster.r):
-        observed_a2 = cluster.a2r if (design.kind is DesignKind.I and cluster.r == 1) else cluster.a2nr
-        p *= design.p_second_stage(cluster.a1, cluster.r, observed_a2)
+    slot = _second_stage_slot(design.kind, cluster.a1, cluster.r)
+    if slot is not None:
+        p *= design.p_second_stage(cluster.a1, cluster.r, getattr(cluster, slot))
     return 1.0 / p

@@ -69,7 +69,7 @@ from scipy.special import expit, ndtr, stdtr
 from scipy.stats import norm, t as student_t
 
 from .data import TrialDataset, _name_tuple, _raise_first_violation, validate
-from .design import DesignKind, EmbeddedCai, consistency_indicator, design_weight, enumerate_cais
+from .design import EmbeddedCai, consistency_indicator, design_weight, enumerate_cais
 from .errors import (
     InsufficientData,
     RankDeficient,
@@ -258,9 +258,9 @@ class _Workspace:
     """Per-regime index structure for one dataset and mean model, with the
     weighted moments that every iteration is computed from.
 
-    Every regime of ``cais`` has a consistent cluster, as :func:`fit`'s
-    validation guarantees (it raises otherwise); ``weights`` None takes the
-    design weights.
+    Precondition: every regime of ``cais`` has a consistent cluster.
+    :func:`fit`'s validation raises :class:`InsufficientData` before a
+    workspace is built otherwise.  ``weights`` None takes the design weights.
 
     The workspace keeps no outcome or covariate row, per individual or per
     regime: a regime's rows are gathered from the dataset's columns while
@@ -325,9 +325,10 @@ class _Workspace:
         moments, people, pairs, y_square = [], [], [], []
         for d, member in zip(self.cais, consistent):
             pos = np.flatnonzero(member)
-            if pos.size == 0:
-                raise InsufficientData(f"no cluster is consistent with embedded regime {d}")
             gamma = spec.basis.gamma_rows(spec.grid.times, d)
+            if not np.isfinite(gamma).all():
+                t = spec.grid.times[np.flatnonzero(~np.isfinite(gamma).all(axis=1))[0]]
+                raise ValueError(f"the mean model's basis is not finite under regime {d} at t = {t}")
             n = sizes[pos]
             distinct = np.unique(n)
             r = _Regime(d, pos, np.column_stack((gamma, np.ones(len(gamma)))), distinct, sizes, x_sum)
@@ -831,13 +832,6 @@ def _design_columns(ds: TrialDataset, names: Sequence[str]) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _observed_a2(ds: TrialDataset) -> np.ndarray:
-    """Each cluster's second-stage code (0 where it was not re-randomized)."""
-    if ds.design.kind is DesignKind.I:
-        return np.where(ds.r == 1, ds.a2r, ds.a2nr)
-    return ds.a2nr
-
-
 def estimate_weight_model(
     ds: TrialDataset,
     stage1_covariates: Sequence[str] = (),
@@ -858,7 +852,8 @@ def estimate_weight_model(
     design = ds.design
     stage1_covariates = _name_tuple(stage1_covariates, "stage1_covariates")
     X2 = _design_columns(ds, _name_tuple(stage2_covariates, "stage2_covariates"))
-    a2_observed = _observed_a2(ds)
+    # each cluster's second-stage code: a valid dataset fills at most one slot
+    a2_observed = ds.a2nr + ds.a2r
     # (cell, members, X, treatment indicator, design probability); stage one has no cell
     models = [(None, slice(None), _design_columns(ds, stage1_covariates), ds.a1 == 1, design.p_a1)]
     for cell in sorted(design.p_a2_given):
@@ -969,8 +964,7 @@ def fit_end_of_study(
     exchangeable between-person correlation pooled over regimes.  Compare two
     regimes with ``wald_test(res, contrast_end_of_study(res.mean_spec, d, d_prime))``.
     """
-    _require_valid(ds)
-    final = ds.final_time()
+    final = ds.final_time()  # shares ds's validation report, which fit reads
     grid = final.grid
     mean_spec = MeanModelSpec.custom(
         ds.design, grid, make_saturated_basis(ds.design, grid), covariate_terms

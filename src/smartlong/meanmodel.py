@@ -42,22 +42,14 @@ def _second_stage_multipliers(kind: DesignKind, d: EmbeddedCai) -> Tuple[float, 
     if kind is DesignKind.I:
         return (1.0, a1, d.a2r, d.a2nr, a1 * d.a2r, a1 * d.a2nr)
     if kind is DesignKind.III:
-        # the a1 = -1 arm is never re-randomized: its regimes carry no a2nr
-        # and the corresponding slope coefficient is structurally zero
-        a2 = d.a2nr if (a1 == 1 and d.a2nr is not None) else 0.0
-        return (1.0, a1, a2)
+        # the regime of the arm that is not re-randomized carries no a2nr:
+        # its a2 slope coefficient is structurally zero
+        return (1.0, a1, 0.0 if d.a2nr is None else d.a2nr)
     return (1.0, a1, d.a2nr, a1 * d.a2nr)  # IV, a2 stored in the a2nr slot
 
 
 # panels of the composite Simpson rule a custom basis is integrated with (even)
 _SIMPSON_PANELS = 1024
-
-_N_SECOND_STAGE = {
-    DesignKind.I: 6,
-    DesignKind.II: 4,
-    DesignKind.III: 3,
-    DesignKind.IV: 4,
-}
 
 
 class TrajectoryBasis:
@@ -96,7 +88,7 @@ class AnchoredKnotBasis(TrajectoryBasis):
         self.kind = kind
         self.grid = grid
         self.transform = transform
-        self.n_gamma = 3 + _N_SECOND_STAGE[kind]
+        self.n_gamma = 3 + len(_second_stage_multipliers(kind, _CAIS[kind][0]))
         self.labels = tuple(f"gamma_{j}" for j in range(self.n_gamma))
 
     def _s(self, t: float) -> float:
@@ -406,7 +398,8 @@ def make_saturated_basis(design: SmartDesign, grid: TimeGrid) -> CustomBasis:
 
     Useful as a diagnostic: with an identity working covariance the fit
     reduces to weighted per-cell means.  Not integrable (no trajectory
-    interpretation between grid times).
+    interpretation between grid times).  The basis names ``design``'s kind,
+    so :class:`MeanModelSpec` rejects it for another design.
     """
     cells = [(cai, t) for cai in enumerate_cais(design) for t in grid.times]
 
@@ -416,9 +409,11 @@ def make_saturated_basis(design: SmartDesign, grid: TimeGrid) -> CustomBasis:
 
         return f
 
-    return CustomBasis(
+    basis = CustomBasis(
         functions=[make_indicator(cai, t) for cai, t in cells],
         grid=grid,
         labels=[f"mu[{cai},t={t:g}]" for cai, t in cells],
         quadrature=False,
     )
+    basis.kind = design.kind
+    return basis

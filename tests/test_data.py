@@ -348,7 +348,7 @@ class TestParseCharacterization:
         responder_with_a2nr = [row[:6] + ["1"] + row[7:] if row[0] == "c2" else row for row in CHAR_ROWS]
         assert raised(char_table(rows=responder_with_a2nr), schema) == (
             InconsistentCluster,
-            "cluster 'c2': design II: a2nr must be present exactly for non-responders",
+            "cluster 'c2': design II: a cluster with a1 = -1, r = 1 carries no second-stage treatment",
         )
         missing = [row for line, row in enumerate(responder_with_a2nr, start=2) if line not in (5, 16)]
         assert raised(char_table(rows=missing), schema) == (
@@ -634,7 +634,7 @@ class TestValidate:
             ("c1", "NonFiniteCovariate", "cluster covariates are not all finite"),
             ("c1", "MissingCell", "individual 'c1-0' has 2 outcomes, expected 3"),
             ("c1", "CovariateSchema", "individual 'c1-1' has 2 covariates, expected 1"),
-            ("c2", "design-consistency", "design II: a2nr must be present exactly for non-responders"),
+            ("c2", "design-consistency", "design II: a cluster with a1 = +1, r = 1 carries no second-stage treatment"),
             ("c2", "EmptyCluster", "cluster has no individuals"),
             ("c2", "DuplicateCluster", "duplicate cluster id"),
             ("c3", "MissingCell", "individual 'c3-0' has non-finite outcomes"),

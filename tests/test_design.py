@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from smartlong import (
     design_weight,
     enumerate_cais,
 )
+from smartlong.data import Pathway, _pathway_violation
 
 from conftest import make_cluster
 
@@ -169,6 +172,46 @@ class TestWeights:
             )
         se = masses.std(ddof=1) / np.sqrt(reps)
         assert abs(masses.mean() - len(cais)) < 3 * se + 1e-12
+
+
+# a1, r and each slot over valid and invalid values: 81 pathways per design
+ALL_PATHWAYS = [
+    Pathway(a1, r, a2nr, a2r)
+    for a1, r, a2nr, a2r in itertools.product((1, -1, 0), (0, 1, 2), (None, 1, -1), (None, 1, -1))
+]
+
+
+def unbalanced(kind):
+    # a distinct probability per cell, so that a factor read from the wrong cell shows
+    p = {(1, 0): 0.6, (1, 1): 0.7, (-1, 0): 0.2, (-1, 1): 0.35}
+    if kind is DesignKind.IV:  # response is ignored: one probability per arm
+        p = {(1, 0): 0.6, (1, 1): 0.6, (-1, 0): 0.2, (-1, 1): 0.2}
+    return SmartDesign(kind=kind, p_a1=0.3, p_a2_given={c: p[c] for c in SmartDesign.balanced(kind).p_a2_given})
+
+
+class TestSecondStageRuleAgainstOracle:
+    """Validation, consistency and weights against :func:`enumerate_pathways`."""
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_valid_exactly_on_the_oracle_pathways(self, kind):
+        design = SmartDesign.balanced(kind)
+        valid = [p for p in ALL_PATHWAYS if _pathway_violation(p, kind) is None]
+        assert sorted(valid, key=repr) == sorted(map(Pathway._make, enumerate_pathways(design)), key=repr)
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_consistency_and_weight_on_the_oracle_pathways(self, kind):
+        design = unbalanced(kind)
+        for p in map(Pathway._make, enumerate_pathways(design)):
+            # the slot the oracle fills is the one the regime must match
+            present = [slot for slot in ("a2nr", "a2r") if getattr(p, slot) is not None]
+            for d in enumerate_cais(design):
+                expected = int(p.a1 == d.a1 and all(getattr(p, slot) == getattr(d, slot) for slot in present))
+                assert consistency_indicator(p, d, design) == expected, (p, d)
+            prob = design.p_a1 if p.a1 == 1 else 1.0 - design.p_a1
+            for slot in present:
+                p_plus = design.p_a2_given[(p.a1, p.r)]
+                prob *= p_plus if getattr(p, slot) == 1 else 1.0 - p_plus
+            assert design_weight(p, design) == 1.0 / prob, p
 
 
 class TestEmbeddedCai:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -15,6 +16,7 @@ from smartlong import (
     AlphaEstimate,
     BetweenCorr,
     CorrCai,
+    CustomBasis,
     DesignKind,
     EmbeddedCai,
     FitOptions,
@@ -289,6 +291,18 @@ class TestFit:
             fit(ds, spec, IID)
         with pytest.raises(InconsistentCluster, match="not all finite"):
             fit_end_of_study(ds, ("u",))
+
+    @pytest.mark.parametrize("f,where", [
+        (lambda t, d: math.log(t) if t > 0 else -math.inf, "regime (+1,+1) at t = 0.0"),
+        (lambda t, d: math.nan if d == EmbeddedCai(-1, None, 1) and t == 2.0 else t, "regime (-1,+1) at t = 2.0"),
+    ], ids=["log-at-zero", "nan"])
+    def test_nonfinite_basis_value_rejected_before_solving(self, design2, grid012, f, where):
+        # unchecked, the non-finite rows reach the moments and the fit reports an unidentified model
+        rng = np.random.default_rng(22)
+        ds = random_design2_dataset(rng, 30, grid012, design2)
+        basis = CustomBasis(functions=[lambda t, d: 1.0, f], grid=grid012)
+        with pytest.raises(ValueError, match=re.escape(f"the mean model's basis is not finite under {where}") + "$"):
+            fit(ds, MeanModelSpec.custom(design2, grid012, basis), IID)
 
     def test_covariate_collinear_with_intercept_is_rank_deficient(self, design2, grid012):
         # a cluster covariate equal in every cluster is a multiple of the intercept

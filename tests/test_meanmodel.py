@@ -70,10 +70,15 @@ class TestSpecConstructors:
         assert spec.covariate_terms == ("age", "sex")
         assert spec.param_names[-2:] == ("eta_age", "eta_sex")
 
-    def test_a_basis_for_another_design_kind_is_rejected(self, design2, grid012):
+    @pytest.mark.parametrize("make_basis,kind", [
         # a design III basis has 6 gamma coefficients where design II needs 7
-        with pytest.raises(ValueError, match="the basis is built for design III, the mean model for design II$"):
-            MeanModelSpec(AnchoredKnotBasis(DesignKind.III, grid012), design2, grid012)
+        (lambda grid: AnchoredKnotBasis(DesignKind.III, grid), "III"),
+        # one mean per design I regime and time: no design II regime matches a cell
+        (lambda grid: make_saturated_basis(SmartDesign.balanced(DesignKind.I), grid), "I"),
+    ], ids=["anchored", "saturated"])
+    def test_a_basis_for_another_design_kind_is_rejected(self, design2, grid012, make_basis, kind):
+        with pytest.raises(ValueError, match=f"the basis is built for design {kind}, the mean model for design II$"):
+            MeanModelSpec(make_basis(grid012), design2, grid012)
 
     @pytest.mark.parametrize("make_basis", [
         lambda design, grid: AnchoredKnotBasis(design.kind, grid),
