@@ -29,7 +29,6 @@ from .meanmodel import (
     contrast_end_of_study,
     contrast_second_stage_slope,
     custom_contrast,
-    design_row,
     make_saturated_basis,
     mu,
     stack_design_matrix,
@@ -38,13 +37,11 @@ from .workingcov import (
     AlphaEstimate,
     BetweenCorr,
     CorrCai,
-    ResidualGrams,
     VarianceCai,
     VarianceTime,
     WithinCorr,
     WorkingCovSpec,
     build_V,
-    estimate_alpha,
 )
 from .gee import (
     AdjustmentOptions,
@@ -53,9 +50,7 @@ from .gee import (
     WaldResult,
     WeightMode,
     WeightModel,
-    estimate_weight_model,
     fit,
     fit_end_of_study,
-    sandwich_covariance,
     wald_test,
 )

@@ -48,7 +48,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .design import DesignKind, SmartDesign, _second_stage_slot, consistency_indicator, enumerate_cais
+from .design import SmartDesign, _pathway_violation, consistency_indicator, enumerate_cais
 from .errors import (
     BadTreatmentCode,
     InconsistentCluster,
@@ -1099,22 +1099,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _pathway_violation(p: Pathway, kind: DesignKind) -> Optional[str]:
-    if p.a1 not in (-1, 1):
-        return f"a1 must be -1/+1, got {p.a1}"
-    if p.r not in (0, 1):
-        return f"r must be 0/1, got {p.r}"
-    for name in ("a2nr", "a2r"):
-        v = getattr(p, name)
-        if v is not None and v not in (-1, 1):
-            return f"{name} must be -1/+1 or absent, got {v}"
-    slot = _second_stage_slot(kind, p.a1, p.r)
-    if any((getattr(p, name) is not None) != (name == slot) for name in ("a2nr", "a2r")):
-        carries = "no second-stage treatment" if slot is None else f"its second-stage treatment in {slot} alone"
-        return f"design {kind.value}: a cluster with a1 = {p.a1:+d}, r = {p.r} carries {carries}"
-    return None
 
 
 def _check(ds: TrialDataset, faults: Sequence[Tuple[tuple, Violation]] = ()) -> ValidationReport:

@@ -11,9 +11,10 @@ second randomization:
 A re-randomized ``(a1, r)`` cell writes its second-stage treatment to one
 slot: ``a2r`` for design I responders, ``a2nr`` for every other cell, design
 IV's included.  Every other slot is empty.  This module alone owns that
-rule (``_CELLS`` and ``_second_stage_slot``): the embedded regimes, the
-consistency indicators, the weights and the validation of an observed
-pathway all read it from here.
+rule (``_CELLS`` and ``_second_stage_slot``) and the validity of an observed
+pathway (``_pathway_violation``): the embedded regimes, the consistency
+indicators and weights, which refuse an invalid pathway, and dataset
+validation read them from here.  The package exports all of ``__all__``.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Tuple
+
+from .errors import InconsistentCluster
 
 __all__ = [
     "DesignKind",
@@ -175,13 +178,39 @@ def enumerate_cais(design: SmartDesign) -> list[EmbeddedCai]:
     return list(_CAIS[design.kind])
 
 
+def _pathway_violation(p, kind: DesignKind) -> Optional[str]:
+    """Why validation rejects the observed pathway ``p`` under ``kind``, or None."""
+    if p.a1 not in (-1, 1):
+        return f"a1 must be -1/+1, got {p.a1}"
+    if p.r not in (0, 1):
+        return f"r must be 0/1, got {p.r}"
+    for name in ("a2nr", "a2r"):
+        v = getattr(p, name)
+        if v is not None and v not in (-1, 1):
+            return f"{name} must be -1/+1 or absent, got {v}"
+    slot = _second_stage_slot(kind, p.a1, p.r)
+    if any((getattr(p, name) is not None) != (name == slot) for name in ("a2nr", "a2r")):
+        carries = "no second-stage treatment" if slot is None else f"its second-stage treatment in {slot} alone"
+        return f"design {kind.value}: a cluster with a1 = {p.a1:+d}, r = {p.r} carries {carries}"
+    return None
+
+
+def _valid_slot(cluster, kind: DesignKind) -> Optional[str]:
+    """The cluster's slot; :class:`InconsistentCluster` if validation rejects it."""
+    message = _pathway_violation(cluster, kind)
+    if message is not None:
+        raise InconsistentCluster(message)
+    return _second_stage_slot(kind, cluster.a1, cluster.r)
+
+
 def consistency_indicator(cluster, d: EmbeddedCai, design: SmartDesign) -> int:
     """1 iff the cluster's observed pathway could have arisen under ``d``:
     the first-stage treatments agree and, where the cluster's cell is
-    re-randomized, so does the treatment in that cell's slot."""
+    re-randomized, so does the treatment in that cell's slot.
+    :class:`InconsistentCluster` on a pathway that validation rejects."""
+    slot = _valid_slot(cluster, design.kind)
     if cluster.a1 != d.a1:
         return 0
-    slot = _second_stage_slot(design.kind, cluster.a1, cluster.r)
     return 1 if slot is None else int(getattr(cluster, slot) == getattr(d, slot))
 
 
@@ -190,10 +219,11 @@ def design_weight(cluster, design: SmartDesign) -> float:
 
     The second stage contributes the probability of the treatment in the
     slot of the cluster's cell; a cell that is not re-randomized contributes
-    a factor 1.
+    a factor 1.  :class:`InconsistentCluster` on a pathway that validation
+    rejects.
     """
+    slot = _valid_slot(cluster, design.kind)
     p = design.p_first_stage(cluster.a1)
-    slot = _second_stage_slot(design.kind, cluster.a1, cluster.r)
     if slot is not None:
         p *= design.p_second_stage(cluster.a1, cluster.r, getattr(cluster, slot))
     return 1.0 / p

@@ -24,7 +24,6 @@ __all__ = [
     "ThetaEstimate",
     "ContrastVector",
     "mu",
-    "design_row",
     "stack_design_matrix",
     "contrast_end_of_study",
     "contrast_second_stage_slope",
@@ -103,20 +102,6 @@ class AnchoredKnotBasis(TrajectoryBasis):
         u = self._s(t) - self._s(knot) if t > knot else 0.0
         mults = _second_stage_multipliers(self.kind, d)
         return np.array([1.0, b, d.a1 * b, *(m * u for m in mults)])
-
-    def gamma_rows(self, times: Sequence[float], d: EmbeddedCai) -> np.ndarray:
-        # gamma_row at every time at once, the same floating-point operations
-        t = np.asarray(times, dtype=float)
-        knot = self.grid.knot
-        s = np.sqrt(t) if self.transform == "sqrt" else t
-        b = np.minimum(s, self._s(knot))  # s is increasing: s(min(t, knot))
-        rows = np.empty((len(t), self.n_gamma))
-        rows[:, 0] = 1.0
-        rows[:, 1] = b
-        rows[:, 2] = d.a1 * b
-        u = np.where(t > knot, s - self._s(knot), 0.0)
-        rows[:, 3:] = u[:, None] * np.array(_second_stage_multipliers(self.kind, d), dtype=float)
-        return rows
 
     def gamma_integrals(self, d: EmbeddedCai) -> np.ndarray:
         t0, t_end = self.grid.times[0], self.grid.t_end
@@ -226,9 +211,6 @@ class MeanModelSpec:
     def param_names(self) -> Tuple[str, ...]:
         return self.basis.labels + tuple(f"eta_{c}" for c in self.covariate_terms)
 
-    def cais(self) -> list[EmbeddedCai]:
-        return enumerate_cais(self.design)
-
     def require_cai(self, d: EmbeddedCai) -> None:
         if d not in _CAIS[self.design.kind]:
             raise UnknownCai(f"{d} is not embedded in design {self.design.kind.value}")
@@ -275,7 +257,7 @@ class ContrastVector:
             raise ValueError("contrast vector must be nonzero")
 
 
-def design_row(spec: MeanModelSpec, d: EmbeddedCai, x: Sequence[float], t: float) -> np.ndarray:
+def _design_row(spec: MeanModelSpec, d: EmbeddedCai, x: Sequence[float], t: float) -> np.ndarray:
     """Gradient of the mean model in ``(gamma, eta)`` at one observation."""
     spec.require_cai(d)
     spec.require_time(t)
@@ -294,8 +276,8 @@ def mu(
     t: float,
     theta: ThetaEstimate,
 ) -> float:
-    """Marginal mean value; exactly ``design_row . theta`` for linear bases."""
-    row = design_row(spec, d, x, t)
+    """Marginal mean value; exactly ``_design_row . theta`` for linear bases."""
+    row = _design_row(spec, d, x, t)
     full = theta.full
     if full.size != row.size:
         raise ValueError(f"theta has {full.size} entries, model expects {row.size}")

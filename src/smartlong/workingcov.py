@@ -47,10 +47,7 @@ __all__ = [
     "CorrCai",
     "WorkingCovSpec",
     "AlphaEstimate",
-    "ResidualGrams",
-    "estimate_alpha",
     "build_V",
-    "block_stack",
 ]
 
 _CLIP = 1.0 - 1e-8

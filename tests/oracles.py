@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 
-from smartlong import ResidualGrams
+from smartlong.workingcov import ResidualGrams
 
 
 def row_grams(groups, cais):

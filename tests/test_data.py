@@ -84,6 +84,10 @@ class TestParse:
         with pytest.raises(InconsistentCluster):
             parse_long_table(bad, schema_for(design2, grid012))
 
+    def test_empty_input_has_no_header(self, design2, grid012):
+        with pytest.raises(MissingCell, match="^empty input: header row required$"):
+            parse_long_table("", schema_for(design2, grid012))
+
     def test_missing_outcome_cell(self, design2, grid012):
         bad = MINIMAL.replace("c1,p2,2,0.9,1,0,-1\n", "")
         with pytest.raises(MissingCell):
@@ -662,6 +666,13 @@ class TestValidate:
             fit(same, spec, WorkingCovSpec())
         with pytest.raises(InconsistentCluster, match="duplicate time 0.0 for individual 'c1-0' in cluster 'c1'"):
             parse_long_table(serialize_long_table(same), schema_for(design2, grid012))
+
+    def test_second_stage_code_outside_the_signs(self, design2, grid012):
+        cl = make_cluster("c1", 1, 0, 5, [(1.0, 2.0, 3.0)])
+        report = validate(make_dataset([cl], design2, grid012))
+        assert [(v.cluster_id, v.code, v.message) for v in report.violations] == [
+            ("c1", "design-consistency", "a2nr must be -1/+1 or absent, got 5"),
+        ]
 
     def test_uncovered_cai_is_warning_not_violation(self, design2, grid012):
         cl = make_cluster("c1", 1, 0, 1, [(1.0, 2.0, 3.0)])

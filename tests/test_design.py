@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from smartlong import (
     design_weight,
     enumerate_cais,
 )
-from smartlong.data import Pathway, _pathway_violation
+from smartlong.data import Pathway
+from smartlong.design import _pathway_violation
+from smartlong.errors import InconsistentCluster
 
 from conftest import make_cluster
 
@@ -212,6 +215,22 @@ class TestSecondStageRuleAgainstOracle:
                 p_plus = design.p_a2_given[(p.a1, p.r)]
                 prob *= p_plus if getattr(p, slot) == 1 else 1.0 - p_plus
             assert design_weight(p, design) == 1.0 / prob, p
+
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_helpers_refuse_exactly_the_pathways_validation_rejects(self, kind):
+        design = unbalanced(kind)
+        for p in ALL_PATHWAYS:
+            message = _pathway_violation(p, kind)
+            if message is None:
+                consistency_indicator(p, enumerate_cais(design)[0], design)
+                design_weight(p, design)
+                continue
+            for d in enumerate_cais(design):
+                with pytest.raises(InconsistentCluster, match=f"^{re.escape(message)}$"):
+                    consistency_indicator(p, d, design)
+            with pytest.raises(InconsistentCluster, match=f"^{re.escape(message)}$"):
+                design_weight(p, design)
 
 
 class TestEmbeddedCai:

@@ -37,12 +37,10 @@ from smartlong import (
     custom_contrast,
     design_weight,
     enumerate_cais,
-    estimate_alpha,
     fit,
     fit_end_of_study,
     make_saturated_basis,
     mu,
-    sandwich_covariance,
     stack_design_matrix,
     wald_test,
 )
@@ -51,8 +49,8 @@ from smartlong.errors import (
     DegenerateVariance, InconsistentCluster, InsufficientData, NotPositiveDefinite, RankDeficient,
     ZeroVariance,
 )
-from smartlong.gee import _assemble, _Workspace
-from smartlong.workingcov import block_stack
+from smartlong.gee import _assemble, _Workspace, sandwich_covariance
+from smartlong.workingcov import block_stack, estimate_alpha
 
 from conftest import (
     count_calls, make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
@@ -190,6 +188,12 @@ class TestFit:
         assert res.converged
         assert res.iterations <= 2
         assert res.max_delta < 1e-12  # scalar V reproduces the initializer
+
+    def test_covariate_term_not_in_the_schema(self, design2, grid012):
+        ds = random_design2_dataset(np.random.default_rng(3), 20, grid012, design2)
+        spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("zzz",))
+        with pytest.raises(ValueError, match="^covariate 'zzz' not present in the dataset schema$"):
+            fit(ds, spec, IID)
 
     def test_infinite_tolerance_returns_initializer(self, design2, grid012):
         rng = np.random.default_rng(3)
@@ -462,6 +466,20 @@ class TestWald:
         )
         spec = MeanModelSpec.piecewise_linear(DESIGN2, GRID012)
         return spec, fit(ds, spec, EXCH)
+
+    def test_rejects_a_level_outside_the_unit_interval(self, fitted):
+        spec, res = fitted
+        c = custom_contrast(spec, [0, 1, 0, 0, 0, 0, 0], "slope")
+        with pytest.raises(ValueError, match=r"^confidence level must lie in \(0, 1\)$"):
+            wald_test(res, c, level=1.5)
+
+    def test_rejects_a_contrast_of_the_wrong_length(self, fitted):
+        from smartlong import ContrastVector
+
+        spec, res = fitted
+        short = ContrastVector(c=np.ones(spec.n_params - 1), label="short")
+        with pytest.raises(ValueError, match="^contrast has 6 entries, fit has 7 parameters$"):
+            wald_test(res, short)
 
     def test_zero_estimate_gives_unit_p(self, fitted):
         # exact-integer theta and contrast so the dot product cancels exactly

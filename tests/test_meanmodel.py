@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from smartlong import (
     AnchoredKnotBasis,
+    ContrastVector,
     CustomBasis,
     DesignKind,
     EmbeddedCai,
@@ -17,13 +18,13 @@ from smartlong import (
     contrast_end_of_study,
     contrast_second_stage_slope,
     custom_contrast,
-    design_row,
     enumerate_cais,
     make_saturated_basis,
     mu,
     stack_design_matrix,
 )
 from smartlong.errors import NonIntegrableBasis, TimeOutOfRange, UnknownCai
+from smartlong.meanmodel import _design_row as design_row
 
 from conftest import make_cluster, make_dataset
 
@@ -366,3 +367,33 @@ class TestSaturatedBasis:
         row = design_row(spec, D1M, (), 1.0)
         assert row.sum() == 1.0
         assert row[basis.labels.index(f"mu[{D1M},t=1]")] == 1.0
+
+
+class TestRejectedInputs:
+    def test_mu_wants_one_value_per_covariate_term(self, pl_spec):
+        theta = theta_for(pl_spec, np.zeros(7))
+        with pytest.raises(ValueError, match="^expected 0 covariate values, got 1$"):
+            mu(pl_spec, D11, (0.3,), 1.0, theta)
+
+    def test_custom_contrast_wants_one_coefficient_per_gamma(self, pl_spec):
+        with pytest.raises(ValueError, match="^expected 7 gamma coefficients, got 6$"):
+            custom_contrast(pl_spec, np.ones(6), "short")
+
+    def test_contrast_vector_of_zeros(self):
+        with pytest.raises(ValueError, match="^contrast vector must be nonzero$"):
+            ContrastVector(c=np.zeros(3), label="zero")
+
+    def test_theta_names_must_cover_gamma_and_eta(self):
+        with pytest.raises(ValueError, match="^names must cover gamma and eta jointly$"):
+            ThetaEstimate(gamma=np.zeros(2), eta=np.zeros(1), names=("a", "b"))
+
+    def test_anchored_basis_transforms(self, grid012):
+        with pytest.raises(ValueError, match="^unknown time transform 'log'$"):
+            AnchoredKnotBasis(DesignKind.II, grid012, "log")
+        negative = TimeGrid(times=(-1.0, 0.0, 1.0), knot=0.0)
+        with pytest.raises(ValueError, match="^sqrt transform requires nonnegative times$"):
+            AnchoredKnotBasis(DesignKind.II, negative, "sqrt")
+
+    def test_custom_basis_labels_must_match_its_functions(self, grid012):
+        with pytest.raises(ValueError, match="^labels must match the number of basis functions$"):
+            CustomBasis([lambda t, d: 1.0], grid012, labels=("a", "b"))

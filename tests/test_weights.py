@@ -7,12 +7,10 @@ from smartlong import (
     FitOptions,
     MeanModelSpec,
     WeightMode,
-    estimate_weight_model,
     fit,
-    sandwich_covariance,
 )
 from smartlong.errors import RankDeficient
-from smartlong.gee import _score_corrected_q, _Workspace
+from smartlong.gee import _score_corrected_q, _Workspace, estimate_weight_model, sandwich_covariance
 from smartlong import WorkingCovSpec
 
 from conftest import make_cluster, make_dataset, random_dataset, random_design2_dataset

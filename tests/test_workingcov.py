@@ -17,11 +17,10 @@ from smartlong import (
     WithinCorr,
     WorkingCovSpec,
     build_V,
-    estimate_alpha,
     workingcov,
 )
 from smartlong.errors import DegenerateVariance, InsufficientData, NotPositiveDefinite
-from smartlong.workingcov import block_stack
+from smartlong.workingcov import block_stack, estimate_alpha
 
 from conftest import count_calls
 from oracles import eigenvalue_rule_message, judged_stack, row_grams, unchecked_V
@@ -628,6 +627,10 @@ class TestBuildV:
         alpha = one_regime([1.0] * 3, between=np.full((3, 3), -0.9))
         with pytest.raises(NotPositiveDefinite):
             build_V(spec, alpha, D11, 5, grid012)
+
+    def test_cluster_size_must_be_positive(self, grid012):
+        with pytest.raises(ValueError, match="^cluster size must be positive, got 0$"):
+            build_V(WorkingCovSpec.independent_homoscedastic(), one_regime([1.0] * 3), D11, 0, grid012)
 
     def test_grid_must_match_estimate(self, grid012):
         spec = WorkingCovSpec.independent_homoscedastic()
