@@ -428,21 +428,30 @@ def _code_pathway_table(codes: np.ndarray) -> Tuple[Tuple[Pathway, ...], np.ndar
     return pathways, rank[inverse]
 
 
+# the logical columns of every long table, in header order
+_COLUMNS = ("cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr")
+
+
+def _table_columns(design: SmartDesign) -> Tuple[str, ...]:
+    """The logical columns of a long table of ``design``: :data:`_COLUMNS`,
+    then ``a2r`` where a regime of the design uses that slot."""
+    return _COLUMNS + ("a2r",) * any(d.a2r is not None for d in enumerate_cais(design))
+
+
 @dataclass(frozen=True)
 class TableSchema:
     """Column mapping and coding rules for a long-format table.
 
     ``columns`` maps the logical names ``cluster_id``, ``individual_id``,
     ``time``, ``y``, ``a1``, ``r``, ``a2nr`` (and ``a2r`` for design I) to
-    header names in the file.  User treatment codes are translated through
-    the explicit ``*_codes`` maps; values are never guessed.
+    header names in the file; a name it does not map is its own header
+    name.  User treatment codes are translated through the explicit
+    ``*_codes`` maps; values are never guessed.
     """
 
     design: SmartDesign
     grid: TimeGrid
-    columns: Mapping[str, str] = field(
-        default_factory=lambda: {k: k for k in ("cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr")}
-    )
+    columns: Mapping[str, str] = field(default_factory=lambda: dict(zip(_COLUMNS, _COLUMNS)))
     cluster_covariates: Tuple[str, ...] = ()
     individual_covariates: Tuple[str, ...] = ()
     a1_codes: Mapping[str, int] = field(default_factory=lambda: {"1": 1, "+1": 1, "-1": -1})
@@ -716,10 +725,10 @@ class _ColumnBuilder:
     individual's cluster, first-row covariates and outcomes, so their sizes
     follow the clusters and individuals, not the rows; the per-individual
     arrays start with room for ``people`` individuals, where their number
-    can be foreseen.  Rows arrive as lists (:meth:`add_rows`) or as columns
-    (:meth:`add_columns`), and either raises on the earliest failing row.
-    Each row check is one vectorized mask over a chunk; the failing row's
-    error is read from the values the chunk converted, with no second parse.
+    can be foreseen.  Rows arrive as columns (:meth:`add_columns`), which
+    raises on the earliest failing row.  Each row check is one vectorized
+    mask over a chunk; the failing row's error is read from the values the
+    chunk converted, with no second parse.
     """
 
     def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int], people: int) -> None:
@@ -743,23 +752,14 @@ class _ColumnBuilder:
         self.y = np.zeros((people, self.n_times))
         self.filled = np.zeros((people, self.n_times), dtype=bool)
 
-    def add_rows(self, first_line: int, rows: List[List[str]]) -> None:
-        """Check and store rows numbered from ``first_line``; blank rows are skipped."""
-        lines: Sequence[int] = range(first_line, first_line + len(rows))
-        nonblank = list(map(any, map(map, itertools.repeat(str.strip), rows)))
-        if not all(nonblank):
-            rows = list(itertools.compress(rows, nonblank))
-            lines = list(itertools.compress(lines, nonblank))
-        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        wrong_length = np.flatnonzero(lengths != self.n_fields)
-        m = int(wrong_length[0]) if wrong_length.size else len(rows)
-        columns = list(zip(*rows[:m]))
-        cids = list(map(str.strip, columns[self.col["cluster_id"]])) if m else []
-        self._add(lines, columns, cids, rows[m] if m < len(rows) else None)
+    def add_columns(self, first_line: int, columns: Sequence[Sequence[str]]) -> None:
+        """Convert, check and store the rows, numbered from ``first_line``, of
+        ``columns``, one sequence of cells per field; blank rows are skipped.
 
-    def add_columns(self, first_line: int, columns: List[List[str]]) -> None:
-        """Check and store the rows, numbered from ``first_line``, of
-        ``columns``, one list of cells per field; blank rows are skipped."""
+        Outcomes are stored up to the first row failing a check, first-row
+        references for every cluster and individual the rows introduce; then
+        that row's error is raised, read from the values converted here.
+        """
         cids = list(map(str.strip, columns[self.col["cluster_id"]]))
         lines: Sequence[int] = range(first_line, first_line + len(cids))
         if "" in cids:  # only a row with an empty cluster id can be blank
@@ -768,30 +768,8 @@ class _ColumnBuilder:
                 columns = [list(itertools.compress(column, nonblank)) for column in columns]
                 cids = list(itertools.compress(cids, nonblank))
                 lines = list(itertools.compress(lines, nonblank))
-        self._add(lines, columns, cids, None)
-
-    def _add(
-        self, lines: Sequence[int], columns: Sequence[Sequence[str]], cids: List[str],
-        wrong_length: Optional[List[str]],
-    ) -> None:
-        """Store the rows of ``columns``, the rows on ``lines``, until the
-        first failing one, or else ``wrong_length``, the row on the line
-        after them, which has the wrong number of fields; and raise its error."""
-        if cids:
-            self._add_columns(lines, columns, cids)
-        if wrong_length is not None:
-            raise InconsistentCluster(
-                f"line {lines[len(cids)]}: expected {self.n_fields} fields, got {len(wrong_length)}"
-            )
-
-    def _add_columns(self, lines: Sequence[int], columns: Sequence[Sequence[str]], cids: List[str]) -> None:
-        """Convert, check and store rows that have the right number of fields,
-        given their stripped cluster ids and their line numbers.
-
-        Outcomes are stored up to the first row failing a check, first-row
-        references for every cluster and individual the rows introduce; then
-        that row's error is raised, read from the values converted here.
-        """
+        if not cids:
+            return
         schema, col, grid = self.schema, self.col, self.schema.grid
         m = len(cids)
         iids = list(map(str.strip, columns[col["individual_id"]]))
@@ -959,17 +937,25 @@ class _ColumnBuilder:
 
 def _add_rows(builder: _ColumnBuilder, line: int, reader: Iterator[List[str]]) -> int:
     """Add the rows ``reader`` yields, numbered from ``line``, a chunk at a
-    time, and return the number of the line after them."""
+    time as columns, and return the number of the line after them.
+
+    A chunk is added up to its first nonblank row with the wrong number of
+    fields, whose error is then raised; a blank row of any length enters as
+    empty cells, which the builder skips.
+    """
+    n = builder.n_fields
     while True:
         rows: List[List[str]] = []
         try:
             rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-        except csv.Error:
-            builder.add_rows(line, rows)  # a fault on an earlier row is reported first
-            raise
+        finally:  # also on a csv.Error, so that a fault on an earlier row is reported first
+            wrong = next((i for i, row in enumerate(rows) if len(row) != n and any(map(str.strip, row))), len(rows))
+            if wrong:
+                builder.add_columns(line, list(zip(*(row if len(row) == n else [""] * n for row in rows[:wrong]))))
+            if wrong < len(rows):
+                raise InconsistentCluster(f"line {line + wrong}: expected {n} fields, got {len(rows[wrong])}")
         if not rows:
             return line
-        builder.add_rows(line, rows)
         line += len(rows)
 
 
@@ -1018,13 +1004,9 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
     delimiter = "\t" if sample.count("\t") >= sample.count(",") else ","
     header = [h.strip() for h in sample.rstrip("\r\n").split(delimiter)]
 
-    cols = dict(schema.columns)
-    needed = ["cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr"]
-    if any(d.a2r is not None for d in enumerate_cais(schema.design)):
-        needed.append("a2r")
     col_index: dict[str, int] = {}
-    for logical in needed:
-        name = cols.get(logical, logical)
+    for logical in _table_columns(schema.design):
+        name = schema.columns.get(logical, logical)
         col_index[logical] = _header_index(header, name, f"column {name!r} (for {logical!r})")
     for cov in (*schema.cluster_covariates, *schema.individual_covariates):
         col_index[cov] = _header_index(header, cov, f"covariate column {cov!r}")
@@ -1052,14 +1034,9 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
 
 def serialize_long_table(ds: TrialDataset, delimiter: str = ",") -> str:
     """Inverse of :func:`parse_long_table` (up to row order)."""
-    header = [
-        "cluster_id", "individual_id", "time", "y", "a1", "r", "a2nr",
-    ]
-    include_a2r = any(d.a2r is not None for d in enumerate_cais(ds.design))
-    if include_a2r:
-        header.append("a2r")
-    header.extend(ds.cluster_covariates)
-    header.extend(ds.individual_covariates)
+    columns = _table_columns(ds.design)
+    include_a2r = "a2r" in columns
+    header = [*columns, *ds.cluster_covariates, *ds.individual_covariates]
 
     def enc(v: int) -> str:
         return "NA" if v == 0 else str(v)
@@ -1149,10 +1126,12 @@ def _check(ds: TrialDataset, faults: Sequence[Tuple[tuple, Violation]] = ()) -> 
 
 
 def _raise_first_violation(report: ValidationReport) -> None:
-    """Raise :class:`InconsistentCluster` for the report's first violation, if any."""
+    """Raise the report's first violation, if any: :class:`MissingCell` for
+    an absent or non-finite value, else :class:`InconsistentCluster`."""
     if report.violations:
         first = report.violations[0]
-        raise InconsistentCluster(f"cluster {first.cluster_id!r}: {first.message}")
+        error = MissingCell if first.code in ("MissingCell", "NonFiniteCovariate") else InconsistentCluster
+        raise error(f"cluster {first.cluster_id!r}: {first.message}")
 
 
 def validate(ds: TrialDataset) -> ValidationReport:

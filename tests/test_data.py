@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -366,7 +367,7 @@ class TestParseCharacterization:
         schema = char_schema(design2, grid012)
         want = parse_long_table(char_table(), schema)
         head, *lines = char_table().split("\n")
-        blanks = ["", "   ", ",,,,,,,,", " \t, ,"]
+        blanks = ["", "   ", ",,,,,,,,", " \t, ,", ",,,,,,,,,,,"]
         padded = "\n".join([head, *blanks, *lines])
         assert parse_long_table(padded, schema) == want
         head, *lines = char_table([(6, "xi")]).split("\n")
@@ -612,6 +613,33 @@ class TestValidate:
         cl = make_cluster("c1", 1, 0, -1, [(1.0, 2.0)])  # length 2, grid has 3
         report = validate(make_dataset([cl], design2, grid012))
         assert any(v.code == "MissingCell" for v in report.violations)
+
+    def test_cluster_covariate_count_differs_from_schema(self, design2, grid012):
+        cl = make_cluster("c1", 1, 0, -1, [(1.0, 2.0, 3.0)], x_cluster=(0.0, 1.0), x_indiv=[(0.0,)])
+        ds = make_dataset([cl], design2, grid012, ("u",), ("v",))
+        assert [(v.cluster_id, v.code, v.message) for v in validate(ds).violations] == [
+            ("c1", "CovariateSchema", "expected 1 cluster covariates, got 2"),
+        ]
+        with pytest.raises(InconsistentCluster, match="^cluster 'c1': expected 1 cluster covariates, got 2$"):
+            fit(ds, MeanModelSpec.piecewise_linear(design2, grid012), WorkingCovSpec())
+
+    def test_record_faults_in_values_raise_missing_cell(self, design2, grid012):
+        # as the parser does for the same faults
+        rng = np.random.default_rng(11)
+        ds = random_design2_dataset(rng, 12, grid012, design2, individual_covariates=("v",))
+        first = ds.clusters[0]
+        person = first.individuals[0]
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        for bad, message in [
+            (replace(person, y=person.y[:2]), f"individual {person.individual_id!r} has 2 outcomes, expected 3"),
+            (replace(person, x_individual=(math.inf,)), f"individual {person.individual_id!r} has non-finite covariates"),
+        ]:
+            broken = replace(ds, clusters=(replace(first, individuals=(bad, *first.individuals[1:])), *ds.clusters[1:]))
+            expected = f"^cluster {first.cluster_id!r}: {re.escape(message)}$"
+            with pytest.raises(MissingCell, match=expected):
+                fit(broken, spec, WorkingCovSpec())
+            with pytest.raises(MissingCell, match=expected):
+                fit_end_of_study(broken)
 
     def test_design3_a2nr_on_wrong_arm(self, grid012):
         design3 = SmartDesign.balanced(DesignKind.III)
@@ -868,6 +896,13 @@ class TestRecordRoute:
         assert shuffled.clusters == ds.clusters
         assert_same_columns(shuffled, ds)
         assert validate(shuffled) == validate(ds)
+
+    def test_equality_needs_a_dataset_of_the_same_schema(self, design2, grid012):
+        ds = random_design2_dataset(np.random.default_rng(12), 6, grid012, design2)
+        assert ds.__eq__(ds.clusters) is NotImplemented
+        assert ds != ds.clusters
+        assert ds != replace(ds, grid=TimeGrid((0.0, 1.0, 3.0), knot=1.0))
+        assert ds != replace(ds, design=SmartDesign.balanced(DesignKind.III))
 
     def test_end_of_study_slice_shares_columns_and_report(self, design2, grid012):
         rng = np.random.default_rng(10)

@@ -46,7 +46,7 @@ from smartlong import (
 )
 from smartlong import gee
 from smartlong.errors import (
-    DegenerateVariance, InconsistentCluster, InsufficientData, NotPositiveDefinite, RankDeficient,
+    DegenerateVariance, InsufficientData, MissingCell, NotPositiveDefinite, RankDeficient,
     ZeroVariance,
 )
 from smartlong.gee import _assemble, _Workspace, sandwich_covariance
@@ -291,9 +291,9 @@ class TestFit:
         bad = replace(ds.clusters[0], x_cluster=(math.nan,))
         ds = replace(ds, clusters=(bad, *ds.clusters[1:]))
         spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("u",))
-        with pytest.raises(InconsistentCluster, match="not all finite"):
+        with pytest.raises(MissingCell, match="not all finite"):
             fit(ds, spec, IID)
-        with pytest.raises(InconsistentCluster, match="not all finite"):
+        with pytest.raises(MissingCell, match="not all finite"):
             fit_end_of_study(ds, ("u",))
 
     @pytest.mark.parametrize("f,where", [

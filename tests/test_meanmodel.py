@@ -397,3 +397,17 @@ class TestRejectedInputs:
     def test_custom_basis_labels_must_match_its_functions(self, grid012):
         with pytest.raises(ValueError, match="^labels must match the number of basis functions$"):
             CustomBasis([lambda t, d: 1.0], grid012, labels=("a", "b"))
+
+    def test_mu_wants_one_theta_entry_per_column(self, pl_spec):
+        theta = ThetaEstimate(gamma=np.zeros(6), eta=np.zeros(0), names=pl_spec.param_names[:6])
+        with pytest.raises(ValueError, match="^theta has 6 entries, model expects 7$"):
+            mu(pl_spec, D11, (), 1.0, theta)
+
+    def test_stack_design_matrix_resolves_covariates_in_the_dataset(self, design2, grid012):
+        spec = MeanModelSpec.piecewise_linear(design2, grid012, covariate_terms=("u",))
+        cl = make_cluster("c1", 1, 0, 1, [(1.0, 2.0, 3.0)], x_cluster=(0.5,))
+        with pytest.raises(ValueError, match="^covariate terms require the dataset for name resolution$"):
+            stack_design_matrix(spec, D11, cl)
+        other = make_dataset([cl], design2, grid012, cluster_covariates=("w",))
+        with pytest.raises(ValueError, match="^covariate 'u' not present in the dataset schema$"):
+            stack_design_matrix(spec, D11, cl, other)

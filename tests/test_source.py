@@ -8,6 +8,9 @@ import pytest
 import smartlong
 
 PACKAGE = Path(smartlong.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
+# the oldest Python that pyproject.toml's requires-python admits
+FLOOR = (3, 10)
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # what an analysis calls; a new export is an edit to this list
@@ -96,3 +99,17 @@ def test_public_names_are_the_pinned_list():
     }
     assert len(PUBLIC_NAMES) == 43
     assert public == PUBLIC_NAMES
+
+
+def test_sources_use_only_the_grammar_of_the_python_floor():
+    # the interpreter running the tests may be newer than the floor
+    assert f'requires-python = ">={FLOOR[0]}.{FLOOR[1]}"' in (REPO / "pyproject.toml").read_text()
+    sources = sorted(path for top in ("src", "tests", "bench") for path in (REPO / top).rglob("*.py"))
+    assert len(sources) > len(MODULES)
+    failures = []
+    for path in sources:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
+        except SyntaxError as exc:
+            failures.append(f"{path.relative_to(REPO)}:{exc.lineno}: {exc.msg}")
+    assert failures == []

@@ -9,8 +9,10 @@ from smartlong import (
     WeightMode,
     fit,
 )
-from smartlong.errors import RankDeficient
-from smartlong.gee import _score_corrected_q, _Workspace, estimate_weight_model, sandwich_covariance
+from smartlong.errors import RankDeficient, Separation
+from smartlong.gee import (
+    _logistic_mle, _score_corrected_q, _Workspace, estimate_weight_model, sandwich_covariance,
+)
 from smartlong import WorkingCovSpec
 
 from conftest import make_cluster, make_dataset, random_dataset, random_design2_dataset
@@ -97,6 +99,33 @@ class TestWeightModel:
         by_id = dict(zip(sorted(c.cluster_id for c in clusters), wm.fitted_weights))
         # fallback cell uses the design probability 0.5
         assert by_id["a"] == pytest.approx(1.0 / ((3 / 5) * 0.5), rel=1e-6)
+
+    def test_singular_information_falls_back_to_design(self, design2, grid012):
+        # an all-zero covariate leaves every stage-two information matrix singular
+        rng = np.random.default_rng(23)
+        ds = random_design2_dataset(rng, 40, grid012, design2, cluster_covariates=("z",))
+        zero = replace(ds, clusters=tuple(replace(cl, x_cluster=(0.0,)) for cl in ds.clusters))
+        wm = estimate_weight_model(zero, stage2_covariates=("z",))
+        cells = sorted(design2.p_a2_given)
+        assert wm.fallback_cells == tuple(cells)
+        for cell in cells:
+            p = design2.p_a2_given[cell]
+            np.testing.assert_array_equal(wm.stage2_coef[cell], [np.log(p / (1.0 - p)), 0.0])
+        assert len(wm.score_blocks) == 1  # stage one alone was fitted
+
+    def test_score_that_does_not_vanish_is_separation(self):
+        X, y = np.ones((10, 1)), np.repeat([1.0, 0.0], [6, 4])
+        with pytest.raises(Separation, match="^weight-model score did not vanish$"):
+            _logistic_mle(X, y, max_iter=1)
+        assert 1.0 / (1.0 + np.exp(-_logistic_mle(X, y)[0])) == pytest.approx(0.6, rel=1e-12)
+
+    def test_stage_two_covariate_must_be_cluster_level(self, design2, grid012):
+        rng = np.random.default_rng(24)
+        ds = random_design2_dataset(rng, 40, grid012, design2, cluster_covariates=("x",), individual_covariates=("v",))
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        options = FitOptions(weight_mode=WeightMode.ESTIMATED, stage2_covariates=("v",))
+        with pytest.raises(ValueError, match="^weight-model covariate 'v' must be a cluster-level covariate$"):
+            fit(ds, spec, IID, options)
 
     @pytest.mark.parametrize(
         "scale,shift", [(1e-3, 0.0), (1e3, 0.0), (1.0, 100.0)], ids=["milli", "kilo", "shifted"]

@@ -262,6 +262,12 @@ class TestEstimateAlpha:
         expected = sum(e[2][:, 0] @ e[2][:, 0] for e in entries) / (5 * 2)
         assert alpha.sigma2[0, 0] == pytest.approx(expected)
 
+    def test_grams_of_another_number_of_regimes(self):
+        entries = [(D11, 1.0, np.ones((2, 3)))]
+        grams = row_grams(residual_groups(entries), [D11])
+        with pytest.raises(ValueError, match=r"^residual moments of 1 regimes for 2 regimes$"):
+            estimate_alpha(grams, WorkingCovSpec(**HET), [D11, D1M])
+
     def test_single_cluster_unstructured_within(self):
         spec = WorkingCovSpec(
             within_corr=WithinCorr.UNSTRUCTURED, between_corr=BetweenCorr.INDEPENDENT, **HET
