@@ -142,10 +142,26 @@ class Pathway(NamedTuple):
 
 def _name_tuple(names: Sequence[str], argument: str) -> Tuple[str, ...]:
     """``names`` as a tuple of names; a bare string, which would split into
-    its characters, raises TypeError naming ``argument``."""
+    its characters, raises TypeError naming ``argument``, and a name given
+    twice ValueError."""
     if isinstance(names, str):
         raise TypeError(f"{argument} must be a sequence of names, not the string {names!r}")
-    return tuple(names)
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{argument} names {name!r} more than once")
+    return names
+
+
+def _covariate_names(cluster: Sequence[str], individual: Sequence[str]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The cluster and individual covariate names, each a :func:`_name_tuple`;
+    a name in both raises ValueError."""
+    cluster = _name_tuple(cluster, "cluster_covariates")
+    individual = _name_tuple(individual, "individual_covariates")
+    for name in cluster:
+        if name in individual:
+            raise ValueError(f"{name!r} is both a cluster and an individual covariate")
+    return cluster, individual
 
 
 class _Ids:
@@ -298,8 +314,9 @@ class TrialDataset:
     def _set_columns(self, design, grid, cluster_covariates, individual_covariates, **columns) -> None:
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "cluster_covariates", _name_tuple(cluster_covariates, "cluster_covariates"))
-        object.__setattr__(self, "individual_covariates", _name_tuple(individual_covariates, "individual_covariates"))
+        cluster_covariates, individual_covariates = _covariate_names(cluster_covariates, individual_covariates)
+        object.__setattr__(self, "cluster_covariates", cluster_covariates)
+        object.__setattr__(self, "individual_covariates", individual_covariates)
         for name, value in columns.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -445,8 +462,12 @@ class TableSchema:
     ``columns`` maps the logical names ``cluster_id``, ``individual_id``,
     ``time``, ``y``, ``a1``, ``r``, ``a2nr`` (and ``a2r`` for design I) to
     header names in the file; a name it does not map is its own header
-    name.  User treatment codes are translated through the explicit
-    ``*_codes`` maps; values are never guessed.
+    name.  A key that is not one of those logical names, or two logical names
+    read from one header name, raise ValueError.  Each covariate is read from
+    the header column of its own name, apart from the logical columns; a
+    covariate named twice, or in both covariate lists, raises ValueError.
+    User treatment codes are translated through the explicit ``*_codes``
+    maps; values are never guessed.
     """
 
     design: SmartDesign
@@ -459,8 +480,19 @@ class TableSchema:
     a2_codes: Mapping[str, int] = field(default_factory=lambda: {"1": 1, "+1": 1, "-1": -1})
 
     def __post_init__(self) -> None:
-        for name in ("cluster_covariates", "individual_covariates"):
-            object.__setattr__(self, name, _name_tuple(getattr(self, name), name))
+        cluster, individual = _covariate_names(self.cluster_covariates, self.individual_covariates)
+        object.__setattr__(self, "cluster_covariates", cluster)
+        object.__setattr__(self, "individual_covariates", individual)
+        logical = _table_columns(self.design)
+        for key in self.columns:
+            if key not in logical:
+                raise ValueError(f"columns key {key!r} is not one of {', '.join(logical)}")
+        names = [self.columns.get(column, column) for column in logical]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(
+                    f"columns reads {logical[names.index(name)]!r} and {logical[i]!r} from one header name {name!r}"
+                )
 
 
 _ABSENT = ("", "NA")
@@ -731,16 +763,18 @@ class _ColumnBuilder:
     chunk converted, with no second parse.
     """
 
-    def __init__(self, schema: TableSchema, n_fields: int, col_index: Dict[str, int], people: int) -> None:
+    def __init__(
+        self, schema: TableSchema, n_fields: int, col_index: Dict[str, int], x_col: List[int], people: int
+    ) -> None:
         self.schema = schema
         self.n_fields = n_fields
-        self.col = col_index
+        self.col = col_index  # each logical column's field
+        self.x_col = x_col  # each cluster, then individual, covariate's field
         self.n_times = schema.grid.n_times
         self.grid_index = {t: k for k, t in enumerate(schema.grid.times)}  # matched exactly
         self.n_clusters = self.n_people = 0
         # a new id takes the next slot as it is looked up
         self.cluster_of: Dict[str, int] = defaultdict(itertools.count().__next__)
-        self.cluster_ids: List[str] = []  # the keys of cluster_of, by slot
         self.individual_ids = _IdPieces(people)
         self.people_in_order = True  # each individual id greater than the one before in its cluster
         self.people_of = _PersonSlots(self.individual_ids, itertools.count().__next__)
@@ -787,14 +821,14 @@ class _ColumnBuilder:
         for j, name in enumerate(Pathway._fields):
             if name in col:
                 codes[:, j] = _decoded(columns[col[name]], functools.partial(self._decode, name, where=""))
-        xc = _float_columns(columns, [col[name] for name in schema.cluster_covariates], m)
-        xi = _float_columns(columns, [col[name] for name in schema.individual_covariates], m)
+        n_xc = len(schema.cluster_covariates)
+        xc = _float_columns(columns, self.x_col[:n_xc], m)
+        xi = _float_columns(columns, self.x_col[n_xc:], m)
 
         # each row's cluster and individual slot
         c_slots = list(map(self.cluster_of.__getitem__, cids))
         c = np.array(c_slots, dtype=np.intp)
         new_c, n_clusters = _first_seen(c, self.n_clusters)
-        self.cluster_ids.extend(itertools.compress(cids, new_c))
         self.people_of.open(self.n_clusters, n_clusters)
         self.n_clusters = n_clusters
         p = np.fromiter(map(operator.getitem, map(self.people_of.__getitem__, c_slots), iids), np.intp, m)
@@ -849,9 +883,9 @@ class _ColumnBuilder:
             if code == _BAD_CODE:
                 self._decode(name, columns[col[name]][fault], where)  # raises BadTreatmentCode
         covariates = (*schema.cluster_covariates, *schema.individual_covariates)
-        for name, value in zip(covariates, [*xc[fault].tolist(), *xi[fault].tolist()]):
+        for name, i, value in zip(covariates, self.x_col, [*xc[fault].tolist(), *xi[fault].tolist()]):
             if not math.isfinite(value):
-                raw = columns[col[name]][fault].strip()
+                raw = columns[i][fault].strip()
                 raise MissingCell(f"{where}: covariate {name!r} is {raw!r}, not a finite number")
         if (self.codes[c[fault]] != codes[fault]).any():
             raise InconsistentCluster(f"{where}: cluster {cid!r} rows disagree on treatment/response")
@@ -897,10 +931,11 @@ class _ColumnBuilder:
         they are sorted into place.
         """
         owners_in_order = self.people_of.in_order
+        cids = list(self.cluster_of)  # slots are handed out in insertion order
         del self.cluster_of, self.people_of  # no id is looked up after the last row
         schema, grid = self.schema, self.schema.grid
         n_clusters, n_people = self.n_clusters, self.n_people
-        cids, iids = self.cluster_ids, self.individual_ids.column()
+        iids = self.individual_ids.column()
         del self.individual_ids  # its pieces, joined now
         owner = self.owner[:n_people]
         incomplete = np.flatnonzero(~self.filled[:n_people].all(axis=1)).tolist()
@@ -973,9 +1008,12 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
     """Parse a delimited long-format table into a :class:`TrialDataset`.
 
     Comma and tab delimiters are accepted; a header row is required, and
-    must name each column the schema reads once.  Rows belonging to one
-    cluster must agree on treatment, response, and cluster-level covariates.  Every individual must contribute exactly one
-    complete outcome per grid time.  The earliest failing row raises; after
+    must name each column the schema reads once (see :class:`TableSchema`
+    for the names).  Header names may be quoted, as R's ``write.csv`` writes
+    them, and a leading byte order mark is dropped.  Rows belonging to one
+    cluster must agree on treatment, response, and cluster-level
+    covariates.  Every individual must contribute exactly one complete
+    outcome per grid time.  The earliest failing row raises; after
     all rows, missing outcomes and then the first validation violation do.
 
     ``source``, a string or a text stream, is read at most
@@ -1001,17 +1039,24 @@ def parse_long_table(source: TextIO | str, schema: TableSchema) -> TrialDataset:
         chunks = _stream_chunks(stream)
     if not sample:
         raise MissingCell("empty input: header row required")
+    sample = sample.removeprefix("\ufeff")
     delimiter = "\t" if sample.count("\t") >= sample.count(",") else ","
-    header = [h.strip() for h in sample.rstrip("\r\n").split(delimiter)]
+    if '"' in sample:
+        header = next(csv.reader([sample], delimiter=delimiter))
+    else:
+        header = sample.rstrip("\r\n").split(delimiter)
+    header = [h.strip() for h in header]
 
     col_index: dict[str, int] = {}
     for logical in _table_columns(schema.design):
         name = schema.columns.get(logical, logical)
         col_index[logical] = _header_index(header, name, f"column {name!r} (for {logical!r})")
-    for cov in (*schema.cluster_covariates, *schema.individual_covariates):
-        col_index[cov] = _header_index(header, cov, f"covariate column {cov!r}")
+    x_col = [
+        _header_index(header, cov, f"covariate column {cov!r}")
+        for cov in (*schema.cluster_covariates, *schema.individual_covariates)
+    ]
 
-    builder = _ColumnBuilder(schema, len(header), col_index, people)
+    builder = _ColumnBuilder(schema, len(header), col_index, x_col, people)
     line = 2
     for chunk, lines in chunks:
         if '"' in chunk or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n"):

@@ -63,7 +63,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,6 +90,7 @@ from .workingcov import (
     VarianceTime,
     WithinCorr,
     WorkingCovSpec,
+    _clamp_nonneg,
     block_stack,
     estimate_alpha,
 )
@@ -544,25 +545,8 @@ class _Workspace:
         return U
 
     def factorize(self, alpha: AlphaEstimate) -> np.ndarray:
-        """The stack (R, 1 + k, T+1, T+1) of each regime's A'^{-1} and C_n
-        for each of its distinct sizes n, C_n = (A_n'^{-1} - A'^{-1}) / n, so
-        that a cluster of n people has V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n;
-        padding slots are zero.
-
-        Every regime's blocks are judged and inverted by :func:`block_stack`
-        in one stacked call each, whatever the number of regimes: a Cholesky
-        factorization and the inverse certify positive definiteness, with an
-        eigenvalue call only where that certificate cannot decide.  A regime
-        of singletons only may have a singular A'; its A'^{-1} is taken as 0,
-        so that C_1 = A_1'^{-1} is the whole inverse.
-        """
-        n = self._distinct
-        factors = block_stack(alpha, [alpha.cais.index(r.cai) for r in self.regimes], n)[2]
-        factors[n.max(axis=1) <= 1, 0] = 0.0
-        factors[:, 1:] -= factors[:, :1]
-        factors[:, 1:] /= np.maximum(n, 1)[..., None, None]
-        factors[:, 1:][n == 0] = 0.0
-        return factors
+        """Every regime's V^{-1} factors under ``alpha``: see :func:`block_stack`."""
+        return block_stack(alpha, self._distinct)
 
 
 @dataclass(frozen=True)
@@ -671,11 +655,11 @@ def fit(
     # before the first factorization
     factors = ws.identity()
     theta, A, b = ws.solve(factors)
-    alpha = estimate_alpha(ws.residual_grams(theta), cov_spec, ws.cais)
     if options.tolerance == math.inf:
+        alpha = estimate_alpha(ws.residual_grams(theta), cov_spec, ws.cais)
         iterations, converged, max_delta = 0, True, 0.0
     else:
-        (theta, A, b, factors, alpha), iterations, converged, max_delta = _root(ws, theta, alpha, cov_spec, options)
+        (theta, A, b, factors, alpha), iterations, converged, max_delta = _root(ws, theta, cov_spec, options)
 
     adjustments = options.adjustments
     if adjustments.enforce_nonneg_corr:
@@ -711,11 +695,10 @@ def fit(
 
 
 def _root(
-    ws: _Workspace, x: np.ndarray, alpha: AlphaEstimate, cov_spec: WorkingCovSpec, options: FitOptions
+    ws: _Workspace, x: np.ndarray, cov_spec: WorkingCovSpec, options: FitOptions
 ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, AlphaEstimate], int, bool, float]:
-    """Iterate the theta map g from ``x``, whose estimate ``alpha`` is given,
-    to its fixed point, with Anderson mixing (Walker & Ni, SIAM J. Numer.
-    Anal. 2011).
+    """Iterate the theta map g from ``x`` to its fixed point, with Anderson
+    mixing (Walker & Ni, SIAM J. Numer. Anal. 2011).
 
     g(x) = solve(factorize(estimate_alpha(residual_grams(x)))).  After each
     evaluation the next point extrapolates from the last (at most
@@ -736,16 +719,15 @@ def _root(
     extrapolated, max_delta = False, math.inf
     for k in range(1, options.max_iter + 1):
         try:
-            if alpha is None:
-                alpha = estimate_alpha(ws.residual_grams(x), cov_spec, ws.cais)
+            alpha = estimate_alpha(ws.residual_grams(x), cov_spec, ws.cais)
             factors = ws.factorize(alpha)
             gx, A, b = ws.solve(factors)
         except SmartlongError:
             if not extrapolated:
                 raise
-            x, xs, gxs, extrapolated, alpha = image[0], [], [], False, None
+            x, xs, gxs, extrapolated = image[0], [], [], False
             continue
-        image, alpha = (gx, A, b, factors, alpha), None
+        image = (gx, A, b, factors, alpha)
         max_delta = float(np.abs(gx - x).max())
         if max_delta < options.tolerance:
             return image, k, True, max_delta
@@ -890,15 +872,6 @@ def estimate_weight_model(
 
 
 # -- finite-sample adjustments and Wald inference ------------------------------
-
-
-def _clamp_nonneg(alpha: AlphaEstimate, cov_spec: WorkingCovSpec) -> AlphaEstimate:
-    # clamping each parameter is clamping each entry, except under AR(1): a
-    # negative rho clamps to W = I, though its even powers are positive
-    within = np.maximum(alpha.within, 0.0)
-    if cov_spec.within_corr is WithinCorr.AR1 and alpha.n_times > 1:
-        within[alpha.within[:, 0, 1] < 0.0] = np.eye(alpha.n_times)
-    return replace(alpha, within=within, between=np.maximum(alpha.between, 0.0))
 
 
 @functools.lru_cache(maxsize=256)

@@ -5,17 +5,22 @@ is diagonal (marginal variances, replicated across individuals) and ``P`` is
 a correlation matrix with within-person blocks ``W`` on the diagonal and a
 common between-person block ``B`` elsewhere.  Every supported structure is
 therefore block exchangeable, V = I_n (x) A' + J_n (x) B' with
-A' = S^1/2 (W - B) S^1/2 and B' = S^1/2 B S^1/2.  The estimator inverts V in
-closed form from those blocks, which :func:`block_stack` forms for every
-regime and cluster size in one call, judging positive definiteness on
-spec(A') and spec(A' + n B'), together V's spectrum.  :func:`build_V`, a
-reference apart from that path, assembles one cluster's dense V.
+A' = S^1/2 (W - B) S^1/2 and B' = S^1/2 B S^1/2.  The estimator applies
+V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n in closed form from the factors that
+:func:`block_stack` returns for every regime and distinct cluster size in
+one call: A'^{-1}, and C_n = ((A' + n B')^{-1} - A'^{-1}) / n, positive
+definiteness judged on spec(A') and spec(A' + n B'), together V's spectrum.
+:func:`build_V`, a reference apart from that path, assembles one cluster's
+dense V.
 
 An :class:`AlphaEstimate` holds the parameters as arrays with one row per
 regime, in :func:`~smartlong.design.enumerate_cais` order: the variances
 ``sigma2`` (R, T+1) and the correlation matrices ``within`` and ``between``
 (R, T+1, T+1), exactly as V uses them.  Whatever a spec pools is repeated
 over the rows (or times) it pools, so V is read from a regime's row alone.
+In the library only this module reads those arrays: it writes them,
+factors them and clamps them (under AR(1), W_lm = rho^|l-m|, so a negative
+rho clamps to W = I), and the engine reads the factors.
 
 Parameters are estimated by the moment formulas appropriate to each
 structure, all read from a :class:`ResidualGrams`: per regime, the weighted
@@ -28,7 +33,7 @@ per-time variances, regardless of how the variance model itself pools.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
 from typing import Sequence, Tuple, Union
@@ -286,6 +291,16 @@ def estimate_alpha(
     return AlphaEstimate(tuple(cais), sigma2, W, B, clipped)
 
 
+def _clamp_nonneg(alpha: AlphaEstimate, spec: WorkingCovSpec) -> AlphaEstimate:
+    """``alpha`` with each negative correlation parameter clamped to zero."""
+    # clamping each parameter is clamping each entry, except under AR(1): a
+    # negative rho clamps to W = I, though its even powers are positive
+    within = np.maximum(alpha.within, 0.0)
+    if spec.within_corr is WithinCorr.AR1 and alpha.n_times > 1:
+        within[alpha.within[:, 0, 1] < 0.0] = np.eye(alpha.n_times)
+    return replace(alpha, within=within, between=np.maximum(alpha.between, 0.0))
+
+
 @lru_cache(maxsize=16)
 def _upper(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """np.triu_indices(n, k), read-only: building it costs more than the
@@ -296,24 +311,23 @@ def _upper(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return upper
 
 
-def block_stack(
-    alpha: AlphaEstimate,
-    rows: Sequence[int],
-    sizes: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2 (R', T+1, T+1) of
-    the regimes ``alpha.cais[rows]``, and the inverse (R', 1 + k, T+1, T+1)
-    of the stack of blocks whose spectra make up their V's: W' - B' in slot 0
-    and W' + (n - 1) B' for each regime's distinct cluster sizes ``sizes``
-    (R', k), ascending and padded with zeros.  A slot with nothing to judge
-    (padding, or W' - B' where no cluster has two people) holds the identity,
-    so the whole stack is inverted in one ``np.linalg.inv`` call.
+def block_stack(alpha: AlphaEstimate, sizes: np.ndarray) -> np.ndarray:
+    """The factors (R, 1 + k, T+1, T+1) of every regime's V^{-1}, for its
+    distinct cluster sizes ``sizes`` (R, k), ascending and padded with zeros:
+    A'^{-1} in slot 0, and C_n = (A_n'^{-1} - A'^{-1}) / n for each size n, so
+    that a cluster of n people has V^{-1} = I_n (x) A'^{-1} + J_n (x) C_n.  A
+    regime of singletons only may have a singular A' = W' - B'; its A'^{-1}
+    is zero, so that C_1 = W'^{-1} is the whole inverse.  Padding is zero.
 
-    V = I_n (x) (W' - B') + J_n (x) B', so its spectrum is spec(W' - B')
-    repeated n - 1 times together with spec(W' + (n - 1) B').  This is the
-    one positive-definiteness rule: :class:`NotPositiveDefinite` when the
-    smallest eigenvalue of some V is at most 1e-10 of its largest, naming the
-    first failing regime in ``rows`` order and its smallest failing n.
+    V = I_n (x) A' + J_n (x) B' with A_n' = A' + n B', so its spectrum is
+    spec(A') repeated n - 1 times together with spec(A_n').  The stack judged
+    and inverted holds A' in slot 0 and A_n' for each size; a slot with
+    nothing to judge (padding, or A' where no cluster has two people) holds
+    the identity, so the whole stack is inverted in one ``np.linalg.inv``
+    call.  This is the one positive-definiteness rule:
+    :class:`NotPositiveDefinite` when the smallest eigenvalue of some V is at
+    most 1e-10 of its largest, naming the first failing regime in
+    ``alpha.cais`` order and its smallest failing n.
 
     The rule is certified without eigenvalues where it clearly holds: one
     stacked Cholesky factorization proves every block S positive definite,
@@ -325,15 +339,17 @@ def block_stack(
     eigenvalue call judges the rule exactly.
     """
     n = np.asarray(sizes, dtype=int)
-    s = np.sqrt(alpha.sigma2[rows])
+    s = np.sqrt(alpha.sigma2)
     scale = s[:, :, None] * s[:, None, :]
-    W = scale * alpha.within[rows]
-    B = scale * alpha.between[rows]
+    W = scale * alpha.within
+    B = scale * alpha.between
     stack = np.empty((len(W), 1 + n.shape[1]) + W.shape[1:])
     stack[:, 0] = W - B
     stack[:, 1:] = W[:, None] + (n - 1)[..., None, None] * B[:, None]
-    stack[n.max(axis=1, initial=0) <= 1, 0] = stack[:, 1:][n == 0] = np.eye(alpha.n_times)
+    singletons = n.max(axis=1, initial=0) <= 1
+    stack[singletons, 0] = stack[:, 1:][n == 0] = np.eye(alpha.n_times)
     shared = n > 1
+    certified = False
     try:
         np.linalg.cholesky(stack)
         # a factorization can pass a block whose inverse still meets an exact zero pivot
@@ -346,20 +362,26 @@ def block_stack(
         tr_inv = np.trace(inverse, axis1=2, axis2=3)
         tr = np.trace(stack, axis1=2, axis2=3)
         bound = np.maximum(tr_inv[:, 1:], shared * tr_inv[:, :1]) * np.maximum(tr[:, 1:], shared * tr[:, :1])
-        if tr_inv.min() > 0.0 and (bound < 1e9).all():
-            return W, B, inverse
-    eig = np.linalg.eigvalsh(stack)
-    lo, hi = eig[:, 1:, 0], eig[:, 1:, -1]
-    lo = np.where(shared, np.minimum(lo, eig[:, :1, 0]), lo)
-    hi = np.where(shared, np.maximum(hi, eig[:, :1, -1]), hi)
-    failing = (n > 0) & (lo <= 1e-10 * np.maximum(hi, 0.0))
-    if failing.any():
-        r, i = np.argwhere(failing)[0]
-        raise NotPositiveDefinite(
-            f"working covariance for regime {alpha.cais[rows[r]]}, cluster size {n[r, i]} is not "
-            f"positive definite (eigenvalue range [{lo[r, i]:.3e}, {hi[r, i]:.3e}])"
-        )
-    return W, B, np.linalg.inv(stack) if inverse is None else inverse
+        certified = tr_inv.min() > 0.0 and (bound < 1e9).all()
+    if not certified:
+        eig = np.linalg.eigvalsh(stack)
+        lo, hi = eig[:, 1:, 0], eig[:, 1:, -1]
+        lo = np.where(shared, np.minimum(lo, eig[:, :1, 0]), lo)
+        hi = np.where(shared, np.maximum(hi, eig[:, :1, -1]), hi)
+        failing = (n > 0) & (lo <= 1e-10 * np.maximum(hi, 0.0))
+        if failing.any():
+            r, i = np.argwhere(failing)[0]
+            raise NotPositiveDefinite(
+                f"working covariance for regime {alpha.cais[r]}, cluster size {n[r, i]} is not "
+                f"positive definite (eigenvalue range [{lo[r, i]:.3e}, {hi[r, i]:.3e}])"
+            )
+        if inverse is None:
+            inverse = np.linalg.inv(stack)
+    inverse[singletons, 0] = 0.0
+    inverse[:, 1:] -= inverse[:, :1]
+    inverse[:, 1:] /= np.maximum(n, 1)[..., None, None]
+    inverse[:, 1:][n == 0] = 0.0
+    return inverse
 
 
 def build_V(

@@ -40,9 +40,19 @@ def unchecked_V(alpha, d, n):
     return V
 
 
+def scaled_blocks(alpha):
+    """Each regime's W' = S^1/2 W S^1/2 and B' = S^1/2 B S^1/2, stacked
+    (R, T+1, T+1), a regime at a time."""
+    scales = [np.outer(s, s) for s in np.sqrt(alpha.sigma2)]
+    return (
+        np.array([scale * w for scale, w in zip(scales, alpha.within)]),
+        np.array([scale * b for scale, b in zip(scales, alpha.between)]),
+    )
+
+
 def judged_stack(W, B, sizes):
     """The stack :func:`~smartlong.workingcov.block_stack` judges, rebuilt
-    block by block from its W' and B' (R, T+1, T+1): W' - B' in slot 0, the
+    block by block from W' and B' (R, T+1, T+1): W' - B' in slot 0, the
     identity where no size exceeds one, then W' + (n - 1) B' for each size n
     of ``sizes`` (R, k), the identity for a zero (padding)."""
     sizes = np.asarray(sizes)
@@ -55,22 +65,37 @@ def judged_stack(W, B, sizes):
     return stack
 
 
-def eigenvalue_rule_message(alpha, rows, sizes):
+def inverse_factors(W, B, sizes):
+    """The factors :func:`~smartlong.workingcov.block_stack` returns, read
+    block by block from the inverse of :func:`judged_stack`: A'^{-1} in slot
+    0, zero where no size exceeds one, then (A_n'^{-1} - A'^{-1}) / n for
+    each size n, zero for padding."""
+    sizes = np.asarray(sizes)
+    inverse = np.linalg.inv(judged_stack(W, B, sizes))
+    factors = np.zeros_like(inverse)
+    for r, ns in enumerate(sizes):
+        if ns.max() > 1:
+            factors[r, 0] = inverse[r, 0]
+        for i, n in enumerate(ns):
+            if n > 0:
+                factors[r, 1 + i] = (inverse[r, 1 + i] - factors[r, 0]) / n
+    return factors
+
+
+def eigenvalue_rule_message(cais, W, B, sizes):
     """The :class:`NotPositiveDefinite` message of the eigenvalue rule judged
-    block by block, or None where every V passes: for the regimes
-    ``alpha.cais[rows]`` in order and their sizes ascending, the first V
-    whose smallest eigenvalue is at most 1e-10 of its largest, V's spectrum
-    being those of W' + (n - 1) B' and, for n > 1, W' - B'."""
-    for k, ns in zip(rows, np.asarray(sizes)):
-        s = np.sqrt(alpha.sigma2[k])
-        W, B = np.outer(s, s) * alpha.within[k], np.outer(s, s) * alpha.between[k]
-        shared = np.linalg.eigvalsh(W - B)
+    block by block, or None where every V passes: for the regimes ``cais``
+    with blocks W' and B' (R, T+1, T+1), in order, and their sizes ascending,
+    the first V whose smallest eigenvalue is at most 1e-10 of its largest,
+    V's spectrum being those of W' + (n - 1) B' and, for n > 1, W' - B'."""
+    for d, w, b, ns in zip(cais, W, B, np.asarray(sizes)):
+        shared = np.linalg.eigvalsh(w - b)
         for n in ns[ns > 0]:
-            eig = np.linalg.eigvalsh(W + (n - 1) * B)
+            eig = np.linalg.eigvalsh(w + (n - 1) * b)
             lo, hi = (min(eig[0], shared[0]), max(eig[-1], shared[-1])) if n > 1 else (eig[0], eig[-1])
             if lo <= 1e-10 * max(hi, 0.0):
                 return (
-                    f"working covariance for regime {alpha.cais[k]}, cluster size {n} is not "
+                    f"working covariance for regime {d}, cluster size {n} is not "
                     f"positive definite (eigenvalue range [{lo:.3e}, {hi:.3e}])"
                 )
     return None

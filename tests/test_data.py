@@ -468,6 +468,74 @@ class TestCovariateNames:
         assert getattr(TableSchema(design=design2, grid=grid012, **{name: ["age"]}), name) == ("age",)
         assert getattr(TrialDataset(design2, grid012, [], **{name: ["ab"]}), name) == ("ab",)
 
+    @pytest.mark.parametrize("name", ["cluster_covariates", "individual_covariates"])
+    def test_a_repeated_name_raises(self, design2, grid012, name):
+        with pytest.raises(ValueError, match=f"^{name} names 'u' more than once$"):
+            TableSchema(design=design2, grid=grid012, **{name: ("u", "v", "u")})
+        with pytest.raises(ValueError, match=f"^{name} names 'u' more than once$"):
+            TrialDataset(design2, grid012, [], **{name: ("u", "u")})
+
+    def test_a_name_in_both_lists_raises(self, design2, grid012):
+        # a mean-model term would take the cluster covariate, silently
+        names = dict(cluster_covariates=("u", "v"), individual_covariates=("w", "u"))
+        with pytest.raises(ValueError, match="^'u' is both a cluster and an individual covariate$"):
+            TableSchema(design=design2, grid=grid012, **names)
+        with pytest.raises(ValueError, match="^'u' is both a cluster and an individual covariate$"):
+            TrialDataset(design2, grid012, [], **names)
+
+
+class TestSchemaColumns:
+    def test_unknown_key_raises(self, design2, grid012):
+        with pytest.raises(ValueError, match=(
+            "^columns key 'outcome' is not one of cluster_id, individual_id, time, y, a1, r, a2nr$"
+        )):
+            TableSchema(design=design2, grid=grid012, columns={"outcome": "score"})
+        # a2r is a column of design I tables alone
+        with pytest.raises(ValueError, match="^columns key 'a2r' is not one of .*, a2nr$"):
+            TableSchema(design=design2, grid=grid012, columns={"a2r": "second"})
+        design1 = SmartDesign.balanced(DesignKind.I)
+        assert TableSchema(design=design1, grid=grid012, columns={"a2r": "second"}).columns == {"a2r": "second"}
+
+    @pytest.mark.parametrize("columns,first,second,name", [
+        ({"a1": "treat", "r": "treat"}, "a1", "r", "treat"),
+        # r reads its own name, unless mapped
+        ({"a1": "r"}, "a1", "r", "r"),
+        ({"y": "time"}, "time", "y", "time"),
+    ])
+    def test_two_columns_from_one_header_name_raise(self, design2, grid012, columns, first, second, name):
+        with pytest.raises(ValueError, match=f"^columns reads '{first}' and '{second}' from one header name '{name}'$"):
+            TableSchema(design=design2, grid=grid012, columns=columns)
+
+    def test_covariate_named_like_a_remapped_column(self, design2, grid012):
+        # the a1 codes are in treat; a cluster covariate named a1 is all 1
+        a1 = (1, 1, -1, -1, 1, -1)
+        rows = [
+            f"c{i},p1,{t},{0.5 * t + i},{code},0,{1 if i % 2 else -1},1"
+            for i, code in enumerate(a1) for t in (0, 1, 2)
+        ]
+        text = "\n".join(["cluster_id,individual_id,time,y,treat,r,a2nr,a1", *rows]) + "\n"
+        schema = schema_for(design2, grid012, columns={"a1": "treat"}, cluster_covariates=("a1",))
+        ds = parse_long_table(text, schema)
+        assert ds.a1.tolist() == list(a1)
+        assert ds.x_cluster[:, 0].tolist() == [1.0] * 6
+        # a covariate is never read as a pathway column either
+        text = text.replace(",a1\n", ",a2r\n")
+        ds = parse_long_table(text, schema_for(design2, grid012, columns={"a1": "treat"}, cluster_covariates=("a2r",)))
+        assert ds.a2r.tolist() == [0] * 6
+        assert ds.x_cluster[:, 0].tolist() == [1.0] * 6
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    @pytest.mark.parametrize("stream", [False, True], ids=["string", "stream"])
+    def test_quoted_header_and_byte_order_mark(self, design2, grid012, delimiter, stream):
+        schema = schema_for(design2, grid012, cluster_covariates=("u",))
+        plain = MINIMAL.replace("a2nr\n", "a2nr,u\n").replace("-1\n", "-1,0.5\n").replace(",", delimiter)
+        header, body = plain.split("\n", 1)
+        # R's write.csv quotes every name; Excel's CSV UTF-8 starts with U+FEFF
+        quoted = delimiter.join(f'"{name}"' for name in header.split(delimiter)) + "\n" + body
+        expected = parse_long_table(plain, schema)
+        for text in (quoted, "\ufeff" + plain, "\ufeff" + quoted, quoted.replace("\n", "\r\n")):
+            assert parse_outcome(text, schema, stream) == expected
+
 
 class TestSplitPath:
     """Chunks split at once into columns read as ``csv.reader`` reads them."""

@@ -50,12 +50,12 @@ from smartlong.errors import (
     ZeroVariance,
 )
 from smartlong.gee import _assemble, _Workspace, sandwich_covariance
-from smartlong.workingcov import block_stack, estimate_alpha
+from smartlong.workingcov import estimate_alpha
 
 from conftest import (
     count_calls, make_cluster, make_dataset, permuted, random_dataset, random_design2_dataset, regime_design,
 )
-from oracles import row_grams, unchecked_V
+from oracles import row_grams, scaled_blocks, unchecked_V
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
@@ -253,6 +253,12 @@ class TestFit:
             with pytest.raises(TypeError, match=f"{stage} must be a sequence of names, not the string 'age'"):
                 FitOptions(weight_mode=mode, **{stage: "age"})
         assert getattr(FitOptions(weight_mode=WeightMode.ESTIMATED, **{stage: ["age"]}), stage) == ("age",)
+
+    @pytest.mark.parametrize("stage", ["stage1_covariates", "stage2_covariates"])
+    def test_options_reject_a_repeated_covariate(self, stage):
+        # a repeated stage-one column made the weight model fall back to the design silently
+        with pytest.raises(ValueError, match=f"^{stage} names 'u' more than once$"):
+            FitOptions(weight_mode=WeightMode.ESTIMATED, **{stage: ("u", "u")})
 
     def test_end_of_study_rejects_a_bare_string_of_covariates(self, design2, grid012):
         rng = np.random.default_rng(18)
@@ -1210,8 +1216,7 @@ class TestClosedFormInverse:
         # positive definiteness certified by the factorization: no eigenvalues
         assert calls == {"cholesky": 1, "inv": 1, "eigvalsh": 0}
         # the same inverse as each regime's blocks judged and inverted alone
-        for r, s in zip(ws.regimes, factors):
-            (W,), (B,), _ = block_stack(alpha, [alpha.cais.index(r.cai)], r.distinct[None])
+        for r, s, W, B in zip(ws.regimes, factors, *scaled_blocks(alpha)):
             np.testing.assert_array_equal(s[0], np.linalg.inv(W - B) if r.distinct[-1] > 1 else 0.0)
             for n, c in zip(r.distinct, s[1:]):
                 np.testing.assert_array_equal(c, (np.linalg.inv(W + (n - 1) * B) - s[0]) / n)

@@ -71,6 +71,11 @@ class TestSpecConstructors:
         assert spec.covariate_terms == ("age", "sex")
         assert spec.param_names[-2:] == ("eta_age", "eta_sex")
 
+    def test_a_repeated_covariate_is_rejected(self, design2, grid012):
+        # it would give two equal design columns, and fit would blame the data
+        with pytest.raises(ValueError, match="^covariate_terms names 'u' more than once$"):
+            MeanModelSpec.piecewise_linear(design2, grid012, ("u", "v", "u"))
+
     @pytest.mark.parametrize("make_basis,kind", [
         # a design III basis has 6 gamma coefficients where design II needs 7
         (lambda grid: AnchoredKnotBasis(DesignKind.III, grid), "III"),

@@ -77,6 +77,14 @@ class TestWeightModel:
         with pytest.raises(TypeError, match=f"{stage} must be a sequence of names, not the string 'x'"):
             estimate_weight_model(ds, **{stage: "x"})
 
+    @pytest.mark.parametrize("stage", ["stage1_covariates", "stage2_covariates"])
+    def test_a_repeated_covariate_is_rejected(self, design2, grid012, stage):
+        # a repeated stage-one column made the model fall back to the design silently
+        rng = np.random.default_rng(21)
+        ds = random_design2_dataset(rng, 40, grid012, design2, sizes=(2, 3), cluster_covariates=("x",))
+        with pytest.raises(ValueError, match=f"^{stage} names 'x' more than once$"):
+            estimate_weight_model(ds, **{stage: ("x", "x")})
+
     def test_probabilities_valid(self, design2, grid012):
         rng = np.random.default_rng(22)
         ds = random_design2_dataset(rng, 60, grid012, design2, cluster_covariates=("x",))

@@ -23,7 +23,7 @@ from smartlong.errors import DegenerateVariance, InsufficientData, NotPositiveDe
 from smartlong.workingcov import block_stack, estimate_alpha
 
 from conftest import count_calls
-from oracles import eigenvalue_rule_message, judged_stack, row_grams, unchecked_V
+from oracles import eigenvalue_rule_message, inverse_factors, row_grams, scaled_blocks, unchecked_V
 
 D11 = EmbeddedCai(1, None, 1)
 D1M = EmbeddedCai(1, None, -1)
@@ -409,31 +409,33 @@ class TestBlockStack:
         spec = WorkingCovSpec(*variance, within, between, corr_cai)
         rng = np.random.default_rng(n_times)
         cais = [D11, D1M]
-        compared = 0
+        compared = {1: 0, 2: 0}  # by the number of sizes
         for kind in ("random", "negative", "extreme"):
             entries = exact_entries(rng, cais, n_times, kind)
             alpha = estimate_alpha(row_grams(residual_groups(entries), cais), spec, cais)
             params = naive_alpha(entries, spec, cais)
-            for d in cais:
+            for k, d in enumerate(cais):
                 s2, W, B = oracle_blocks(spec, params, d, n_times)
                 s = np.sqrt(s2)
-                W, B = np.outer(s, s) * W, np.outer(s, s) * B
-                eig = np.linalg.eigvalsh(W)
-                if eig[0] <= 1e-10 * max(eig[-1], 0.0):
-                    with pytest.raises(NotPositiveDefinite):
-                        block_stack(alpha, [alpha.cais.index(d)], [[1]])
-                    continue
-                got_W, got_B, _ = block_stack(alpha, [alpha.cais.index(d)], [[1]])
-                np.testing.assert_array_equal(got_W[0], W)
-                np.testing.assert_array_equal(got_B[0], B)
-                compared += 1
+                W, B = np.outer(s, s)[None] * W, np.outer(s, s)[None] * B
+                one = AlphaEstimate((d,), alpha.sigma2[k : k + 1], alpha.within[k : k + 1], alpha.between[k : k + 1])
+                # one person judges and inverts W' alone; one and two, W' - B' and W' + B' too
+                for sizes in ([[1]], [[1, 2]]):
+                    message = eigenvalue_rule_message((d,), W, B, sizes)
+                    if message is not None:
+                        with pytest.raises(NotPositiveDefinite) as raised:
+                            block_stack(one, sizes)
+                        assert str(raised.value) == message
+                        continue
+                    np.testing.assert_array_equal(block_stack(one, sizes), inverse_factors(W, B, sizes))
+                    compared[len(sizes[0])] += 1
             ratios = [*params[1].values(), *params[2].values()]
             assert alpha.clipped == any(abs(v) > CLIP for v in ratios)
             if kind == "extreme" and between is not BetweenCorr.INDEPENDENT and corr_cai is CorrCai.HETEROGENEOUS:
                 # moment ratios of +-4 are stored at the open-interval bound
                 assert alpha.clipped
                 assert np.abs(alpha.between).max() == CLIP
-        assert compared >= 4
+        assert compared[1] >= 4 and compared[2] >= 3
 
 
 CAIS_I = [
@@ -443,11 +445,11 @@ CAIS_I = [
 
 @st.composite
 def block_inputs(draw):
-    """An estimate of one to three regimes, a permutation of them and each
-    one's distinct cluster sizes (padded with zeros).  Per regime W' - B' is
-    drawn with a condition number from 1 to 1e12, or made indefinite or
-    singular, or is a positive definite block at 1e-6 to 1e-11 of the scale
-    of W' + (n - 1) B', with B' = b ((1 - rho) I + rho J)."""
+    """An estimate of one to three regimes and each one's distinct cluster
+    sizes (padded with zeros).  Per regime W' - B' is drawn with a condition
+    number from 1 to 1e12, or made indefinite or singular, or is a positive
+    definite block at 1e-6 to 1e-11 of the scale of W' + (n - 1) B', with
+    B' = b ((1 - rho) I + rho J)."""
     n_times = draw(st.integers(1, 4))
     n_regimes = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -475,16 +477,16 @@ def block_inputs(draw):
     for row, ns in zip(padded, sizes):
         row[: len(ns)] = ns
     alpha = AlphaEstimate(tuple(CAIS_I[:n_regimes]), sigma2, within, between)
-    return alpha, draw(st.permutations(range(n_regimes))), padded
+    return alpha, padded
 
 
 class TestBlockStackCertificate:
     @settings(max_examples=300, deadline=None)
     @given(block_inputs())
     def test_rejects_exactly_where_the_dense_eigenvalue_rule_does(self, inputs):
-        alpha, rows, sizes = inputs
+        alpha, sizes = inputs
         first_failing = None
-        for k, ns in zip(rows, sizes):
+        for k, ns in enumerate(sizes):
             for n in ns[ns > 0]:
                 eig = np.linalg.eigvalsh(unchecked_V(alpha, alpha.cais[k], int(n)))
                 limit = 1e-10 * max(eig[-1], 0.0)
@@ -492,14 +494,15 @@ class TestBlockStackCertificate:
                 assume(not abs(eig[0] - limit) <= 1e-3 * abs(limit))
                 if first_failing is None and eig[0] <= limit:
                     first_failing = (alpha.cais[k], n)
+        W, B = scaled_blocks(alpha)
         if first_failing is None:
-            W, B, inverse = block_stack(alpha, rows, sizes)
-            assert eigenvalue_rule_message(alpha, rows, sizes) is None
-            assert np.array_equal(inverse, np.linalg.inv(judged_stack(W, B, sizes)))
+            factors = block_stack(alpha, sizes)
+            assert eigenvalue_rule_message(alpha.cais, W, B, sizes) is None
+            assert np.array_equal(factors, inverse_factors(W, B, sizes))
         else:
             with pytest.raises(NotPositiveDefinite) as raised:
-                block_stack(alpha, rows, sizes)
-            assert str(raised.value) == eigenvalue_rule_message(alpha, rows, sizes)
+                block_stack(alpha, sizes)
+            assert str(raised.value) == eigenvalue_rule_message(alpha.cais, W, B, sizes)
             d, n = first_failing
             assert str(raised.value).startswith(f"working covariance for regime {d}, cluster size {n} is not")
 
@@ -516,12 +519,12 @@ class TestBlockStackCertificate:
         alpha = one_regime(sigma2)
         calls = count_calls(monkeypatch, np.linalg, list(linalg_calls))
         if passes:
-            W, B, inverse = block_stack(alpha, [0], [[1]])
+            factors = block_stack(alpha, [[1]])
             monkeypatch.undo()
-            np.testing.assert_array_equal(inverse, np.linalg.inv(judged_stack(W, B, [[1]])))
+            np.testing.assert_array_equal(factors, inverse_factors(*scaled_blocks(alpha), [[1]]))
         else:
             with pytest.raises(NotPositiveDefinite, match=r"regime \(\+1,\+1\), cluster size 1 is not positive definite"):
-                block_stack(alpha, [0], [[1]])
+                block_stack(alpha, [[1]])
         assert calls == linalg_calls
 
 
