@@ -24,14 +24,14 @@ column-wise, one mask per row check; the first failing row's error is read
 from the values the chunk converted.  A chunk of plain lines is split into
 columns with one ``str.split``, one string per cell and nothing per row, and
 ``csv.reader`` reads the rest.  Per-individual arrays are reserved from the
-line count, and rows written in canonical order, as
-:func:`serialize_long_table` writes them, fill them in place, so the dataset
-takes them without a sort or copy.
-On such rows the parser also keeps a map of individual ids only for the
-clusters a chunk reads: every other cluster's individuals are a run of
-slots, whose ids are read back where the cluster is met again.  A chunk's
-new ids are kept joined into one string, so their ``str`` objects go with
-the chunk's cells.
+line count.  Rows that introduce (cluster id, individual id) pairs in
+increasing order, as :func:`serialize_long_table` writes them, fill them in
+canonical order, so the dataset takes them without a sort or copy.  Rows that
+give each cluster's individuals one run, in any order of clusters, let the
+parser keep a map of individual ids only for the clusters a chunk reads:
+every other cluster's individuals are a run of slots, whose ids are read back
+where the cluster is met again.  A chunk's new ids are kept joined into one
+string, so their ``str`` objects go with the chunk's cells.
 """
 from __future__ import annotations
 
@@ -646,11 +646,6 @@ def _first_seen(slots: np.ndarray, n: int) -> Tuple[np.ndarray, int]:
     return slots >= before[:-1], int(before[-1])
 
 
-def _descents(values: Sequence) -> List[int]:
-    """The positions of the values not less than the next."""
-    return list(itertools.compress(itertools.count(), map(operator.ge, values, values[1:])))
-
-
 class _IdPieces:
     """Ids by slot, appended a chunk at a time: each chunk's new ids joined
     into one string, a piece, with the offsets of :class:`_Ids` into the
@@ -659,10 +654,8 @@ class _IdPieces:
     def __init__(self, room: int) -> None:
         self.pieces: List[str] = []
         self.first: List[int] = []  # each piece's first slot
-        self.start: List[int] = []  # each piece's offset
         self.offsets = np.zeros(room + 1, dtype=np.int64)
         self.n = 0
-        self.last = ""  # the id of slot n - 1
 
     def extend(self, ids: List[str]) -> None:
         if not ids:
@@ -674,8 +667,7 @@ class _IdPieces:
         np.cumsum(lengths, out=self.offsets[n : stop + 1])
         self.pieces.append("".join(ids))
         self.first.append(n)
-        self.start.append(start)
-        self.n, self.last = stop, ids[-1]
+        self.n = stop
 
     def read(self, start: int, stop: int) -> List[str]:
         """The ids of the slots ``start`` to ``stop``, at a cost that grows
@@ -684,7 +676,8 @@ class _IdPieces:
         ids = []
         for slot, begin, end in zip(range(start, stop), offsets, offsets[1:]):
             k = bisect.bisect_right(self.first, slot) - 1
-            ids.append(self.pieces[k][begin - self.start[k] : end - self.start[k]])
+            base = int(self.offsets[self.first[k]])
+            ids.append(self.pieces[k][begin - base : end - base])
         return ids
 
     def column(self) -> _Ids:
@@ -695,14 +688,14 @@ class _PersonSlots(dict):
     """Each cluster slot's map from individual id to slot, held only while in use.
 
     Clusters and individuals get slots in the order rows introduce them.
-    While every cluster's individuals hold one run of slots, as on input in
-    canonical order, the runs follow cluster order: cluster ``c`` holds the
-    slots ``first[c] : first[c + 1]``.  So no map outlives the chunk that used
-    it (:meth:`settle`), except the chunk's last cluster's, whose rows may go
-    on in the next chunk: a later lookup of a cluster rebuilds its map from
-    the ids of its run, read back from their pieces.  From the first chunk
-    that breaks that order on, every map is kept, and ``first`` stays true of
-    the clusters whose maps were dropped before.
+    While the owners of new individual slots never decrease (``in_order``,
+    weaker than canonical order), cluster ``c``'s individuals hold the slots
+    ``first[c] : first[c + 1]``.  So no map outlives the chunk that used it
+    (:meth:`settle`), except the chunk's last cluster's, whose rows may go on
+    in the next chunk: a later lookup of a cluster rebuilds its map from the
+    ids of its run, read back from their pieces.  From the first chunk that
+    breaks that order on, every map is kept, and ``first`` stays true of the
+    clusters whose maps were dropped before.
     """
 
     def __init__(self, ids: _IdPieces, next_slot) -> None:
@@ -748,11 +741,12 @@ class _ColumnBuilder:
     Clusters and individuals get dense slots in the order rows introduce
     them: a dict maps each cluster id to its slot, and a
     :class:`_PersonSlots` maps the individual ids of the clusters in use, so
-    no key is kept per row or per (cluster, individual) pair, and on input
-    in canonical order no map of individual ids outlives its chunk.  The
-    cluster ids by slot are that dict's keys, listed; the individual ids are
-    :class:`_IdPieces`, judged a chunk at a time, while they are ``str``
-    objects, on whether they are in canonical order.  Arrays indexed by
+    no key is kept per row or per (cluster, individual) pair.  The cluster
+    ids by slot are that dict's keys, listed; the individual ids are
+    :class:`_IdPieces`.  ``canonical``, judged a chunk at a time on the new
+    individuals while their ids are ``str`` objects, says whether the rows
+    introduce (cluster id, individual id) pairs in increasing order, so that
+    slots are canonical positions (:meth:`dataset`).  Arrays indexed by
     slot hold a cluster's first-row codes and covariates, and an
     individual's cluster, first-row covariates and outcomes, so their sizes
     follow the clusters and individuals, not the rows; the per-individual
@@ -776,7 +770,7 @@ class _ColumnBuilder:
         # a new id takes the next slot as it is looked up
         self.cluster_of: Dict[str, int] = defaultdict(itertools.count().__next__)
         self.individual_ids = _IdPieces(people)
-        self.people_in_order = True  # each individual id greater than the one before in its cluster
+        self.canonical, self.last = True, []  # whether the pairs introduced rise, and the last of them
         self.people_of = _PersonSlots(self.individual_ids, itertools.count().__next__)
         n_xc, n_xi = len(schema.cluster_covariates), len(schema.individual_covariates)
         self.codes = np.zeros((0, 4), dtype=np.int8)  # a1, r, a2nr, a2r
@@ -843,7 +837,14 @@ class _ColumnBuilder:
         self.owner[p[new_p]] = c[new_p]
         self.xi[p[new_p]] = xi[new_p]
         self.people_of.settle(self.owner, start, self.n_people, self.n_clusters, c_slots[-1])
-        self._add_individual_ids(list(itertools.compress(iids, new_p)))
+        new_iids = list(itertools.compress(iids, new_p))
+        if self.canonical:
+            # from the last pair before: no cluster id falls, and where one does not rise the individual id does
+            cs, js = self.last[:1] + list(itertools.compress(cids, new_p)), self.last[1:] + new_iids
+            self.canonical = all(map(operator.le, cs, cs[1:])) and all(
+                map(operator.or_, map(operator.lt, cs, cs[1:]), map(operator.lt, js, js[1:])))
+            self.last = cs[-1:] + js[-1:]
+        self.individual_ids.extend(new_iids)
 
         # the key of an off-grid row is unique, so it never counts as a duplicate
         on_grid = k >= 0
@@ -895,19 +896,6 @@ class _ColumnBuilder:
             raise InconsistentCluster(f"{where}: duplicate time {t} for individual {iid!r} in cluster {cid!r}")
         raise InconsistentCluster(f"{where}: individual {iid!r} rows disagree on covariates")
 
-    def _add_individual_ids(self, iids: List[str]) -> None:
-        """Append the ids of a chunk's new individuals, whose owners are
-        stored, judging while they are ``str`` objects whether each is still
-        greater than the one before in its cluster, as in canonical order."""
-        ids = self.individual_ids
-        if self.people_in_order:
-            run = [ids.last, *iids] if ids.n else iids  # from the last id added before
-            if falls := _descents(run):
-                # an id may fall only where one cluster's slots end
-                slots = np.array(falls, dtype=np.intp) + max(ids.n - 1, 0)
-                self.people_in_order = bool((self.owner[slots] != self.owner[slots + 1]).all())
-        ids.extend(iids)
-
     def _decode(self, name: str, raw: str, where: str) -> Optional[int]:
         """The pathway entry ``name`` coded in ``raw``, None for an absent
         second-stage entry; raises BadTreatmentCode."""
@@ -925,12 +913,11 @@ class _ColumnBuilder:
     def dataset(self) -> TrialDataset:
         """The canonical-order dataset, once every row has been added.
 
-        When the rows introduced clusters and individuals in canonical order,
-        as :func:`serialize_long_table` writes them, slots are positions and
-        the dataset takes the builder's arrays and ids as they are; otherwise
-        they are sorted into place.
+        When the rows introduced (cluster id, individual id) pairs in
+        increasing order (``canonical``), as :func:`serialize_long_table`
+        writes them, slots are positions and the dataset takes the builder's
+        arrays and ids as they are; otherwise they are sorted into place.
         """
-        owners_in_order = self.people_of.in_order
         cids = list(self.cluster_of)  # slots are handed out in insertion order
         del self.cluster_of, self.people_of  # no id is looked up after the last row
         schema, grid = self.schema, self.schema.grid
@@ -944,7 +931,7 @@ class _ColumnBuilder:
             j = min(incomplete, key=lambda j: (cids[owner[j]], iids[j]))
             missing = [grid.times[k] for k in np.flatnonzero(~self.filled[j]).tolist()]
             raise MissingCell(f"cluster {cids[owner[j]]!r} individual {iids[j]!r}: missing outcomes at times {missing}")
-        if owners_in_order and self.people_in_order and not _descents(cids):
+        if self.canonical:
             codes, x_cluster = _exact(self.codes, n_clusters), _exact(self.xc, n_clusters)
             x_individual, y = _exact(self.xi, n_people), _exact(self.y, n_people)
             sizes = np.bincount(owner, minlength=n_clusters)

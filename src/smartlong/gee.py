@@ -325,12 +325,8 @@ class _Workspace:
         consistent = by_pathway[:, ds.pathway_index]
         self.regimes: List[_Regime] = []
         moments, people, pairs, y_square = [], [], [], []
-        for d, member in zip(self.cais, consistent):
+        for d, gamma, member in zip(self.cais, spec._gamma, consistent):
             pos = np.flatnonzero(member)
-            gamma = spec.basis.gamma_rows(spec.grid.times, d)
-            if not np.isfinite(gamma).all():
-                t = spec.grid.times[np.flatnonzero(~np.isfinite(gamma).all(axis=1))[0]]
-                raise ValueError(f"the mean model's basis is not finite under regime {d} at t = {t}")
             n = sizes[pos]
             distinct = np.unique(n)
             r = _Regime(d, pos, np.column_stack((gamma, np.ones(len(gamma)))), distinct, sizes, x_sum)

@@ -6,8 +6,9 @@ segment's value there, so trajectories are continuous by construction.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +50,9 @@ def _second_stage_multipliers(kind: DesignKind, d: EmbeddedCai) -> Tuple[float, 
 
 # panels of the composite Simpson rule a custom basis is integrated with (even)
 _SIMPSON_PANELS = 1024
+# an unidentified basis names the labels whose entry in its null direction
+# exceeds this share of that direction's largest entry, in magnitude
+_NULL_SHARE = 0.1
 
 
 class TrajectoryBasis:
@@ -150,18 +154,44 @@ class CustomBasis(TrajectoryBasis):
         return (h / 3.0) * coeff @ values
 
 
+def _require_identified(gamma: np.ndarray, labels: Sequence[str]) -> None:
+    """Raise ValueError unless ``gamma``, the basis rows at every grid time
+    under every regime, has full column rank, judged on unit-norm columns.
+
+    Every valid dataset has a consistent cluster in each regime and an
+    outcome at each grid time, so no dataset identifies a basis that fails
+    this.  A zero column is named as zero; otherwise the labels that carry
+    more than :data:`_NULL_SHARE` of the null direction are named.
+    """
+    norms = np.linalg.norm(gamma, axis=0)
+    if not norms.all():
+        zero = ", ".join(itertools.compress(labels, norms == 0))
+        raise ValueError(f"no dataset identifies the mean model: its basis is zero in {zero} at every time and regime")
+    _, s, vh = np.linalg.svd(gamma / norms)
+    if s.size == norms.size and s[-1] > s[0] * max(gamma.shape) * np.finfo(float).eps:
+        return
+    null = np.abs(vh[-1])
+    collinear = ", ".join(itertools.compress(labels, null > _NULL_SHARE * null.max()))
+    raise ValueError(f"no dataset identifies the mean model: its basis columns {collinear} are collinear")
+
+
 @dataclass(frozen=True)
 class MeanModelSpec:
     """A trajectory basis plus linear baseline-covariate adjustment terms.
 
     The basis must be built on ``grid`` and, where it names a design kind,
-    for ``design``'s kind: :class:`ValueError` otherwise.
+    for ``design``'s kind; at the grid times under the design's regimes it
+    must be finite and have full column rank, or no dataset identifies the
+    model: :class:`ValueError` otherwise.
     """
 
     basis: TrajectoryBasis
     design: SmartDesign
     grid: TimeGrid
     covariate_terms: Tuple[str, ...] = ()
+    # (regimes, times, n_gamma), read-only: the basis at each grid time under
+    # each regime of the design, in enumerate_cais order
+    _gamma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # every constructor passes through here, the classmethods included
@@ -174,6 +204,15 @@ class MeanModelSpec:
             raise ValueError(
                 f"the basis is built for design {kind.value}, the mean model for design {self.design.kind.value}"
             )
+        cais = _CAIS[kind]
+        gamma = np.stack([self.basis.gamma_rows(self.grid.times, d) for d in cais])
+        nonfinite = ~np.isfinite(gamma).all(axis=2)
+        if nonfinite.any():
+            i, k = np.argwhere(nonfinite)[0]
+            raise ValueError(f"the mean model's basis is not finite under regime {cais[i]} at t = {self.grid.times[k]}")
+        _require_identified(gamma.reshape(-1, gamma.shape[2]), self.basis.labels)
+        gamma.flags.writeable = False
+        object.__setattr__(self, "_gamma", gamma)
 
     @classmethod
     def piecewise_linear(

@@ -633,6 +633,10 @@ PERSON_ORDERS = {
     # every individual's first time, then every second, then every third:
     # later rows only revisit individuals met before
     "revisits_of_known_people": [(k, t) for t in range(3) for k in range(len(CHAR_PEOPLE))],
+    # each cluster's rows together, c3's before c2's
+    "c3_before_c2": [(k, t) for k in (0, 1, 3, 4, 2) for t in range(3)],
+    # c1's individuals in reverse
+    "one_cluster_reversed": [(k, t) for k in (1, 0) for t in range(3)],
 }
 
 
@@ -648,12 +652,19 @@ class TestPersonSlots:
         schema = char_schema(design2, grid012)
         canonical = parse_long_table(char_table(), schema)
         records = TrialDataset(design2, grid012, list(canonical.clusters), ("u",), ("v",))
-        text = char_table(rows=ordered_rows(PERSON_ORDERS[order]))
-        with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
-            for stream in (False, True):
+        rows = ordered_rows(PERSON_ORDERS[order])
+        text = char_table(rows=rows)
+        # the individual ids are sorted, and so rebuilt, unless the rows
+        # introduce (cluster id, individual id) pairs in increasing order
+        introduced = list(dict.fromkeys(tuple(row[:2]) for row in rows))
+        sorts = introduced != sorted(introduced)
+        for stream in (False, True):
+            with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows), \
+                    mock.patch.object(data._Ids, "of", wraps=data._Ids.of) as of:
                 got = parse_outcome(text, schema, stream)
-                assert_same_columns(got, records)
-                assert got == records
+            assert_same_columns(got, records)
+            assert got == records
+            assert of.call_count == 1 + sorts
 
     @pytest.mark.parametrize("chunk_rows", [2, 3, 512])
     @pytest.mark.parametrize("order", list(PERSON_ORDERS))

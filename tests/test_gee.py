@@ -14,6 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 from smartlong import (
     AdjustmentOptions,
     AlphaEstimate,
+    AnchoredKnotBasis,
     BetweenCorr,
     CorrCai,
     CustomBasis,
@@ -313,6 +314,17 @@ class TestFit:
         basis = CustomBasis(functions=[lambda t, d: 1.0, f], grid=grid012)
         with pytest.raises(ValueError, match=re.escape(f"the mean model's basis is not finite under {where}") + "$"):
             fit(ds, MeanModelSpec.custom(design2, grid012, basis), IID)
+
+    def test_fit_reads_the_basis_from_the_spec(self, design2, grid012, monkeypatch):
+        # the spec evaluates and judges the basis once; fit takes its rows as they are
+        rng = np.random.default_rng(23)
+        ds = random_design2_dataset(rng, 30, grid012, design2)
+        spec = MeanModelSpec.piecewise_linear(design2, grid012)
+        want = fit(ds, spec, EXCH)
+        monkeypatch.setattr(AnchoredKnotBasis, "gamma_rows", None)
+        monkeypatch.setattr(AnchoredKnotBasis, "gamma_row", None)
+        got = fit(ds, spec, EXCH)
+        np.testing.assert_array_equal(got.theta.full, want.theta.full)
 
     def test_covariate_collinear_with_intercept_is_rank_deficient(self, design2, grid012):
         # a cluster covariate equal in every cluster is a multiple of the intercept

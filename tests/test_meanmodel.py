@@ -96,6 +96,38 @@ class TestSpecConstructors:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             MeanModelSpec(make_basis(design2, other), design2, grid012)
 
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("make", [MeanModelSpec.piecewise_linear, MeanModelSpec.piecewise_sqrt],
+                             ids=["linear", "sqrt"])
+    def test_a_knot_at_the_first_time_is_rejected(self, kind, make):
+        # the pre-knot slope, and a1 times it, are zero at every grid time: no
+        # dataset identifies them, and fit would blame the data
+        design = SmartDesign.balanced(kind)
+        message = "no dataset identifies the mean model: its basis is zero in gamma_1, gamma_2 at every time and regime"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(design, TimeGrid((0.0, 1.0, 2.0), knot=0.0))
+        # from a first time other than 0 the pre-knot slope is a constant, a multiple of the intercept
+        message = "no dataset identifies the mean model: its basis columns gamma_0, gamma_1 are collinear"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(design, TimeGrid((0.5, 1.0, 2.0), knot=0.5))
+
+    def test_a_repeated_basis_column_is_rejected(self, design2, grid012):
+        functions = [lambda t, d: 1.0, lambda t, d: d.a1 * t, lambda t, d: t, lambda t, d: d.a1 * t]
+        basis = CustomBasis(functions, grid012, labels=["mean", "a1_slope", "slope", "a1_slope_again"])
+        message = "no dataset identifies the mean model: its basis columns a1_slope, a1_slope_again are collinear"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MeanModelSpec.custom(design2, grid012, basis)
+        # one basis column short of it, the model is identified
+        MeanModelSpec.custom(design2, grid012, CustomBasis(functions[:3], grid012))
+
+    @pytest.mark.parametrize("kind", list(DesignKind), ids=lambda kind: kind.value)
+    def test_the_spec_holds_the_basis_at_every_grid_time_and_regime(self, kind, grid012):
+        design = SmartDesign.balanced(kind)
+        spec = MeanModelSpec.piecewise_linear(design, grid012)
+        want = [spec.basis.gamma_rows(grid012.times, d) for d in enumerate_cais(design)]
+        np.testing.assert_array_equal(spec._gamma, want)
+        assert not spec._gamma.flags.writeable
+
 
 class TestGammaRows:
     @pytest.mark.parametrize("kind", list(DesignKind))

@@ -1,6 +1,7 @@
 """Checks on the library's source text and its public surface."""
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,45 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name}: unused imports " + ", ".join(f"{name} (line {line})" for line, name in unused)
 
 
+def private_definitions(tree):
+    """The private names a module's top level defines: functions, classes and constants."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {name: line for name, line in names.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def named_names(tree):
+    """Every name a module reads: bare, as an attribute or in an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_definition_is_used(path):
+    # a private helper left defined after the code that called it is deleted
+    defined = private_definitions(parse(path))
+    named = set().union(*(named_names(parse(p)) for p in PACKAGE.glob("*.py")))
+    unused = sorted((line, name) for name, line in defined.items() if name not in named)
+    assert not unused, f"{path.name}: unused private definitions " + ", ".join(
+        f"{name} (line {line})" for line, name in unused
+    )
+
+
 EXPORTING = [p for p in MODULES if module_all(parse(p)) is not None]
 
 
@@ -113,3 +153,10 @@ def test_sources_use_only_the_grammar_of_the_python_floor():
         except SyntaxError as exc:
             failures.append(f"{path.relative_to(REPO)}:{exc.lineno}: {exc.msg}")
     assert failures == []
+
+
+def test_the_readme_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("end_of_study (+1,+1) vs (-1,+1): ")
